@@ -5,14 +5,16 @@ The degree-m Bernstein basis in the local parameter u = (t - a)/(b - a) is
     B_i^m(t) = C(m, i) * (1 - u)^(m - i) * u^i,          i = 0..m,
 
 a nonnegative partition of unity.  This module provides evaluation (direct
-and de Casteljau), the degree-elevation matrix E with B^m = B^n E, the Pascal
-matrix and power-basis conversion, the endpoint dual functionals lambda_k^n
-(left and right forms), their real-index generalization, and uniform node
-vectors.
+and de Casteljau), the degree-elevation matrix E with B^m = B^n E, the
+collocation matrix, the Pascal matrix and power-basis conversion, the
+endpoint dual functionals lambda_k^n (left and right forms), their
+real-index generalization, and uniform node vectors.
 
 Exactness convention: whenever inputs are ints or Fractions, results are
 exact Fractions; float inputs flow through as floats.  All matrices returned
-here are exact (:class:`dualbern.ratmat.Mat`).
+here are exact (:class:`dualbern.ratmat.Mat`).  The one float layer is
+:func:`uniform_grid` with :func:`bform_eval`: every float sample grid and
+every grid evaluation of a B-form polynomial in the package goes through it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .ratmat import Mat, binomial
 
@@ -132,6 +136,48 @@ def de_casteljau_eval(p: BPoly, t):
         for i in range(len(b) - sweep):
             b[i] = w * b[i] + u * b[i + 1]
     return b[0]
+
+
+def uniform_grid(iv: Interval, samples: int) -> np.ndarray:
+    """samples >= 2 equally spaced floats a + w*q/(samples-1), q = 0..samples-1.
+
+    The operation order is fixed, so the grid is bit-for-bit the scalar
+    formula with a = float(iv.a) and w = float(iv.width)."""
+    a, w = float(iv.a), float(iv.width)
+    return a + w * np.arange(samples) / (samples - 1)
+
+
+def bform_eval(coeffs, iv: Interval, ts) -> np.ndarray:
+    """de Casteljau on a float grid, vectorised over the points.
+
+    ``coeffs`` is one coefficient vector (result shape (len(ts),)) or an
+    (m+1) x k array whose columns are k polynomials (result (len(ts), k)).
+    Entries are converted to float first, which is what the scalar sweep of
+    :func:`de_casteljau_eval` does with exact coefficients at a float point;
+    the sweeps use only elementwise * and + in the scalar order, so every
+    value equals ``de_casteljau_eval`` at that point bit for bit.
+    """
+    u = (np.asarray(ts, dtype=float) - float(iv.a)) / float(iv.width)
+    b = np.array(coeffs, dtype=float)
+    u = u.reshape((-1,) + (1,) * (b.ndim - 1))
+    w = 1.0 - u
+    b = b[:, np.newaxis] * np.ones_like(u)
+    for _ in range(len(b) - 1):
+        b = w * b[:-1] + u * b[1:]
+    return b[0]
+
+
+def collocation_matrix(n: int) -> Mat:
+    """Exact M_n = [B_j^n(i/n)]_{ij}, rows summing to 1; interval-invariant.
+
+    Its inverse carries the B-form coefficients of the Lagrange basis on the
+    uniform nodes (L^n = B^n M_n^{-1}) and turns node values into the data
+    map of the quasi-interpolant."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return Mat(
+        [[bernstein_value(n, j, Fraction(i, n)) for j in range(n + 1)] for i in range(n + 1)]
+    )
 
 
 def elevation_matrix(m: int, n: int) -> Mat:

@@ -17,14 +17,13 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .bernstein import Interval, de_casteljau_eval, BPoly, elevation_matrix, xi_nodes
+from .bernstein import Interval, bform_eval, elevation_matrix, uniform_grid
 from .operators import (
     bernstein_like_report,
     quasi_interpolant_report,
 )
 from .ratmat import Mat, SingularMatrixError, mat_to_json_obj
 from .subspace import (
-    SelectionError,
     SelectionMap,
     bernstein_embedding,
     dual_basis,
@@ -236,6 +235,8 @@ def _interval(args) -> Interval:
     a, b = _number(args.a), _number(args.b)
     if not a < b:
         raise UsageError(f"need a < b, got a={args.a} b={args.b}")
+    if not math.isfinite(b - a):
+        raise UsageError(f"need a finite interval, got a={args.a} b={args.b}")
     return Interval(a, b)
 
 
@@ -387,8 +388,7 @@ def _cmd_plot(args) -> int:
     iv = _interval(args)
     samples = _grid_size(args)
     db = dual_basis(bernstein_embedding(args.m, n), sel, iv)
-    a, w = float(iv.a), float(iv.width)
-    ts = [a + w * q / (samples - 1) for q in range(samples)]
+    ts = uniform_grid(iv, samples).tolist()
 
     if args.kind == "basis":
         values = [[dual_basis_eval(db, i, t) for i in range(args.m + 1)] for t in ts]
@@ -413,13 +413,11 @@ def _cmd_plot(args) -> int:
             raise UsageError(f"bad --coeffs {args.coeffs!r}")
         if len(alpha) != args.m + 1:
             raise UsageError(f"--coeffs needs {args.m + 1} values for m={args.m}")
-        transformed = [
-            sum(float(db.A[r, i]) * alpha[i] for i in range(args.m + 1))
-            for r in range(args.m + 1)
-        ]
-        xs = [a + w * i / args.m for i in range(args.m + 1)]
-        curve_poly = BPoly(args.m, iv, tuple(transformed))
-        curve_pts = [(t, de_casteljau_eval(curve_poly, t)) for t in ts]
+        if not all(math.isfinite(x) for x in alpha):
+            raise UsageError(f"--coeffs must be finite, got {args.coeffs!r}")
+        transformed = list(db.bform(alpha).coeffs)
+        xs = uniform_grid(iv, args.m + 1).tolist()
+        curve_pts = list(zip(ts, bform_eval(transformed, iv, ts).tolist()))
         original = list(zip(xs, alpha))
         moved = list(zip(xs, transformed))
         ys = alpha + transformed + [y for _, y in curve_pts]
@@ -484,18 +482,14 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SelectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SingularMatrixError as exc:
         sys.stdout.write(
             _json_text({"error": "singular", "message": str(exc)}) + "\n"
         )
         return 3
-    except ValueError as exc:  # library precondition violations
+    # usage, library preconditions (SelectionError is a ValueError), float
+    # overflow while sampling, and output files that cannot be written
+    except (UsageError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

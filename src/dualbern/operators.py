@@ -18,19 +18,20 @@ smoothness class, plus the two exact norms entering every bound.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bernstein import (
     BPoly,
     Interval,
     UNIT_INTERVAL,
-    bernstein_value,
-    de_casteljau_eval,
+    bform_eval,
+    collocation_matrix,
+    uniform_grid,
     xi_nodes,
 )
 from .ratmat import Mat, inf_norm, mat_inv
@@ -71,18 +72,16 @@ class OperatorReport:
         }
 
 
-def collocation_matrix(n: int) -> Mat:
-    """Exact M_n with entries B_j^n(i/n); row-affine, interval-invariant."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Mat(
-        [[bernstein_value(n, j, Fraction(i, n)) for j in range(n + 1)] for i in range(n + 1)]
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def _colloc_inv(n: int) -> Mat:
     return mat_inv(collocation_matrix(n))
+
+
+def _tilde_lambdas(n: int, indices, f: SampledFunction, iv: Interval) -> list:
+    """tilde-lambda_j^n f for each j in indices, sampling f once per node."""
+    minv = _colloc_inv(n)
+    fs = [f(x) for x in xi_nodes(n, iv)]
+    return [sum(c * y for c, y in zip(minv.row(j), fs)) for j in indices]
 
 
 def tilde_lambda_apply(n: int, j: int, f: SampledFunction, iv: Interval = UNIT_INTERVAL):
@@ -93,13 +92,15 @@ def tilde_lambda_apply(n: int, j: int, f: SampledFunction, iv: Interval = UNIT_I
     """
     if not 0 <= j <= n:
         raise ValueError(f"index {j} out of range 0..{n}")
-    minv = _colloc_inv(n)
-    nodes = xi_nodes(n, iv)
-    return sum(minv[j, i] * f(nodes[i]) for i in range(n + 1))
+    return _tilde_lambdas(n, (j,), f, iv)[0]
 
 
 def _dual(m: int, n: int, s: SelectionMap, iv: Interval) -> DualBasis:
     return dual_basis(bernstein_embedding(m, n), s, iv)
+
+
+def _quasi(db: DualBasis, f: SampledFunction) -> BPoly:
+    return db.bform(_tilde_lambdas(db.n, db.s, f, db.interval))
 
 
 def quasi_interpolant(
@@ -108,29 +109,33 @@ def quasi_interpolant(
     """Q_s f as a degree-m B-form polynomial: coefficients A . v with
     v_i = tilde-lambda_{s(i)}^n f.  Reproduces every polynomial of degree
     <= m (it is a linear projector onto that space)."""
-    db = _dual(m, n, s, iv)
-    v = [tilde_lambda_apply(n, k, f, iv) for k in s]
-    coeffs = tuple(sum(db.A[r, i] * v[i] for i in range(m + 1)) for r in range(m + 1))
-    return BPoly(m, iv, coeffs)
+    return _quasi(_dual(m, n, s, iv), f)
 
 
-def _grid(iv: Interval, samples: int) -> list:
-    a, w = float(iv.a), float(iv.width)
-    return [a + w * q / (samples - 1) for q in range(samples)]
+def _sample(f: SampledFunction, ts: np.ndarray) -> np.ndarray:
+    """float(f(t)) on the grid; f sees Python floats, never numpy scalars."""
+    return np.array([float(f(t)) for t in ts.tolist()])
+
+
+def _sampled_error(f: SampledFunction, p: BPoly, samples: int) -> tuple[np.ndarray, float]:
+    """f on the report grid, and the grid sup of |f - p|."""
+    ts = uniform_grid(p.interval, samples)
+    fs = _sample(f, ts)
+    return fs, float(np.max(np.abs(fs - bform_eval(p.coeffs, p.interval, ts))))
 
 
 def distance_to_subspace(
     f: SampledFunction, m: int, iv: Interval = UNIT_INTERVAL, samples: int = 401
 ) -> float:
-    """Grid estimate of the sup-distance from f to the degree-m polynomials.
+    """Max grid residual of the discrete least-squares fit of f by degree m.
 
-    Discrete least squares on a uniform grid (Vandermonde in the local
-    parameter), reporting the max residual; a cheap independent yardstick for
-    near-best-approximation checks (it may under-estimate the true
-    distance slightly, so give it a few percent of slack)."""
-    ts = _grid(iv, samples)
-    us = np.array([(t - float(iv.a)) / float(iv.width) for t in ts])
-    vals = np.array([float(f(t)) for t in ts])
+    The fit is a Vandermonde least-squares solve in the local parameter on
+    a uniform grid of ``samples`` points.  The returned max residual is an
+    upper bound on the minimax distance over that grid; it is not a
+    certified bound on the true sup-distance over [a, b]."""
+    ts = uniform_grid(iv, samples)
+    us = (ts - float(iv.a)) / float(iv.width)
+    vals = _sample(f, ts)
     vand = np.vander(us, m + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(vand, vals, rcond=None)
     fit = vand @ coef
@@ -149,13 +154,10 @@ def quasi_interpolant_report(
     inf_norm(A) * inf_norm(M_n^{-1}) * sup|f| (which dominates ||Q_s f||),
     and the near-best bound (1 + that operator norm) * d(f, degree-m)."""
     db = _dual(m, n, s, iv)
-    p = quasi_interpolant(m, n, s, f, iv)
-    ts = _grid(iv, samples)
-    fs = [float(f(t)) for t in ts]
-    sup_err = max(abs(fv - de_casteljau_eval(p, t)) for fv, t in zip(fs, ts))
+    fs, sup_err = _sampled_error(f, _quasi(db, f), samples)
     norm_a = inf_norm(db.A)
     norm_minv = inf_norm(_colloc_inv(n))
-    sup_f = max(abs(v) for v in fs)
+    sup_f = float(np.max(np.abs(fs)))
     op_norm = float(norm_a * norm_minv)
     dist = distance_to_subspace(f, m, iv)
     return OperatorReport(
@@ -169,6 +171,11 @@ def quasi_interpolant_report(
     )
 
 
+def _bernop(db: DualBasis, f: SampledFunction) -> BPoly:
+    nodes = xi_nodes(db.n, db.interval)
+    return db.bform([f(nodes[k]) for k in db.s])
+
+
 def bernstein_like(
     m: int, n: int, s: SelectionMap, f: SampledFunction, iv: Interval = UNIT_INTERVAL
 ) -> BPoly:
@@ -176,11 +183,7 @@ def bernstein_like(
 
     Coefficients are A . (f at the selected ambient nodes); reproduces affine
     functions exactly (linear precision of the dual basis)."""
-    db = _dual(m, n, s, iv)
-    nodes = xi_nodes(n, iv)
-    v = [f(nodes[k]) for k in s]
-    coeffs = tuple(sum(db.A[r, i] * v[i] for i in range(m + 1)) for r in range(m + 1))
-    return BPoly(m, iv, coeffs)
+    return _bernop(_dual(m, n, s, iv), f)
 
 
 def modulus_of_continuity(
@@ -197,27 +200,11 @@ def modulus_of_continuity(
         raise ValueError(f"need 0 < h <= b - a = {width}, got h={h}")
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    a = float(iv.a)
-    vals = [float(f(a + width * q / grid_n)) for q in range(grid_n + 1)]
+    vals = _sample(f, uniform_grid(iv, grid_n + 1))
     span = int((float(h) * grid_n) / width + 1e-9)  # indices within distance h
     span = max(1, min(span, grid_n))
-    best = 0.0
-    hi: deque = deque()  # decreasing values -> window max at left
-    lo: deque = deque()  # increasing values -> window min at left
-    for q, v in enumerate(vals):
-        while hi and vals[hi[-1]] <= v:
-            hi.pop()
-        hi.append(q)
-        while lo and vals[lo[-1]] >= v:
-            lo.pop()
-        lo.append(q)
-        start = q - span
-        if hi[0] < start:
-            hi.popleft()
-        if lo[0] < start:
-            lo.popleft()
-        best = max(best, vals[hi[0]] - vals[lo[0]])
-    return best
+    windows = sliding_window_view(vals, span + 1)
+    return float(np.max(windows.max(axis=1) - windows.min(axis=1)))
 
 
 _BOUND_KINDS = {"c0": "C0-modulus", "c1": "C1", "c2": "C2"}
@@ -248,9 +235,7 @@ def bernstein_like_report(
     if kind is None:
         raise ValueError(f"smoothness must be one of c0|c1|c2, got {smoothness!r}")
     db = _dual(m, n, s, iv)
-    p = bernstein_like(m, n, s, f, iv)
-    ts = _grid(iv, samples)
-    sup_err = max(abs(float(f(t)) - de_casteljau_eval(p, t)) for t in ts)
+    _, sup_err = _sampled_error(f, _bernop(db, f), samples)
     norm_a = inf_norm(db.A)
     w = float(iv.width)
     if kind == "C0-modulus":
@@ -288,16 +273,9 @@ def stability_report(db: DualBasis, alpha: Sequence) -> StabilityReport:
     through which the lower bound is proved), and the sandwich is checked
     with multiplicative slack 1 + 1e-9; violation raises RuntimeError since
     it would signal an internal inconsistency."""
-    if len(alpha) != db.m + 1:
-        raise ValueError(f"alpha must have length {db.m + 1}")
-    beta = [
-        sum(db.A[r, i] * alpha[i] for i in range(db.m + 1)) for r in range(db.m + 1)
-    ]  # B-form coefficients of p
-    p = BPoly(db.m, db.interval, tuple(float(b) for b in beta))
-    ts = _grid(db.interval, 201)
-    a, w = float(db.interval.a), float(db.interval.width)
-    ts += [a + w * i / db.m for i in range(db.m + 1)]
-    p_norm = max(abs(de_casteljau_eval(p, t)) for t in ts)
+    iv = db.interval
+    ts = np.concatenate([uniform_grid(iv, 201), uniform_grid(iv, db.m + 1)])
+    p_norm = float(np.max(np.abs(bform_eval(db.bform(alpha).coeffs, iv, ts))))
     alpha_norm = max(abs(float(x)) for x in alpha)
     lower = alpha_norm / float(inf_norm(_colloc_inv(db.m)))
     upper = float(inf_norm(db.A)) * alpha_norm

@@ -88,9 +88,6 @@ class Mat:
         """Row-major flat tuple of entries."""
         return tuple(x for row in self._rows for x in row)
 
-    def at(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self._rows[i][j]

@@ -28,7 +28,7 @@ from .bernstein import (
     elevation_matrix,
     xi_nodes,
 )
-from .ratmat import Mat, SingularMatrixError, mat_inv, row_select
+from .ratmat import Mat, SingularMatrixError, mat_inv, mat_mul, row_select
 
 
 class SelectionError(ValueError):
@@ -119,6 +119,14 @@ class DualBasis:
     interval: Interval
     kind: str = "bernstein"
 
+    def bform(self, v) -> BPoly:
+        """sum_i v_i D_i^m as a B-form polynomial: its coefficients are A . v
+        (exact for exact v)."""
+        if len(v) != self.m + 1:
+            raise ValueError(f"need {self.m + 1} values, got {len(v)}")
+        coeffs = (sum(a * x for a, x in zip(self.A.row(r), v)) for r in range(self.m + 1))
+        return BPoly(self.m, self.interval, coeffs)
+
 
 def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) -> DualBasis:
     """Construct the dual basis for a selection; raises SingularMatrixError
@@ -141,10 +149,6 @@ def dual_basis_eval(db: DualBasis, i: int, t):
     return sum(bernstein_value(db.m, j, t, db.interval) * db.A[j, i] for j in range(db.m + 1))
 
 
-def _basis_element(db: DualBasis, i: int) -> BPoly:
-    return BPoly(db.m, db.interval, db.A.col(i))
-
-
 def verify_duality(db: DualBasis) -> bool:
     """Exact check that the selected functionals are biorthogonal to D^m.
 
@@ -157,16 +161,9 @@ def verify_duality(db: DualBasis) -> bool:
     """
     if db.kind != "bernstein":
         E = power_embedding(db.m, db.n).E
-        identity = Mat.identity(db.m + 1)
-        product = Mat(
-            [
-                [sum(E[k, c] * db.A[c, j] for c in range(db.m + 1)) for j in range(db.m + 1)]
-                for k in db.s
-            ]
-        )
-        return product == identity
+        return mat_mul(row_select(E, db.s), db.A) == Mat.identity(db.m + 1)
     for col in range(db.m + 1):
-        d = _basis_element(db, col)
+        d = BPoly(db.m, db.interval, db.A.col(col))
         for row, k in enumerate(db.s):
             if dual_functional_apply(db.n, k, d) != (1 if row == col else 0):
                 return False
@@ -217,18 +214,15 @@ def data_map_invariance_check(m: int, n: int, s: SelectionMap) -> bool:
     return a_left == a_right
 
 
-def linear_precision_check(db: DualBasis, samples: int = 101) -> float:
-    """Max deviation of sum_i xi^n_{s(i)} D_i^m(t) from t over a uniform grid.
+def linear_precision_check(db: DualBasis) -> float:
+    """Max deviation of sum_i xi^n_{s(i)} D_i^m from the identity t.
 
-    The dual basis reproduces the identity with the SELECTED ambient nodes as
-    coefficients; for a correct basis this is zero up to rounding.
+    The dual basis reproduces t with the SELECTED ambient nodes as
+    coefficients: in B-form that reads A . xi^n_s = xi^m, the degree-m nodes.
+    The result is max_r |(A . xi^n_s)_r - xi^m_r|, which bounds the deviation
+    everywhere on [a, b] (the B_r^m are a nonnegative partition of unity); it
+    is exactly 0.0 on an exact interval and rounding-sized on a float one.
     """
     nodes = xi_nodes(db.n, db.interval)
-    coeff = [nodes[k] for k in db.s]
-    a, width = db.interval.a, db.interval.width
-    worst = 0.0
-    for q in range(samples):
-        t = a + width * q / (samples - 1)
-        val = sum(float(coeff[i]) * dual_basis_eval(db, i, t) for i in range(db.m + 1))
-        worst = max(worst, abs(val - t))
-    return worst
+    p = db.bform([nodes[k] for k in db.s])
+    return float(max(abs(c - x) for c, x in zip(p.coeffs, xi_nodes(db.m, db.interval))))

@@ -7,9 +7,9 @@ entrywise limit
 
     lim_k  k * (A^{-1} - A_k^{-1})(i, j) = C(i, j),
 
-where A^{-1} = [B_j^m(i/m)] is the Lagrange collocation matrix and
-A_k^{-1} = E(s,:) the selected elevation rows.  This module builds A_{m,k},
-the collocation matrix, the rate constant C, and convergence diagnostics.
+where A^{-1} = [B_j^m(i/m)] is the collocation matrix and A_k^{-1} = E(s,:)
+the selected elevation rows.  This module builds A_{m,k}, the rate constant
+C, and convergence diagnostics.
 """
 
 from __future__ import annotations
@@ -19,7 +19,16 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bernstein import bernstein_value, de_casteljau_eval, BPoly, UNIT_INTERVAL, elevation_matrix
+import numpy as np
+
+from .bernstein import (
+    UNIT_INTERVAL,
+    bernstein_value,
+    bform_eval,
+    collocation_matrix,
+    elevation_matrix,
+    uniform_grid,
+)
 from .ratmat import Mat, inf_norm, mat_inv, mat_sub, row_select
 from .subspace import SelectionMap, make_selection
 
@@ -63,20 +72,7 @@ def symmetric_dual_matrix(m: int, k: int) -> Mat:
     return mat_inv(selected_elevation_rows(m, k))
 
 
-def lagrange_collocation(m: int) -> Mat:
-    """The matrix [B_j^m(i/m)]_{ij} (exact).
-
-    Its inverse carries B-form coefficients of the Lagrange basis on the
-    uniform nodes: L^m = B^m * (this matrix)^{-1}.  Rows sum to 1.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return Mat(
-        [[bernstein_value(m, j, Fraction(i, m)) for j in range(m + 1)] for i in range(m + 1)]
-    )
-
-
-def rate_constant(m: int, alternate_sign: bool = False) -> RateConstant:
+def rate_constant(m: int) -> RateConstant:
     """Exact first-order constant C for the symmetric configuration.
 
     For 0 < i < m and with w = B_j^m(i/m):
@@ -86,10 +82,7 @@ def rate_constant(m: int, alternate_sign: bool = False) -> RateConstant:
 
     and the boundary rows i in {0, m} are identically zero.  The relative
     MINUS between the two bracket terms is forced by the exact k -> infinity
-    expansion of the elevation entries E(ik, j); with ``alternate_sign=True``
-    the opposite (plus) convention is produced instead, as a diagnostic for
-    comparing the two conventions against the numeric limit
-    k * (A^{-1} - A_k^{-1}).
+    expansion of the elevation entries E(ik, j).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -107,7 +100,7 @@ def rate_constant(m: int, alternate_sign: bool = False) -> RateConstant:
                 if j < m
                 else Fraction(0)
             )
-            row.append(w * (first + second) if alternate_sign else w * (first - second))
+            row.append(w * (first - second))
         rows.append(row)
     return RateConstant(m, Mat(rows))
 
@@ -119,33 +112,24 @@ class ConvergenceRecord:
     scaled_mat_dist: float
 
 
-def _basis_curves(m: int, A: Mat) -> list[BPoly]:
-    """Degree-m B-form polynomials whose coefficient vectors are A's columns."""
-    return [BPoly(m, UNIT_INTERVAL, A.col(i)) for i in range(m + 1)]
-
-
 def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRecord]:
     """Distance diagnostics of D^{m,k} from the Lagrange basis, per k.
 
     sup_dist: max over basis index i and a uniform grid of
     |D_i^{m,k}(t) - L_i^m(t)|.  scaled_mat_dist: k * inf-norm of
-    (lagrange_collocation(m) - E(s,:)), which stabilizes near inf_norm(C).
+    (collocation_matrix(m) - E(s,:)), which stabilizes near inf_norm(C).
     """
     if not k_list:
         raise ValueError("k_list must be nonempty")
-    colloc = lagrange_collocation(m)
-    lagrange = _basis_curves(m, mat_inv(colloc))
-    grid = [q / (samples - 1) for q in range(samples)]
+    colloc = collocation_matrix(m)
+    lagrange = np.array(mat_inv(colloc).to_lists(), dtype=float)
+    grid = uniform_grid(UNIT_INTERVAL, samples)
     out = []
     for k in k_list:
-        dual = _basis_curves(m, symmetric_dual_matrix(m, k))
-        sup = 0.0
-        for d, l in zip(dual, lagrange):
-            dc = [float(c) for c in d.coeffs]
-            lc = [float(c) for c in l.coeffs]
-            df = BPoly(m, UNIT_INTERVAL, tuple(x - y for x, y in zip(dc, lc)))
-            sup = max(sup, max(abs(de_casteljau_eval(df, t)) for t in grid))
-        scaled = k * inf_norm(mat_sub(colloc, selected_elevation_rows(m, k)))
+        rows = selected_elevation_rows(m, k)
+        diff = np.array(mat_inv(rows).to_lists(), dtype=float) - lagrange
+        sup = float(np.max(np.abs(bform_eval(diff, UNIT_INTERVAL, grid))))
+        scaled = k * inf_norm(mat_sub(colloc, rows))
         out.append(ConvergenceRecord(k=k, sup_dist=sup, scaled_mat_dist=float(scaled)))
     return out
 
@@ -153,10 +137,10 @@ def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRec
 def rate_bound(m: int, k: int) -> float:
     """The first-order bound  inf_norm(A_L)^2 * inf_norm(C) / k  on the
     sup-distance between D^{m,k} and the Lagrange basis, where
-    A_L = lagrange_collocation(m)^{-1}."""
+    A_L = collocation_matrix(m)^{-1}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    norm_al = inf_norm(mat_inv(lagrange_collocation(m)))
+    norm_al = inf_norm(mat_inv(collocation_matrix(m)))
     return float(norm_al * norm_al * inf_norm(rate_constant(m).C) / k)
 
 

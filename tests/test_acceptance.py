@@ -50,7 +50,6 @@ from dualbern.subspace import (
 from dualbern.symmetric import (
     SymmetricConfig,
     convergence_table,
-    lagrange_collocation,
     rate_constant,
     selected_elevation_rows,
     symmetric_dual_matrix,
@@ -164,7 +163,7 @@ def test_acceptance_5_rate_constant_law():
     """
 
     def scaled(m, k):
-        diff = mat_sub(lagrange_collocation(m), selected_elevation_rows(m, k))
+        diff = mat_sub(collocation_matrix(m), selected_elevation_rows(m, k))
         return Mat([[k * x for x in diff.row(i)] for i in range(m + 1)])
 
     def check():

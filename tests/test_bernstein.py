@@ -12,6 +12,7 @@ from dualbern.bernstein import (
     Interval,
     NodeVector,
     bernstein_value,
+    bform_eval,
     bform_to_power,
     de_casteljau_eval,
     dual_functional_apply,
@@ -20,6 +21,7 @@ from dualbern.bernstein import (
     generalized_dual_apply,
     pascal_matrix,
     power_to_bform,
+    uniform_grid,
     xi_nodes,
 )
 from dualbern.ratmat import Mat, mat_inv, mat_mul, row_select
@@ -77,6 +79,42 @@ def test_de_casteljau_matches_direct_sum(args):
     p = BPoly(n, UNIT_INTERVAL, tuple(coeffs))
     direct = sum(c * bernstein_value(n, i, t) for i, c in enumerate(coeffs))
     assert de_casteljau_eval(p, t) == direct
+
+
+@pytest.mark.parametrize(
+    "iv", [Interval(0, 1), Interval(F(1, 2), 2), Interval(1.0, 3.0)], ids=["0:1", "1/2:2", "1.0:3.0"]
+)
+@pytest.mark.parametrize("samples", [2, 7, 201])
+def test_uniform_grid_matches_scalar_formula(iv, samples):
+    a, w = float(iv.a), float(iv.width)
+    assert uniform_grid(iv, samples).tolist() == [
+        a + w * q / (samples - 1) for q in range(samples)
+    ]
+
+
+@pytest.mark.parametrize(
+    "iv", [Interval(0, 1), Interval(F(1, 2), 2), Interval(1.0, 3.0)], ids=["0:1", "1/2:2", "1.0:3.0"]
+)
+@pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
+def test_bform_eval_matches_de_casteljau(iv, exact):
+    # bit-for-bit equality with the scalar sweep, not closeness
+    ts = uniform_grid(iv, 201)
+    for m in (0, 1, 2, 5, 9):
+        cols = [
+            [F((-1) ** (i + j) * (3 * i + j + 1), 7 + i * j) for i in range(m + 1)]
+            for j in range(3)
+        ]
+        if not exact:
+            cols = [[float(x) / 3 for x in col] for col in cols]
+        matrix = [[col[i] for col in cols] for i in range(m + 1)]
+        got = bform_eval(matrix, iv, ts)
+        assert got.shape == (len(ts), len(cols))
+        for j, col in enumerate(cols):
+            p = BPoly(m, iv, col)
+            # float(): at degree 0 the scalar sweep returns the coefficient itself
+            expect = [float(de_casteljau_eval(p, t)) for t in ts.tolist()]
+            assert bform_eval(col, iv, ts).tolist() == expect
+            assert got[:, j].tolist() == expect
 
 
 def test_elevation_goldens():

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from dualbern.bernstein import Interval, uniform_grid
 from dualbern.cli import run
+from dualbern.subspace import bernstein_embedding, dual_basis, dual_basis_eval, make_selection
 
 
 def invoke(capsys, *argv):
@@ -119,6 +121,20 @@ def test_plot_basis(tmp_path, capsys, monkeypatch):
         assert sum(vals[1:]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_plot_basis_cells_are_dual_basis_eval(tmp_path, capsys):
+    # 17 significant digits round-trip, so every cell is the library value itself
+    out = tmp_path / "basis.svg"
+    args = ("--m", "3", "--n", "7", "--selection", "0,2,5,7", "--a", "1", "--b", "3")
+    rc, _, _ = invoke(capsys, "plot", "--kind", "basis", *args, "--grid", "41", "--out", str(out))
+    assert rc == 0
+    db = dual_basis(bernstein_embedding(3, 7), make_selection(3, 7, (0, 2, 5, 7)), Interval(1, 3))
+    ts = uniform_grid(db.interval, 41).tolist()
+    rows = [line.split(",") for line in (tmp_path / "basis.csv").read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == ts
+    for t, row in zip(ts, rows):
+        assert [float(x) for x in row[1:]] == [dual_basis_eval(db, i, t) for i in range(4)]
+
+
 def test_plot_polygon(tmp_path, capsys):
     out = tmp_path / "poly.svg"
     rc, _, _ = invoke(
@@ -151,6 +167,41 @@ def test_plot_polygon_needs_matching_coeffs(tmp_path, capsys):
         "--coeffs", "0,1", "--out", str(tmp_path / "p.svg"),
     )
     assert rc == 2
+
+
+def test_plot_rejects_nonfinite_input(tmp_path, capsys):
+    out = tmp_path / "p.svg"
+    for extra in (("--coeffs", "nan,1"), ("--coeffs", "1,inf"), ("--coeffs", "0,1", "--b", "inf")):
+        rc, _, err = invoke(
+            capsys,
+            "plot", "--kind", "polygon", "--m", "1", "--symmetric", "--k", "1",
+            *extra, "--out", str(out),
+        )
+        assert rc == 2
+        assert "error:" in err and "finite" in err
+        assert not out.exists()
+
+
+def test_plot_unwritable_out(tmp_path, capsys):
+    rc, _, err = invoke(
+        capsys,
+        "plot", "--kind", "basis", "--m", "2", "--symmetric", "--k", "2",
+        "--out", str(tmp_path / "missing" / "x.svg"),
+    )
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_operator_overflow_is_a_usage_error(capsys):
+    rc, out, err = invoke(
+        capsys,
+        "operator", "--which", "quasi", "--m", "2", "--symmetric", "--k", "2",
+        "--fn", "exp", "--b", "800",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_operator_quasi_reproduces_square(capsys):

@@ -124,6 +124,7 @@ def test_linear_precision():
     emb = bernstein_embedding(3, 4)
     db = dual_basis(emb, make_selection(3, 4, (0, 1, 3, 4)))
     assert linear_precision_check(db) <= 1e-12
+    assert linear_precision_check(db) == 0.0  # exact interval: exact reproduction
     # off the unit interval too
     db2 = dual_basis(emb, make_selection(3, 4, (0, 1, 3, 4)), Interval(F(1), F(3)))
     assert linear_precision_check(db2) <= 1e-12

@@ -16,7 +16,6 @@ from dualbern.symmetric import (
     SymmetricConfig,
     convergence_csv,
     convergence_table,
-    lagrange_collocation,
     rate_constant,
     rate_bound,
     selected_elevation_rows,
@@ -63,11 +62,11 @@ def test_symmetric_dual_matrix_structure():
 
 
 def test_lagrange_collocation_goldens():
-    assert lagrange_collocation(1) == Mat.identity(2)
-    assert lagrange_collocation(2) == Mat([[1, 0, 0], ["1/4", "1/2", "1/4"], [0, 0, 1]])
+    # the Lagrange collocation matrix of the symmetric case is collocation_matrix
+    assert collocation_matrix(1) == Mat.identity(2)
+    assert collocation_matrix(2) == Mat([[1, 0, 0], ["1/4", "1/2", "1/4"], [0, 0, 1]])
     for m in range(1, 8):
-        c = lagrange_collocation(m)
-        assert c == collocation_matrix(m)
+        c = collocation_matrix(m)
         for i in range(m + 1):
             assert sum(c.row(i)) == 1
 
@@ -88,8 +87,6 @@ def test_rate_constant_structure():
         assert all(x == 0 for x in c.row(m))
         for i in range(m + 1):
             assert sum(c.row(i)) == 0
-        # the sign variant is a genuinely different matrix
-        assert rate_constant(m, alternate_sign=True).C != c
 
 
 def test_rate_constant_matches_matrix_limit():
@@ -97,7 +94,7 @@ def test_rate_constant_matches_matrix_limit():
     for m in (2, 3):
         c = rate_constant(m).C
         k = 512
-        scaled = mat_sub(lagrange_collocation(m), selected_elevation_rows(m, k))
+        scaled = mat_sub(collocation_matrix(m), selected_elevation_rows(m, k))
         diff = mat_sub(Mat([[k * x for x in scaled.row(i)] for i in range(m + 1)]), c)
         assert float(inf_norm(diff)) <= 1e-2
 
