@@ -6,9 +6,10 @@ The degree-m Bernstein basis in the local parameter u = (t - a)/(b - a) is
 
 a nonnegative partition of unity.  This module provides evaluation (direct
 and de Casteljau), the degree-elevation matrix E with B^m = B^n E, the
-collocation matrix, the Pascal matrix and power-basis conversion, the
-endpoint dual functionals lambda_k^n (left and right forms), their
-real-index generalization, and uniform node vectors.
+collocation matrix and its cached inverse, the Pascal matrix and power-basis
+conversion, the endpoint dual functionals lambda_k^n (left and right forms)
+and their real-index generalization, which share one running-ratio sum, and
+uniform node vectors.
 
 Exactness convention: whenever inputs are ints or Fractions, results are
 exact Fractions; float inputs flow through as floats.  All matrices returned
@@ -19,6 +20,7 @@ every grid evaluation of a B-form polynomial in the package goes through it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ratmat import Mat, binomial
+from .ratmat import Mat, binomial, mat_inv
 
 
 def _is_exact(x) -> bool:
@@ -142,8 +144,11 @@ def uniform_grid(iv: Interval, samples: int) -> np.ndarray:
     """samples >= 2 equally spaced floats a + w*q/(samples-1), q = 0..samples-1.
 
     The operation order is fixed, so the grid is bit-for-bit the scalar
-    formula with a = float(iv.a) and w = float(iv.width)."""
+    formula with a = float(iv.a) and w = float(iv.width).  OverflowError
+    when w*(samples-1), the largest product of that order, is not finite."""
     a, w = float(iv.a), float(iv.width)
+    if not math.isfinite(w * (samples - 1)):
+        raise OverflowError(f"grid of {samples} points on [{iv.a}, {iv.b}] overflows")
     return a + w * np.arange(samples) / (samples - 1)
 
 
@@ -178,6 +183,12 @@ def collocation_matrix(n: int) -> Mat:
     return Mat(
         [[bernstein_value(n, j, Fraction(i, n)) for j in range(n + 1)] for i in range(n + 1)]
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _colloc_inv(n: int) -> Mat:
+    """M_n^{-1}, computed once per n: the Lagrange coefficients L^n = B^n M_n^{-1}."""
+    return mat_inv(collocation_matrix(n))
 
 
 def elevation_matrix(m: int, n: int) -> Mat:
@@ -255,19 +266,28 @@ def _support_degree(c) -> int:
     return 0
 
 
-def _check_functional_args(n: int, k: int, p: BPoly, iv):
+def _check_functional_args(n: int, k: int, p: BPoly):
     if not 0 <= k <= n:
         raise ValueError(f"functional index {k} out of range 0..{n}")
     if p.degree > n:
         raise ValueError(f"polynomial degree {p.degree} exceeds ambient degree {n}")
-    if iv is not None and iv != p.interval:
-        raise ValueError(
-            "functional interval must match the polynomial's interval "
-            "(values are interval-invariant; re-express p first)"
-        )
 
 
-def dual_functional_apply(n: int, k: int, p: BPoly, iv: Interval | None = None):
+def _ratio_sum(n: int, xn, c):
+    """sum_{j=0}^{min(floor(xn), deg)} [prod_{t=0}^{j-1} (xn - t)/(n - t)] c_j.
+
+    The running product is C(xn, j)/C(n, j), exact for an exact xn; c are the
+    local power coefficients of the polynomial."""
+    top = min(math.floor(xn), _support_degree(c))
+    out = c[0]
+    ratio = 1
+    for j in range(1, top + 1):
+        ratio = ratio * (xn - (j - 1)) / (n - (j - 1))
+        out = out + ratio * c[j]
+    return out
+
+
+def dual_functional_apply(n: int, k: int, p: BPoly):
     """The left-endpoint dual functional lambda_k^n applied to p.
 
     lambda_k^n = sum_{j=0}^{k} [C(k,j)/C(n,j)] (b-a)^j / j! * (D^j at a);
@@ -275,30 +295,30 @@ def dual_functional_apply(n: int, k: int, p: BPoly, iv: Interval | None = None):
 
         lambda_k^n p = sum_{j=0}^{min(k, deg p)} [C(k,j)/C(n,j)] c_j
 
-    because the (b-a)^j factor cancels the chain rule exactly.  These
-    functionals are dual to the Bernstein basis: lambda_k^n B_i^n = delta_ki.
+    because the (b-a)^j factor cancels the chain rule exactly: the integer
+    case xn = k of :func:`generalized_dual_apply`.  These functionals are
+    dual to the Bernstein basis: lambda_k^n B_i^n = delta_ki.
     """
-    _check_functional_args(n, k, p, iv)
-    c = bform_to_power(p)
-    top = min(k, _support_degree(c))  # dropped terms have c_j = 0
-    return sum((binomial(k, j) / binomial(n, j)) * c[j] for j in range(top + 1))
+    _check_functional_args(n, k, p)
+    return _ratio_sum(n, Fraction(k), bform_to_power(p))
 
 
-def dual_functional_apply_right(n: int, k: int, p: BPoly, iv: Interval | None = None):
+def dual_functional_apply_right(n: int, k: int, p: BPoly):
     """The same functional in its right-endpoint form.
 
     lambda_k^n p = sum_{j=0}^{n-k} (-1)^j [C(n-k,j)/C(n,j)] d_j where
     d_j = q^{(j)}(1)/j! = sum_{l>=j} C(l,j) c_l are the local Taylor
-    coefficients at u = 1.  Agrees with the left form for every p of degree
+    coefficients at u = 1: the running-ratio sum at xn = n - k over the
+    signed (-1)^j d_j.  Agrees with the left form for every p of degree
     <= n; for higher-degree arguments the two forms may disagree (the
     functionals only coincide on that space).
     """
-    _check_functional_args(n, k, p, iv)
+    _check_functional_args(n, k, p)
     c = bform_to_power(p)
     deg = _support_degree(c)  # entries beyond it contribute nothing
     top = min(n - k, deg)
-    d = [sum(binomial(l, j) * c[l] for l in range(j, deg + 1)) for j in range(top + 1)]
-    return sum((-1) ** j * (binomial(n - k, j) / binomial(n, j)) * d[j] for j in range(top + 1))
+    d = [(-1) ** j * sum(binomial(l, j) * c[l] for l in range(j, deg + 1)) for j in range(top + 1)]
+    return _ratio_sum(n, Fraction(n - k), d)
 
 
 def generalized_dual_apply(n: int, x, p: BPoly):
@@ -316,22 +336,11 @@ def generalized_dual_apply(n: int, x, p: BPoly):
     if not 0 <= x <= 1:
         raise ValueError(f"x must lie in [0, 1], got {x}")
     xn = Fraction(x) * n if _is_exact(x) else x * n
-    c = bform_to_power(p)
-    top = min(math.floor(xn), _support_degree(c))
-    out = c[0]
-    ratio = 1
-    for j in range(1, top + 1):
-        ratio = ratio * (xn - (j - 1)) / (n - (j - 1))
-        out = out + ratio * c[j]
-    return out
+    return _ratio_sum(n, xn, bform_to_power(p))
 
 
 def xi_nodes(n: int, iv: Interval = UNIT_INTERVAL) -> NodeVector:
     """Uniform node vector xi_i = a + (i/n)(b-a); exact for exact intervals."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if iv.is_exact():
-        nodes = tuple(iv.a + Fraction(i, n) * iv.width for i in range(n + 1))
-    else:
-        nodes = tuple(iv.a + (i / n) * iv.width for i in range(n + 1))
-    return NodeVector(n, iv, nodes)
+    return NodeVector(n, iv, tuple(iv.from_local(Fraction(i, n)) for i in range(n + 1)))

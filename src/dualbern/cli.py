@@ -14,7 +14,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from .bernstein import Interval, bform_eval, elevation_matrix, uniform_grid
@@ -22,7 +22,7 @@ from .operators import (
     bernstein_like_report,
     quasi_interpolant_report,
 )
-from .ratmat import Mat, SingularMatrixError, mat_to_json_obj
+from .ratmat import SingularMatrixError, mat_to_json_obj
 from .subspace import (
     SelectionMap,
     bernstein_embedding,
@@ -32,7 +32,7 @@ from .subspace import (
     power_embedding,
     verify_duality,
 )
-from .symmetric import SymmetricConfig, convergence_csv, convergence_table, symmetric_dual_matrix
+from .symmetric import SymmetricConfig, convergence_csv, convergence_table
 
 DEFAULT_GRID = 201
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
@@ -52,7 +52,7 @@ def _fmt_float(x: float) -> str:
 
 
 def _json_text(obj, indent: int = 0) -> str:
-    """Tiny JSON writer so floats always carry 17 significant digits."""
+    """Tiny JSON writer: floats carry 17 significant digits; inf and nan raise ValueError."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -73,6 +73,8 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"result is not finite ({obj}); JSON has no such number")
         return _fmt_float(obj)
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -161,74 +163,55 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="dualbern", description="Dual bases in Bernstein form")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, interval=True, grid=True, fmt=None, out=True):
-        if interval:
+    def common(sp, dual=True, grid=True, fmt=None):
+        """dual: the command builds a dual basis from a selection on [a, b]."""
+        if dual:
+            sp.add_argument("--n", type=int, default=None)
+            sp.add_argument("--k", type=int, default=None)
+            sp.add_argument("--selection", default=None, help="comma-separated indices, e.g. 0,2,4")
+            sp.add_argument("--symmetric", action="store_true", help="use s(i) = i*k with n = m*k")
             sp.add_argument("--a", default="0", help="interval left endpoint (default 0)")
             sp.add_argument("--b", default="1", help="interval right endpoint (default 1)")
         if grid:
-            sp.add_argument("--grid", type=int, default=None, help="sample grid size")
+            sp.add_argument("--grid", type=int, default=DEFAULT_GRID, help="sample grid size")
         if fmt:
             sp.add_argument("--format", choices=fmt, default=fmt[0])
-        if out:
-            sp.add_argument("--out", default=None, help="output path (default stdout)")
+        sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     sp = sub.add_parser("elevate", help="degree elevation matrix (B^m = B^n E)")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    common(sp, interval=False, grid=False, fmt=["json", "csv"])
+    common(sp, dual=False, grid=False, fmt=["json", "csv"])
 
     sp = sub.add_parser("dual-basis", help="dual-basis matrix A = E(s,:)^{-1} for a selection")
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--selection", default=None, help="comma-separated indices, e.g. 0,2,4")
-    sp.add_argument("--symmetric", action="store_true", help="use s(i) = i*k with n = m*k")
     sp.add_argument("--basis", choices=["bernstein", "power"], default="bernstein")
-    common(sp, grid=False, fmt=["json"])
+    common(sp, grid=False)
 
     sp = sub.add_parser("convergence", help="distance to the Lagrange basis for k = 1..kmax")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--k", type=int, required=True, help="largest refinement k")
-    common(sp, interval=False, fmt=["csv", "json"])
+    common(sp, dual=False, fmt=["csv", "json"])
 
     sp = sub.add_parser("plot", help="SVG plot (with CSV sidecar) of basis curves or a control polygon")
     sp.add_argument("--kind", choices=["basis", "polygon"], required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--selection", default=None)
-    sp.add_argument("--symmetric", action="store_true")
     sp.add_argument("--coeffs", default=None, help="comma-separated control ordinates (polygon)")
-    common(sp, fmt=None)
+    common(sp)
 
     sp = sub.add_parser("operator", help="quasi-interpolant / Bernstein-like operator report")
     sp.add_argument("--which", choices=["quasi", "bernop"], required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--selection", default=None)
-    sp.add_argument("--symmetric", action="store_true")
     sp.add_argument("--fn", required=True, help="|".join(FN_REGISTRY))
     sp.add_argument("--smoothness", choices=["c0", "c1", "c2"], default="c0")
-    common(sp, fmt=["json"])
+    common(sp)
     return p
 
 
 def _grid_size(args) -> int:
-    if getattr(args, "grid", None) is not None:
-        if args.grid < 2:
-            raise UsageError("--grid must be >= 2")
-        return args.grid
-    env = os.environ.get("DUALBERN_GRID")
-    if env is not None:
-        try:
-            val = int(env)
-        except ValueError:
-            raise UsageError(f"DUALBERN_GRID must be an integer, got {env!r}")
-        if val < 2:
-            raise UsageError("DUALBERN_GRID must be >= 2")
-        return val
-    return DEFAULT_GRID
+    if args.grid < 2:
+        raise UsageError("--grid must be >= 2")
+    return args.grid
 
 
 def _interval(args) -> Interval:
@@ -304,16 +287,7 @@ def _cmd_convergence(args) -> int:
     if args.format == "csv":
         _emit(convergence_csv(records), args.out)
     else:
-        _emit(
-            _json_text(
-                [
-                    {"k": r.k, "sup_dist": r.sup_dist, "scaled_mat_dist": r.scaled_mat_dist}
-                    for r in records
-                ]
-            )
-            + "\n",
-            args.out,
-        )
+        _emit(_json_text([asdict(r) for r in records]) + "\n", args.out)
     return 0
 
 
@@ -322,7 +296,10 @@ def _cmd_convergence(args) -> int:
 
 def _svg_document(curves, points_groups, x_range, y_range) -> str:
     """Self-contained 800x600 SVG: framed plot area, polyline curves, and
-    optional marker groups (list of (pts, dashed))."""
+    optional marker groups (list of (pts, dashed)).  ValueError when a curve
+    value is not finite or the padded y range has no finite positive width."""
+    if not all(math.isfinite(v) for pts, _ in curves for pt in pts for v in pt):
+        raise ValueError("plot values are not finite")
     width, height = 800, 600
     left, right, top, bottom = 60, 20, 20, 40
     x0, x1 = x_range
@@ -331,6 +308,8 @@ def _svg_document(curves, points_groups, x_range, y_range) -> str:
         y0, y1 = y0 - 1.0, y1 + 1.0
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
+    if not 0 < y1 - y0 < math.inf:
+        raise ValueError(f"cannot scale the plot's y range [{y_range[0]}, {y_range[1]}]")
 
     def sx(x):
         return left + (x - x0) / (x1 - x0) * (width - left - right)

@@ -17,7 +17,6 @@ smoothness class, plus the two exact norms entering every bound.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -29,12 +28,12 @@ from .bernstein import (
     BPoly,
     Interval,
     UNIT_INTERVAL,
+    _colloc_inv,
     bform_eval,
-    collocation_matrix,
     uniform_grid,
     xi_nodes,
 )
-from .ratmat import Mat, inf_norm, mat_inv
+from .ratmat import inf_norm
 from .subspace import DualBasis, SelectionMap, bernstein_embedding, dual_basis
 
 # A sampled function is any deterministic callable on [a, b]; it may be
@@ -52,6 +51,14 @@ class OperatorReport:
     the inf-norm of the inverse collocation matrix at the degree relevant to
     the bound (ambient n for the quasi-interpolant's data map, subspace m for
     the stability-style constants).
+
+    Certified: norm_a and norm_minv (exact), and bound, the provable bound of
+    its class in floats (the operator-norm bound takes sup|f| and the C0
+    bound omega(f, w) from a grid, which can only under-estimate them).
+    Measured: sup_error, on a grid.  Estimates, set by the quasi-interpolant
+    report only and omitted from JSON when unset: distance_estimate, the
+    least-squares residual of distance_to_subspace, and near_best_bound
+    (JSON key near_best_estimate) = (1 + operator norm) * distance_estimate.
     """
 
     sup_error: float
@@ -63,18 +70,17 @@ class OperatorReport:
     distance_estimate: Optional[float] = None
 
     def to_json_obj(self) -> dict:
-        return {
+        obj = {
             "sup_error": self.sup_error,
             "bound": self.bound,
             "bound_kind": self.bound_kind,
             "norm_A": str(self.norm_a),
             "norm_Minv": str(self.norm_minv),
         }
-
-
-@functools.lru_cache(maxsize=None)
-def _colloc_inv(n: int) -> Mat:
-    return mat_inv(collocation_matrix(n))
+        estimates = (("distance_estimate", self.distance_estimate),
+                     ("near_best_estimate", self.near_best_bound))
+        obj.update((key, v) for key, v in estimates if v is not None)
+        return obj
 
 
 def _tilde_lambdas(n: int, indices, f: SampledFunction, iv: Interval) -> list:
@@ -124,16 +130,14 @@ def _sampled_error(f: SampledFunction, p: BPoly, samples: int) -> tuple[np.ndarr
     return fs, float(np.max(np.abs(fs - bform_eval(p.coeffs, p.interval, ts))))
 
 
-def distance_to_subspace(
-    f: SampledFunction, m: int, iv: Interval = UNIT_INTERVAL, samples: int = 401
-) -> float:
+def distance_to_subspace(f: SampledFunction, m: int, iv: Interval = UNIT_INTERVAL) -> float:
     """Max grid residual of the discrete least-squares fit of f by degree m.
 
     The fit is a Vandermonde least-squares solve in the local parameter on
-    a uniform grid of ``samples`` points.  The returned max residual is an
+    a uniform grid of 401 points.  The returned max residual is an
     upper bound on the minimax distance over that grid; it is not a
     certified bound on the true sup-distance over [a, b]."""
-    ts = uniform_grid(iv, samples)
+    ts = uniform_grid(iv, 401)
     us = (ts - float(iv.a)) / float(iv.width)
     vals = _sample(f, ts)
     vand = np.vander(us, m + 1, increasing=True)
@@ -186,23 +190,19 @@ def bernstein_like(
     return _bernop(_dual(m, n, s, iv), f)
 
 
-def modulus_of_continuity(
-    f: SampledFunction, h, iv: Interval = UNIT_INTERVAL, grid_n: int = 1024
-) -> float:
+def modulus_of_continuity(f: SampledFunction, h, iv: Interval = UNIT_INTERVAL) -> float:
     """Grid approximation of omega(f, h) = max |f(x) - f(y)| over |x - y| <= h.
 
-    Samples grid_n + 1 uniform points and takes the largest (max - min) over
+    Samples 1025 uniform points (1024 steps) and takes the largest (max - min) over
     windows spanning parameter distance <= h; a lower bound for the true
-    modulus, converging as the grid refines.
+    modulus.
     """
     width = float(iv.width)
     if not 0 < h <= width:
         raise ValueError(f"need 0 < h <= b - a = {width}, got h={h}")
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
-    vals = _sample(f, uniform_grid(iv, grid_n + 1))
-    span = int((float(h) * grid_n) / width + 1e-9)  # indices within distance h
-    span = max(1, min(span, grid_n))
+    vals = _sample(f, uniform_grid(iv, 1025))
+    span = int((float(h) * 1024) / width + 1e-9)  # indices within distance h
+    span = max(1, min(span, 1024))
     windows = sliding_window_view(vals, span + 1)
     return float(np.max(windows.max(axis=1) - windows.min(axis=1)))
 
@@ -220,7 +220,6 @@ def bernstein_like_report(
     d1: Optional[float] = None,
     d2: Optional[float] = None,
     samples: int = 201,
-    modulus_grid: int = 1024,
 ) -> OperatorReport:
     """Report for the Bernstein-like operator with the bound of the declared
     smoothness class (w = b - a, ||A|| = inf_norm(A)):
@@ -239,7 +238,7 @@ def bernstein_like_report(
     norm_a = inf_norm(db.A)
     w = float(iv.width)
     if kind == "C0-modulus":
-        bound = float(norm_a) * modulus_of_continuity(f, w, iv, modulus_grid)
+        bound = float(norm_a) * modulus_of_continuity(f, w, iv)
     elif kind == "C1":
         if d1 is None:
             raise ValueError("c1 bound needs d1 = sup|f'| over the interval")

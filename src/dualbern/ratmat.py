@@ -47,9 +47,7 @@ def binomial(n: int, k: int) -> Fraction:
 def _coerce(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"matrix entries must be exact (int, str or Fraction), got {type(x).__name__}")
 

@@ -197,17 +197,10 @@ def data_map_invariance_check(m: int, n: int, s: SelectionMap) -> bool:
     dual bases must coincide; this check exercises both functional code
     paths end to end.
     """
-    unit = UNIT_INTERVAL
+    basis = [BPoly(m, UNIT_INTERVAL, e) for e in Mat.identity(m + 1).to_lists()]
 
     def gram(apply_fn):
-        rows = []
-        for k in s:
-            row = []
-            for j in range(m + 1):
-                basis_j = BPoly(m, unit, tuple(Fraction(int(i == j)) for i in range(m + 1)))
-                row.append(apply_fn(n, k, basis_j))
-            rows.append(row)
-        return Mat(rows)
+        return Mat([[apply_fn(n, k, b) for b in basis] for k in s])
 
     a_left = mat_inv(gram(dual_functional_apply))
     a_right = mat_inv(gram(dual_functional_apply_right))

@@ -23,6 +23,7 @@ import numpy as np
 
 from .bernstein import (
     UNIT_INTERVAL,
+    _colloc_inv,
     bernstein_value,
     bform_eval,
     collocation_matrix,
@@ -122,7 +123,7 @@ def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRec
     if not k_list:
         raise ValueError("k_list must be nonempty")
     colloc = collocation_matrix(m)
-    lagrange = np.array(mat_inv(colloc).to_lists(), dtype=float)
+    lagrange = np.array(_colloc_inv(m).to_lists(), dtype=float)
     grid = uniform_grid(UNIT_INTERVAL, samples)
     out = []
     for k in k_list:
@@ -140,7 +141,7 @@ def rate_bound(m: int, k: int) -> float:
     A_L = collocation_matrix(m)^{-1}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    norm_al = inf_norm(mat_inv(collocation_matrix(m)))
+    norm_al = inf_norm(_colloc_inv(m))
     return float(norm_al * norm_al * inf_norm(rate_constant(m).C) / k)
 
 

@@ -15,6 +15,7 @@ from reference_tables import REFERENCE_TABLES, mat_from_table
 from dualbern.bernstein import (
     UNIT_INTERVAL,
     Interval,
+    collocation_matrix,
     de_casteljau_eval,
     generalized_dual_apply,
     power_to_bform,
@@ -23,7 +24,6 @@ from dualbern.bernstein import (
 from dualbern.cli import FN_REGISTRY
 from dualbern.operators import (
     bernstein_like_report,
-    collocation_matrix,
     quasi_interpolant,
     quasi_interpolant_report,
     stability_report,

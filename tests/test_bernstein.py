@@ -92,6 +92,14 @@ def test_uniform_grid_matches_scalar_formula(iv, samples):
     ]
 
 
+def test_uniform_grid_overflow():
+    # w*(samples-1) = 2.8e308 is past the float maximum
+    iv = Interval(1e308, 1.7e308)
+    with pytest.raises(OverflowError):
+        uniform_grid(iv, 5)
+    assert uniform_grid(iv, 2).tolist() == [1e308, 1.7e308]
+
+
 @pytest.mark.parametrize(
     "iv", [Interval(0, 1), Interval(F(1, 2), 2), Interval(1.0, 3.0)], ids=["0:1", "1/2:2", "1.0:3.0"]
 )

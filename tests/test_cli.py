@@ -1,11 +1,18 @@
 """End-to-end CLI coverage, driven in-process through run()."""
 
+import contextlib
+import io
 import json
+import pathlib
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualbern.bernstein import Interval, uniform_grid
 from dualbern.cli import run
@@ -99,8 +106,7 @@ def test_convergence_json(capsys):
     assert rows[1]["sup_dist"] == pytest.approx(0.25)
 
 
-def test_plot_basis(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("DUALBERN_GRID", raising=False)
+def test_plot_basis(tmp_path, capsys):
     out = tmp_path / "basis.svg"
     rc, _, _ = invoke(
         capsys,
@@ -182,6 +188,25 @@ def test_plot_rejects_nonfinite_input(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_plot_rejects_unplottable_values(tmp_path, capsys):
+    # A . alpha overflows; a y range wider than the float maximum; a flat
+    # y range that the +-1 padding cannot widen at 1e308
+    out = tmp_path / "p.svg"
+    for m, coeffs, msg in (
+        (2, "-1e308,1e308,-1e308", "not finite"),
+        (1, "1e308,-1e308", "scale"),
+        (1, "1e308,1e308", "scale"),
+    ):
+        rc, _, err = invoke(
+            capsys,
+            "plot", "--kind", "polygon", "--m", str(m), "--symmetric", "--k", str(m),
+            f"--coeffs={coeffs}", "--grid", "2", "--out", str(out),
+        )
+        assert rc == 2
+        assert err.startswith("error:") and msg in err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_plot_unwritable_out(tmp_path, capsys):
     rc, _, err = invoke(
         capsys,
@@ -202,6 +227,37 @@ def test_operator_overflow_is_a_usage_error(capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+NONFINITE_QUASI = (
+    "operator", "--which", "quasi", "--m", "2", "--symmetric", "--k", "2",
+    "--fn", "exp", "--b", "709",
+)
+NONFINITE_BERNOP = (
+    "operator", "--which", "bernop", "--m", "2", "--symmetric", "--k", "2", "--fn", "exp",
+    "--b", "709", "--smoothness", "c1",
+)
+OVERFLOWING_GRID = (
+    "plot", "--kind", "basis", "--m", "2", "--symmetric", "--k", "2",
+    "--a", "1e308", "--b", "1.7e308", "--grid", "5",
+)
+
+
+def test_operator_nonfinite_result_is_a_usage_error(capsys):
+    # exp(709) is finite, but the bounds built on it are not
+    for argv in (NONFINITE_QUASI, NONFINITE_BERNOP):
+        rc, out, err = invoke(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
+
+
+def test_plot_overflowing_grid_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.svg"
+    rc, _, err = invoke(capsys, *OVERFLOWING_GRID, "--out", str(out))
+    assert rc == 2
+    assert err.startswith("error:") and "overflows" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_operator_quasi_reproduces_square(capsys):
@@ -254,27 +310,84 @@ def test_output_deterministic(capsys):
     assert first == second
 
 
-def test_grid_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DUALBERN_GRID", "7")
-    out = tmp_path / "env.svg"
+def test_grid_flag(tmp_path, capsys):
+    out = tmp_path / "flag.svg"
     invoke(capsys, "plot", "--kind", "basis", "--m", "1", "--symmetric", "--k", "2",
-           "--out", str(out))
-    rows = (tmp_path / "env.csv").read_text().strip().split("\n")
-    assert len(rows) == 8  # header + 7 samples
-
-    # explicit --grid wins over the environment
-    out2 = tmp_path / "flag.svg"
-    invoke(capsys, "plot", "--kind", "basis", "--m", "1", "--symmetric", "--k", "2",
-           "--grid", "4", "--out", str(out2))
-    rows2 = (tmp_path / "flag.csv").read_text().strip().split("\n")
-    assert len(rows2) == 5
+           "--grid", "4", "--out", str(out))
+    rows = (tmp_path / "flag.csv").read_text().strip().split("\n")
+    assert len(rows) == 5  # header + 4 samples
 
 
-def test_grid_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("DUALBERN_GRID", "banana")
-    rc, _, err = invoke(capsys, "convergence", "--m", "2", "--k", "2")
-    assert rc == 2
-    assert "DUALBERN_GRID" in err
+# Endpoints and control ordinates at the edges of the number line; "1/3" is
+# not a CLI number.  The "--a=-2" form keeps argparse from reading a negative
+# value as an option.  Left ends are drawn mostly below right ends, and half
+# the draws keep the default [0, 1], so most get past the interval checks.
+_LEFT = ("0", "-2", "0.5", "1/3", "709", "1e308", "nan", "-inf")
+_RIGHT = ("1", "709", "1e308", "1.7e308", "-2", "nan", "inf")
+_COEFFS = ("0", "1", "-2.5", "1e308", "-1e308", "nan")
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["elevate", "dual-basis", "convergence", "plot", "operator"]))
+    m = draw(st.integers(0 if command == "elevate" else 1, 5))
+    argv = [command, "--m", str(m)]
+    if command == "elevate":
+        argv += ["--n", str(draw(st.integers(0, 12)))]
+        return argv + draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]))
+    grid = ["--grid", str(draw(st.integers(1, 64)))]
+    if command == "convergence":
+        return argv + ["--k", str(draw(st.integers(0, 4))), *grid,
+                       *draw(st.sampled_from([[], ["--format", "json"]]))]
+    if draw(st.booleans()):
+        argv += ["--symmetric", "--k", str(draw(st.integers(0, 4)))]
+    else:
+        n = draw(st.integers(max(m, 1), 12))
+        picks = draw(st.lists(st.integers(0, n), min_size=m + 1, max_size=m + 1, unique=True))
+        argv += ["--n", str(n), "--selection", ",".join(map(str, picks))]
+    pair = st.tuples(st.sampled_from(_LEFT), st.sampled_from(_RIGHT))
+    ends = draw(st.one_of(st.just(None), pair))
+    if ends:
+        argv += [f"--a={ends[0]}", f"--b={ends[1]}"]
+    if command == "dual-basis":
+        return argv + draw(st.sampled_from([[], ["--basis", "power"]]))
+    if command == "plot":
+        kind = draw(st.sampled_from(["basis", "polygon"]))
+        coeffs = draw(st.lists(st.sampled_from(_COEFFS), min_size=m + 1, max_size=m + 1))
+        argv += ["--kind", kind, *grid, "--out", "{out}/p.svg"]
+        return argv + ([f"--coeffs={','.join(coeffs)}"] if kind == "polygon" else [])
+    return argv + [
+        "--which", draw(st.sampled_from(["quasi", "bernop"])),
+        "--fn", draw(st.sampled_from(["sin", "exp", "sq", "abs32"])),
+        "--smoothness", draw(st.sampled_from(["c0", "c1", "c2"])), *grid,
+    ]
+
+
+def _no_constants(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@example(argv=list(NONFINITE_QUASI))
+@example(argv=list(NONFINITE_BERNOP))
+@example(argv=[*OVERFLOWING_GRID, "--out", "{out}/x.svg"])
+@given(argv=_argv())
+def test_cli_keeps_exit_code_contract(argv):
+    """Any argv: exit 0, 2 or 3, no traceback, JSON stdout parses without
+    non-finite constants, and written files hold no nan or inf."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run([a.replace("{out}", tmp) for a in argv])
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        prints_json = argv[0] in ("dual-basis", "operator") or "json" in argv or (
+            argv[0] == "elevate" and "csv" not in argv
+        )
+        if rc == 3 or (rc == 0 and prints_json):
+            json.loads(out.getvalue(), parse_constant=_no_constants)
+        for path in pathlib.Path(tmp).iterdir():
+            assert not re.search(r"\b(nan|inf)\b", path.read_text(), re.IGNORECASE), path.name
 
 
 def test_console_script_smoke():

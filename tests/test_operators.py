@@ -11,6 +11,7 @@ from dualbern.bernstein import (
     BPoly,
     Interval,
     bernstein_value,
+    collocation_matrix,
     de_casteljau_eval,
     power_to_bform,
     xi_nodes,
@@ -20,7 +21,6 @@ from dualbern.operators import (
     StabilityReport,
     bernstein_like,
     bernstein_like_report,
-    collocation_matrix,
     distance_to_subspace,
     modulus_of_continuity,
     quasi_interpolant,
@@ -133,10 +133,19 @@ def test_quasi_interpolant_report_zero_function():
 
 def test_report_json_shape():
     s = make_selection(1, 2, (0, 2))
-    obj = quasi_interpolant_report(1, 2, s, math.sin).to_json_obj()
-    assert sorted(obj) == ["bound", "bound_kind", "norm_A", "norm_Minv", "sup_error"]
+    rep = quasi_interpolant_report(1, 2, s, math.sin)
+    obj = rep.to_json_obj()
+    assert sorted(obj) == [
+        "bound", "bound_kind", "distance_estimate", "near_best_estimate", "norm_A", "norm_Minv",
+        "sup_error",
+    ]
     assert obj["bound_kind"] == "operator-norm"
     assert "/" in obj["norm_Minv"] or obj["norm_Minv"].lstrip("-").isdigit()
+    assert obj["distance_estimate"] == rep.distance_estimate
+    assert obj["near_best_estimate"] == rep.near_best_bound
+    # the Bernstein-like report sets no estimates, so its JSON keeps five keys
+    bern = bernstein_like_report(1, 2, s, math.sin, "c1", d1=1.0).to_json_obj()
+    assert sorted(bern) == ["bound", "bound_kind", "norm_A", "norm_Minv", "sup_error"]
 
 
 def test_bernstein_like_classical_case():

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 from reference_tables import REFERENCE_TABLES, mat_from_table
 
-from dualbern.operators import collocation_matrix
+from dualbern.bernstein import collocation_matrix
 from dualbern.ratmat import Mat, inf_norm, is_row_affine, mat_mul, mat_sub
 from dualbern.symmetric import (
     SymmetricConfig,
