@@ -11,6 +11,12 @@ conversion, the endpoint dual functionals lambda_k^n (left and right forms)
 and their real-index generalization, which share one running-ratio sum, and
 uniform node vectors.
 
+The collocation inverse has a closed form rather than a generic elimination:
+its columns are the B-form coefficients of the Lagrange polynomials on the
+nodes k/n, and since nu - k = (n-k)u - k(1-u), each Lagrange numerator
+prod_{k != i} (nu - k) is an integer combination of u^j (1-u)^(n-j), which is
+C(n, j)^{-1} B_j^n.  Building it is O(n^2) integer arithmetic.
+
 Exactness convention: whenever inputs are ints or Fractions, results are
 exact Fractions; float inputs flow through as floats.  All matrices returned
 here are exact (:class:`dualbern.ratmat.Mat`).  The one float layer is
@@ -28,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ratmat import Mat, binomial, mat_inv
+from .ratmat import Mat, binomial
 
 
 def _is_exact(x) -> bool:
@@ -167,8 +173,10 @@ def bform_eval(coeffs, iv: Interval, ts) -> np.ndarray:
     u = u.reshape((-1,) + (1,) * (b.ndim - 1))
     w = 1.0 - u
     b = b[:, np.newaxis] * np.ones_like(u)
-    for _ in range(len(b) - 1):
-        b = w * b[:-1] + u * b[1:]
+    # like the scalar sweep, overflow and inf * 0 give inf/nan without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(len(b) - 1):
+            b = w * b[:-1] + u * b[1:]
     return b[0]
 
 
@@ -187,8 +195,36 @@ def collocation_matrix(n: int) -> Mat:
 
 @functools.lru_cache(maxsize=None)
 def _colloc_inv(n: int) -> Mat:
-    """M_n^{-1}, computed once per n: the Lagrange coefficients L^n = B^n M_n^{-1}."""
-    return mat_inv(collocation_matrix(n))
+    """M_n^{-1}, computed once per n: the Lagrange coefficients L^n = B^n M_n^{-1}.
+
+    Column i holds the B-form coefficients of the Lagrange polynomial L_i on
+    the nodes k/n.  Since nu - k = (n-k)u - k(1-u), the numerator
+    prod_{k != i} (nu - k) is sum_j P_j^(i) u^j (1-u)^(n-j) with integers
+    P_j^(i), and the denominator is prod_{k != i} (i - k) = (-1)^(n-i) i! (n-i)!,
+    so M_n^{-1}(j, i) = P_j^(i) / (C(n, j) (-1)^(n-i) i! (n-i)!).  The full
+    product over k = 0..n is formed once; each P^(i) is its exact integer
+    quotient by the i-th factor.  O(n^2) integer work, equal to Gauss–Jordan
+    on :func:`collocation_matrix`.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    # full[j]: coefficient of u^j (1-u)^(n+1-j) in prod_{k=0}^{n} ((n-k)u - k(1-u))
+    full = [1]
+    for k in range(n + 1):
+        full = [(n - k) * x - k * y for x, y in zip([0] + full, full + [0])]
+    cols = []
+    for i in range(n + 1):
+        # full = ((n-i)u - i(1-u)) * P, so full[j] = (n-i) P[j-1] - i P[j]
+        if i:
+            p, prev = [], 0
+            for q in full[:-1]:
+                prev = ((n - i) * prev - q) // i
+                p.append(prev)
+        else:  # the factor is n u
+            p = [q // n for q in full[1:]]
+        denom = (-1) ** (n - i) * math.factorial(i) * math.factorial(n - i)
+        cols.append([Fraction(p[j], math.comb(n, j) * denom) for j in range(n + 1)])
+    return Mat(zip(*cols))
 
 
 def elevation_matrix(m: int, n: int) -> Mat:
@@ -202,9 +238,9 @@ def elevation_matrix(m: int, n: int) -> Mat:
         raise ValueError(f"elevation needs m <= n, got m={m} n={n}")
     if m < 0:
         raise ValueError("degrees must be nonnegative")
-    denom = binomial(n, m)
+    denom = math.comb(n, m)
     return Mat(
-        [[binomial(n - i, m - j) * binomial(i, j) / denom for j in range(m + 1)]
+        [[Fraction(math.comb(n - i, m - j) * math.comb(i, j), denom) for j in range(m + 1)]
          for i in range(n + 1)]
     )
 

@@ -1,5 +1,7 @@
 """Bernstein basis machinery: evaluation, elevation, conversion, dual functionals."""
 
+import math
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -123,6 +125,18 @@ def test_bform_eval_matches_de_casteljau(iv, exact):
             expect = [float(de_casteljau_eval(p, t)) for t in ts.tolist()]
             assert bform_eval(col, iv, ts).tolist() == expect
             assert got[:, j].tolist() == expect
+
+
+def test_bform_eval_nonfinite_is_silent_like_the_scalar_sweep():
+    # overflow and inf * 0 give inf/nan, as Python floats do, without a warning
+    ts = uniform_grid(UNIT_INTERVAL, 5)
+    for col in ([-1e308, 1e308, -1e308], [math.inf, 1.0], [1e308, 1e308, 1e308]):
+        p = BPoly(len(col) - 1, UNIT_INTERVAL, col)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bform_eval(col, UNIT_INTERVAL, ts).tolist()
+        expect = [de_casteljau_eval(p, t) for t in ts.tolist()]
+        assert [repr(x) for x in got] == [repr(x) for x in expect]
 
 
 def test_elevation_goldens():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import re
 import shutil
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dualbern
 from dualbern.bernstein import Interval, uniform_grid
 from dualbern.cli import run
 from dualbern.subspace import bernstein_embedding, dual_basis, dual_basis_eval, make_selection
@@ -205,6 +207,21 @@ def test_plot_rejects_unplottable_values(tmp_path, capsys):
         assert rc == 2
         assert err.startswith("error:") and msg in err
         assert list(tmp_path.iterdir()) == []
+
+
+def test_plot_overflow_stderr_is_only_the_error_line(tmp_path):
+    # numpy's overflow/invalid warnings must not reach the CLI's stderr
+    src = pathlib.Path(dualbern.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualbern.cli", "plot", "--kind", "polygon", "--m", "2",
+         "--symmetric", "--k", "2", "--coeffs=-1e308,1e308,-1e308", "--out", "x.svg"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: plot values are not finite\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_plot_unwritable_out(tmp_path, capsys):

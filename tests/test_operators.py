@@ -28,7 +28,8 @@ from dualbern.operators import (
     stability_report,
     tilde_lambda_apply,
 )
-from dualbern.ratmat import Mat, inf_norm, is_row_affine, mat_inv
+from dualbern import bernstein, operators
+from dualbern.ratmat import Mat, inf_norm, is_row_affine, mat_inv, mat_mul
 from dualbern.subspace import bernstein_embedding, dual_basis, make_selection
 
 IV13 = Interval(F(1), F(3))
@@ -46,6 +47,27 @@ def test_collocation_matrix_row_affine():
         m = collocation_matrix(n)
         assert is_row_affine(m)
         assert all(x >= 0 for x in m.entries)
+
+
+def test_colloc_inv_matches_gauss_jordan():
+    # the closed form against generic elimination, which stays the reference
+    for n in range(1, 25):
+        assert bernstein._colloc_inv(n) == mat_inv(collocation_matrix(n)), n
+    assert bernstein._colloc_inv(2) == Mat([[1, 0, 0], ["-1/2", 2, "-1/2"], [0, 0, 1]])
+    with pytest.raises(ValueError):
+        bernstein._colloc_inv(0)
+
+
+def test_colloc_inv_is_inverse_at_large_n():
+    for n in (32, 40, 60):
+        assert mat_mul(collocation_matrix(n), bernstein._colloc_inv(n)) == Mat.identity(n + 1)
+
+
+def test_colloc_inv_is_one_shared_cache():
+    # callers clear and read one cache through either module
+    assert operators._colloc_inv is bernstein._colloc_inv
+    assert callable(bernstein._colloc_inv.cache_clear)
+    assert callable(bernstein._colloc_inv.cache_info)
 
 
 def test_tilde_lambda_duality():
