@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .bernstein import Interval, bform_eval, elevation_matrix, uniform_grid
@@ -148,15 +149,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(text: str):
-    """Parse a CLI number, preserving exactness for integer input."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"not a number: {text!r}")
+    """Parse a CLI number: integers and p/q fractions stay exact, the rest is a float."""
+    for parse in (Fraction if "/" in text else int, float):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError):  # ZeroDivisionError: "1/0"
+            pass
+    raise UsageError(f"not a number: {text!r}")
 
 
 def _build_parser() -> _Parser:
@@ -170,8 +169,10 @@ def _build_parser() -> _Parser:
             sp.add_argument("--k", type=int, default=None)
             sp.add_argument("--selection", default=None, help="comma-separated indices, e.g. 0,2,4")
             sp.add_argument("--symmetric", action="store_true", help="use s(i) = i*k with n = m*k")
-            sp.add_argument("--a", default="0", help="interval left endpoint (default 0)")
-            sp.add_argument("--b", default="1", help="interval right endpoint (default 1)")
+            sp.add_argument("--a", default="0", help="interval left endpoint: an integer, p/q or "
+                            "decimal (default 0); write a negative one as --a=-1e3")
+            sp.add_argument("--b", default="1", help="interval right endpoint (default 1); "
+                            "write a negative one as --b=-1/2")
         if grid:
             sp.add_argument("--grid", type=int, default=DEFAULT_GRID, help="sample grid size")
         if fmt:

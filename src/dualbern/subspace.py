@@ -8,13 +8,14 @@ invertible, the dual basis of the subspace is
 
     D^m = B^m A,      A = E(s,:)^{-1},
 
-biorthogonal to the selected functionals.  For the Bernstein embedding every
-selection works (completeness); for the power basis only s = (0..m) does.
+biorthogonal to the selected functionals; :func:`dual_basis` is the one
+place that forms A.  For the Bernstein embedding every selection works
+(completeness: det E(s,:) has a closed form, nonzero for distinct indices;
+see :func:`is_complete`); for the power basis only s = (0..m) does.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from .bernstein import (
     elevation_matrix,
     xi_nodes,
 )
-from .ratmat import Mat, SingularMatrixError, mat_inv, mat_mul, row_select
+from .ratmat import Mat, mat_inv, mat_mul, row_select
 
 
 class SelectionError(ValueError):
@@ -162,49 +163,49 @@ def verify_duality(db: DualBasis) -> bool:
     if db.kind != "bernstein":
         E = power_embedding(db.m, db.n).E
         return mat_mul(row_select(E, db.s), db.A) == Mat.identity(db.m + 1)
-    for col in range(db.m + 1):
-        d = BPoly(db.m, db.interval, db.A.col(col))
-        for row, k in enumerate(db.s):
-            if dual_functional_apply(db.n, k, d) != (1 if row == col else 0):
-                return False
-    return True
+    columns = [BPoly(db.m, db.interval, db.A.col(c)) for c in range(db.m + 1)]
+    return _gram(db.n, db.s, columns, dual_functional_apply) == Mat.identity(db.m + 1)
+
+
+def _gram(n: int, s, polys, apply_fn) -> Mat:
+    """G(i, j) = lambda_{s(i)}^n(polys[j]), with lambda applied by apply_fn."""
+    return Mat([[apply_fn(n, k, p) for p in polys] for k in s])
 
 
 def is_complete(emb: Embedding) -> bool:
-    """True iff EVERY increasing selection of m+1 ambient functionals is
-    linearly independent on the subspace, i.e. every E(s,:) is invertible.
+    """True iff EVERY selection of m+1 ambient functionals is linearly
+    independent on the subspace, i.e. every E(s,:) is invertible.
 
-    Enumerates all C(n+1, m+1) selections; refuses n > 12 to keep the
-    enumeration desk-scale.
+    Bernstein embedding: always.  lambda_k^n maps the local power
+    coefficients c of p to sum_j c_j (k)_j / (n)_j, so E(s,:) factors as
+    [(s_i)_j] diag(1/(n)_j) P, where P, the power coefficients of the B_j^m,
+    is triangular with diagonal C(m, j).  The falling-factorial Vandermonde
+    has the ordinary Vandermonde determinant, so for increasing s
+
+        det E(s,:) = prod_{i<r} (s_r - s_i) * prod_j C(m, j) / prod_j (n)_j,
+
+    nonzero for distinct indices (reordering s only flips the sign).
+
+    Power embedding: E(s,:) holds the unit rows e_{s(i)} (zero rows for
+    s(i) > m), so it is invertible only for {s(i)} = {0..m}, which is every
+    selection only when m == n.
     """
-    if emb.n > 12:
-        raise ValueError(f"completeness enumeration capped at n <= 12, got n={emb.n}")
-    for comb in itertools.combinations(range(emb.n + 1), emb.m + 1):
-        sub = row_select(emb.E, comb)
-        try:
-            mat_inv(sub)
-        except SingularMatrixError:
-            return False
-    return True
+    return emb.kind == "bernstein" or emb.m == emb.n
 
 
 def data_map_invariance_check(m: int, n: int, s: SelectionMap) -> bool:
-    """Build the dual-basis matrix against the left- and right-endpoint
-    functional families separately and compare exactly.
+    """Compare the Gram matrices G(i, j) = lambda_{s(i)}^n(B_j^m) of the
+    left- and right-endpoint functional families exactly.
 
-    Both Gram matrices G(i, j) = lambda_{s(i)}^n(B_j^m) equal E(s,:) since
-    the two families are dual to the same ambient basis, so the resulting
-    dual bases must coincide; this check exercises both functional code
-    paths end to end.
+    Both equal E(s,:) since the two families are dual to the same ambient
+    basis; as A = G^{-1}, equal Grams give the same dual basis.  This check
+    exercises both functional code paths end to end.  Raises a
+    SelectionError when s is not a selection map into 0..n.
     """
+    s = make_selection(m, n, s)
     basis = [BPoly(m, UNIT_INTERVAL, e) for e in Mat.identity(m + 1).to_lists()]
-
-    def gram(apply_fn):
-        return Mat([[apply_fn(n, k, b) for b in basis] for k in s])
-
-    a_left = mat_inv(gram(dual_functional_apply))
-    a_right = mat_inv(gram(dual_functional_apply_right))
-    return a_left == a_right
+    left = _gram(n, s, basis, dual_functional_apply)
+    return left == _gram(n, s, basis, dual_functional_apply_right)
 
 
 def linear_precision_check(db: DualBasis) -> float:

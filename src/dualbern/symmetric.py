@@ -30,8 +30,8 @@ from .bernstein import (
     elevation_matrix,
     uniform_grid,
 )
-from .ratmat import Mat, inf_norm, mat_inv, mat_sub, row_select
-from .subspace import SelectionMap, make_selection
+from .ratmat import Mat, inf_norm, mat_sub, row_select
+from .subspace import SelectionMap, bernstein_embedding, dual_basis, make_selection
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,8 @@ def selected_elevation_rows(m: int, k: int) -> Mat:
 
 def symmetric_dual_matrix(m: int, k: int) -> Mat:
     """A_{m,k} = E(s,:)^{-1}, exact; the identity when k = 1."""
-    return mat_inv(selected_elevation_rows(m, k))
+    cfg = SymmetricConfig(m, k)
+    return dual_basis(bernstein_embedding(m, cfg.n), cfg.selection()).A
 
 
 def rate_constant(m: int) -> RateConstant:
@@ -127,10 +128,9 @@ def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRec
     grid = uniform_grid(UNIT_INTERVAL, samples)
     out = []
     for k in k_list:
-        rows = selected_elevation_rows(m, k)
-        diff = np.array(mat_inv(rows).to_lists(), dtype=float) - lagrange
+        diff = np.array(symmetric_dual_matrix(m, k).to_lists(), dtype=float) - lagrange
         sup = float(np.max(np.abs(bform_eval(diff, UNIT_INTERVAL, grid))))
-        scaled = k * inf_norm(mat_sub(colloc, rows))
+        scaled = k * inf_norm(mat_sub(colloc, selected_elevation_rows(m, k)))
         out.append(ConvergenceRecord(k=k, sup_dist=sup, scaled_mat_dist=float(scaled)))
     return out
 

@@ -42,6 +42,7 @@ from dualbern.subspace import (
     data_map_invariance_check,
     dual_basis,
     dual_basis_eval,
+    is_complete,
     linear_precision_check,
     make_selection,
     power_embedding,
@@ -93,15 +94,17 @@ def test_acceptance_1_symmetric_reference_tables():
 def test_acceptance_2_selection_invertibility():
     def check():
         # Bernstein embedding: every selection of m+1 rows of the elevation
-        # matrix is invertible (exhaustive for 1 <= m < n <= 8)
+        # matrix is invertible (exhaustive for 1 <= m <= n <= 8), as
+        # is_complete states without enumerating
         for n in range(2, 9):
-            for m in range(1, n):
+            for m in range(1, n + 1):
                 emb = bernstein_embedding(m, n)
                 for sel in combinations(range(n + 1), m + 1):
                     dual_basis(emb, make_selection(m, n, sel))  # must not raise
+                assert is_complete(emb)
         # power embedding: only the leading selection 0..m survives
         for n in range(2, 9):
-            for m in range(1, n):
+            for m in range(1, n + 1):
                 emb = power_embedding(m, n)
                 leading = tuple(range(m + 1))
                 for sel in combinations(range(n + 1), m + 1):
@@ -111,6 +114,7 @@ def test_acceptance_2_selection_invertibility():
                     except SingularMatrixError:
                         invertible = False
                     assert invertible == (sel == leading)
+                assert is_complete(emb) == (m == n)
 
     _verdict(2, "all Bernstein selections invertible, power selections rigid", check)
 

@@ -199,13 +199,17 @@ def test_power_roundtrip_exact(coeffs):
 
 
 def test_biorthogonality_left_and_right():
-    # lambda_k^n applied to B_i^n gives the Kronecker delta, exactly
-    for n in range(1, 7):
-        for i in range(n + 1):
-            e = BPoly(n, UNIT_INTERVAL, tuple(F(int(j == i)) for j in range(n + 1)))
-            for k in range(n + 1):
-                assert dual_functional_apply(n, k, e) == int(i == k)
-                assert dual_functional_apply_right(n, k, e) == int(i == k)
+    # lambda_k^n applied to B_j^m gives E(k, j), the Gram identity both
+    # duality checks rest on; at m = n it is the Kronecker delta, exactly
+    for n in range(8):
+        for m in range(n + 1):
+            e = elevation_matrix(m, n)
+            for j in range(m + 1):
+                b = BPoly(m, UNIT_INTERVAL, tuple(F(int(r == j)) for r in range(m + 1)))
+                for k in range(n + 1):
+                    want = e[k, j] if m < n else int(j == k)
+                    assert dual_functional_apply(n, k, b) == want, (m, n, k, j)
+                    assert dual_functional_apply_right(n, k, b) == want, (m, n, k, j)
 
 
 def test_dual_functional_goldens():

@@ -72,6 +72,38 @@ def test_dual_basis_power_singular_selection(capsys):
     assert "message" in obj
 
 
+def test_rational_endpoints_are_exact(capsys):
+    _, on_unit, _ = invoke(capsys, "dual-basis", "--m", "2", "--symmetric", "--k", "2")
+    rc, out, err = invoke(capsys, "dual-basis", "--m", "2", "--symmetric", "--k", "2",
+                          "--a", "1/3", "--b", "2")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["A"] == json.loads(on_unit)["A"]
+    rc, out, _ = invoke(capsys, "operator", "--which", "bernop", "--m", "2", "--symmetric",
+                        "--k", "2", "--fn", "sin", "--a", "1/3", "--b", "2")
+    assert rc == 0
+    assert json.loads(out)["sup_error"] <= json.loads(out)["bound"]
+
+
+def test_negative_endpoint_needs_the_equals_form(capsys):
+    rc, out, _ = invoke(capsys, "operator", "--which", "bernop", "--m", "2", "--symmetric",
+                        "--k", "2", "--fn", "sin", "--a=-1e3", "--b=-1/2")
+    assert rc == 0
+    assert json.loads(out)["bound_kind"] == "C0-modulus"
+    # without "=", argparse reads "-1e3" as an option, which is a usage error
+    rc, _, err = invoke(capsys, "dual-basis", "--m", "2", "--symmetric", "--k", "2",
+                        "--a", "-1e3")
+    assert rc == 2
+    assert err.startswith("error: argument --a")
+
+
+@pytest.mark.parametrize("text", ["1/0", "nan/1", "1e3/2"])
+def test_bad_rational_endpoint_is_a_usage_error(capsys, text):
+    rc, out, err = invoke(capsys, "dual-basis", "--m", "2", "--symmetric", "--k", "2",
+                          "--a", text)
+    assert (rc, out) == (2, "")
+    assert err == f"error: not a number: {text!r}\n"
+
+
 def test_dual_basis_symmetric_needs_k(capsys):
     rc, _, err = invoke(capsys, "dual-basis", "--m", "2", "--symmetric")
     assert rc == 2
@@ -336,9 +368,10 @@ def test_grid_flag(tmp_path, capsys):
 
 
 # Endpoints and control ordinates at the edges of the number line; "1/3" is
-# not a CLI number.  The "--a=-2" form keeps argparse from reading a negative
-# value as an option.  Left ends are drawn mostly below right ends, and half
-# the draws keep the default [0, 1], so most get past the interval checks.
+# an exact rational endpoint.  The "--a=-2" form keeps argparse from reading
+# a negative value as an option.  Left ends are drawn mostly below right
+# ends, and half the draws keep the default [0, 1], so most get past the
+# interval checks.
 _LEFT = ("0", "-2", "0.5", "1/3", "709", "1e308", "nan", "-inf")
 _RIGHT = ("1", "709", "1e308", "1.7e308", "-2", "nan", "inf")
 _COEFFS = ("0", "1", "-2.5", "1e308", "-1e308", "nan")

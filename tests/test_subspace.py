@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -102,6 +104,13 @@ def test_verify_duality_and_perturbation():
         rows[0][0] += F(1, 7)
         bad = db.__class__(db.m, db.n, db.s, Mat(rows), db.interval, db.kind)
         assert not verify_duality(bad)
+    # the power branch rejects a perturbed A as well
+    db = dual_basis(power_embedding(2, 4), make_selection(2, 4, (2, 0, 1)))
+    assert verify_duality(db)
+    rows = [list(db.A.row(i)) for i in range(3)]
+    rows[1][2] += F(1, 7)
+    bad = db.__class__(db.m, db.n, db.s, Mat(rows), db.interval, db.kind)
+    assert not verify_duality(bad)
 
 
 def test_is_complete():
@@ -109,8 +118,41 @@ def test_is_complete():
     assert is_complete(bernstein_embedding(3, 3))
     assert not is_complete(power_embedding(2, 4))
     assert is_complete(power_embedding(3, 3))
-    with pytest.raises(ValueError):
-        is_complete(bernstein_embedding(2, 13))
+    # completeness is a theorem, so there is no size cap
+    assert is_complete(bernstein_embedding(2, 13))
+    assert is_complete(bernstein_embedding(20, 400))
+    assert not is_complete(power_embedding(20, 400))
+
+
+def _det(rows):
+    """Exact determinant by Fraction elimination with row swaps."""
+    a, det = [list(map(F, row)) for row in rows], F(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            a[c], a[p], det = a[p], a[c], -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            a[r] = [x - a[r][c] / a[c][c] * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def test_elevation_minor_determinant():
+    # det E(s,:) = prod_{i<r} (s_r - s_i) * prod_j C(m, j) / prod_j (n)_j
+    # for every increasing selection with n <= 8 (1012 of them)
+    checked = 0
+    for n in range(1, 9):
+        for m in range(n + 1):
+            e = bernstein_embedding(m, n).E
+            scale = F(math.prod(math.comb(m, j) for j in range(m + 1)),
+                      math.prod(math.perm(n, j) for j in range(m + 1)))
+            for s in combinations(range(n + 1), m + 1):
+                vandermonde = math.prod(s[r] - s[i] for r in range(m + 1) for i in range(r))
+                assert _det(row_select(e, s).to_lists()) == vandermonde * scale, (m, n, s)
+                checked += 1
+    assert checked == 1012
 
 
 def test_data_map_invariance():
@@ -118,6 +160,9 @@ def test_data_map_invariance():
     assert data_map_invariance_check(2, 4, (0, 2, 4))
     assert data_map_invariance_check(3, 3, (0, 1, 2, 3))
     assert data_map_invariance_check(3, 7, (0, 2, 5, 7))
+    # equal Grams mean equal dual bases only when s is a selection
+    with pytest.raises(NotInjectiveError):
+        data_map_invariance_check(1, 2, (0, 0))
 
 
 def test_linear_precision():
