@@ -9,7 +9,9 @@ and de Casteljau), the degree-elevation matrix E with B^m = B^n E, the
 collocation matrix and its cached inverse, the Pascal matrix and power-basis
 conversion, the endpoint dual functionals lambda_k^n (left and right forms)
 and their real-index generalization, which share one running-ratio sum, and
-uniform node vectors.
+uniform node vectors.  On exact input the two power-basis conversions work
+on integer numerators over one common denominator and build one Fraction per
+output coefficient.
 
 The collocation inverse has a closed form rather than a generic elimination:
 its columns are the B-form coefficients of the Lagrange polynomials on the
@@ -257,12 +259,24 @@ def power_to_bform(power_coeffs: Sequence, n: int, iv: Interval = UNIT_INTERVAL)
 
     Shorter coefficient lists are zero-padded.  The conversion is
     alpha_i = sum_j [C(i, j)/C(n, j)] c_j  (i.e. alpha = T_n D_n^{-1} c with
-    T_n the Pascal matrix and D_n = diag C(n, j)); exact on exact input.
+    T_n the Pascal matrix and D_n = diag C(n, j)).
+
+    Exact input (ints and Fractions) gives exact output in integers: the
+    w_j = c_j / C(n, j) up to the degree d of p are put over one common
+    denominator, the Pascal sum runs on their integer numerators as a
+    difference table read forwards from its diagonal (O(n d) additions), and
+    each alpha_i is one Fraction.  Any float coefficient keeps the loop of
+    Fraction ratios times coefficients, so float results keep their bits.
     """
     c = list(power_coeffs)
     if len(c) > n + 1:
         raise ValueError(f"{len(c)} power coefficients exceed degree {n}")
     c += [0] * (n + 1 - len(c))
+    if all(_is_exact(x) for x in c):
+        w = [Fraction(x) / math.comb(n, j) for j, x in enumerate(c[: _support_degree(c) + 1])]
+        den = math.lcm(*(x.denominator for x in w))
+        nums = _int_pascal_sum([x.numerator * (den // x.denominator) for x in w], n + 1)
+        return BPoly(n, iv, tuple(Fraction(x, den) for x in nums))
     support = [j for j, v in enumerate(c) if v != 0]  # zero terms add nothing
     alpha = [
         sum((binomial(i, j) / binomial(n, j)) * c[j] for j in support if j <= i)
@@ -280,9 +294,19 @@ def bform_to_power(p: BPoly) -> tuple:
     difference row vanishes identically every remaining coefficient is
     provably zero, so a low-degree polynomial carried at high degree converts
     in O(n * true degree) arithmetic instead of O(n^2).
+
+    Exact coefficients are put over one common denominator, the difference
+    table runs on the integer numerators, and each c_j is one Fraction.  Any
+    float coefficient keeps the coefficient-arithmetic loop, so float results
+    keep their bits.
     """
     n = p.degree
     zero = p.coeffs[0] * 0  # 0 or 0.0, matching the coefficient arithmetic
+    if all(_is_exact(x) for x in p.coeffs):
+        den = math.lcm(*(x.denominator for x in p.coeffs))
+        diffs = _int_forward_differences([x.numerator * (den // x.denominator) for x in p.coeffs])
+        out = tuple(Fraction(math.comb(n, j) * d, den) for j, d in enumerate(diffs))
+        return out + (zero,) * (n + 1 - len(diffs))
     row = list(p.coeffs)
     out = []
     for j in range(n + 1):
@@ -294,6 +318,32 @@ def bform_to_power(p: BPoly) -> tuple:
     return tuple(out)
 
 
+def _int_forward_differences(row) -> list:
+    """[(Delta^j row)(0) for j = 0, 1, ...] of an integer sequence, up to the
+    last nonzero one: once a difference row vanishes, every later one does."""
+    out = []
+    while any(row):
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out
+
+
+def _int_pascal_sum(w, count: int) -> list:
+    """[sum_j C(r, j) w_j for r = 0..count-1] for integers w.
+
+    The inverse of :func:`_int_forward_differences`: w is the diagonal
+    (Delta^j b)(0) of the difference table of b, and each step
+    Delta^j b(r+1) = Delta^j b(r) + Delta^(j+1) b(r) reads off the next b(r),
+    so the cost is count * len(w) additions."""
+    v = list(w)
+    out = []
+    for _ in range(count):
+        out.append(v[0])
+        for j in range(len(v) - 1):
+            v[j] += v[j + 1]
+    return out
+
+
 def _support_degree(c) -> int:
     """Largest index with a nonzero entry (0 for the zero sequence)."""
     for j in range(len(c) - 1, -1, -1):
@@ -302,11 +352,15 @@ def _support_degree(c) -> int:
     return 0
 
 
+def _check_degree(n: int, p: BPoly):
+    if p.degree > n:
+        raise ValueError(f"polynomial degree {p.degree} exceeds ambient degree {n}")
+
+
 def _check_functional_args(n: int, k: int, p: BPoly):
     if not 0 <= k <= n:
         raise ValueError(f"functional index {k} out of range 0..{n}")
-    if p.degree > n:
-        raise ValueError(f"polynomial degree {p.degree} exceeds ambient degree {n}")
+    _check_degree(n, p)
 
 
 def _ratio_sum(n: int, xn, c):
@@ -365,12 +419,15 @@ def generalized_dual_apply(n: int, x, p: BPoly):
         C(xn, j)/C(n, j) = prod_{t=0}^{j-1} (xn - t)/(n - t),
 
     so no gamma function is needed.  The sum runs to min(floor(xn), deg p).
-    As n grows, lambda_{xn}^n p -> p(x) at rate O(1/n).
+    As n grows, lambda_{xn}^n p -> p(x) at rate O(1/n).  Like
+    :func:`dual_functional_apply`, it raises ValueError when p has degree
+    above n (the functional is defined on the degree-n space only).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= x <= 1:
         raise ValueError(f"x must lie in [0, 1], got {x}")
+    _check_degree(n, p)
     xn = Fraction(x) * n if _is_exact(x) else x * n
     return _ratio_sum(n, xn, bform_to_power(p))
 

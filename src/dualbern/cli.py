@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .bernstein import Interval, bform_eval, elevation_matrix, uniform_grid
+from .bernstein import Interval, bernstein_value, bform_eval, elevation_matrix, uniform_grid
 from .operators import (
     bernstein_like_report,
     quasi_interpolant_report,
@@ -28,7 +28,6 @@ from .subspace import (
     SelectionMap,
     bernstein_embedding,
     dual_basis,
-    dual_basis_eval,
     make_selection,
     power_embedding,
     verify_duality,
@@ -371,7 +370,13 @@ def _cmd_plot(args) -> int:
     ts = uniform_grid(iv, samples).tolist()
 
     if args.kind == "basis":
-        values = [[dual_basis_eval(db, i, t) for i in range(args.m + 1)] for t in ts]
+        # dual_basis_eval's sum, with B_j^m(t) formed once per point and A
+        # converted to float once: Fraction * float already goes through float()
+        a = [[float(x) for x in row] for row in db.A.to_lists()]
+        values = []
+        for t in ts:
+            b = [bernstein_value(args.m, j, t, iv) for j in range(args.m + 1)]
+            values.append([sum(bj * row[i] for bj, row in zip(b, a)) for i in range(args.m + 1)])
         curves = [
             ([(t, row[i]) for t, row in zip(ts, values)], False) for i in range(args.m + 1)
         ]

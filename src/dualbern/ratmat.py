@@ -185,8 +185,16 @@ def row_select(a: Mat, indices: Iterable[int]) -> Mat:
 
 
 def inf_norm(a: Mat) -> Fraction:
-    """Max over rows of the sum of absolute entries (exact)."""
-    return max(sum(abs(x) for x in row) for row in (a.row(i) for i in range(a.rows)))
+    """Max over rows of the sum of absolute entries (exact).
+
+    Each row sum runs on integer numerators over the lcm of the row's
+    denominators, so it builds one Fraction per row."""
+    return max(_abs_row_sum(a.row(i)) for i in range(a.rows))
+
+
+def _abs_row_sum(row) -> Fraction:
+    den = math.lcm(*(x.denominator for x in row))
+    return Fraction(sum(abs(x.numerator) * (den // x.denominator) for x in row), den)
 
 
 def is_row_affine(a: Mat) -> bool:

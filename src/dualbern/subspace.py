@@ -12,10 +12,22 @@ biorthogonal to the selected functionals; :func:`dual_basis` is the one
 place that forms A.  For the Bernstein embedding every selection works
 (completeness: det E(s,:) has a closed form, nonzero for distinct indices;
 see :func:`is_complete`); for the power basis only s = (0..m) does.
+
+Both facts come from one identity.  With c the local power coefficients of
+p, lambda_k^n p = sum_j c_j (k)_j / (n)_j, so lambda_k^n is evaluation at k
+after the map T: u^j -> (x)_j / (n)_j, and
+
+    E(s,:) = [(s_i)_j] diag(1/(n)_j) P,
+
+P holding the power coefficients of the B_j^m.  E(s,:) is therefore the
+evaluation matrix of T B^m at the integer nodes s, and column i of A is the
+B-form of T^{-1} l_i, l_i the Lagrange polynomial on s.  The Bernstein A is
+built from that closed form in integers; no elimination runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,13 +35,17 @@ from .bernstein import (
     BPoly,
     Interval,
     UNIT_INTERVAL,
+    _int_forward_differences,
+    _int_pascal_sum,
+    _ratio_sum,
     bernstein_value,
+    bform_to_power,
     dual_functional_apply,
     dual_functional_apply_right,
     elevation_matrix,
     xi_nodes,
 )
-from .ratmat import Mat, mat_inv, mat_mul, row_select
+from .ratmat import Mat, SingularMatrixError, mat_inv, mat_mul, row_select
 
 
 class SelectionError(ValueError):
@@ -132,13 +148,48 @@ class DualBasis:
 def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) -> DualBasis:
     """Construct the dual basis for a selection; raises SingularMatrixError
     when the selected functionals are not linearly independent on the
-    subspace (expected for power-basis selections other than (0..m))."""
+    subspace (expected for power-basis selections other than (0..m)).
+
+    Bernstein embedding: A = E(s,:)^{-1} in closed form (see the module
+    docstring).  With N_i(t) = prod_{r != i} (t - s(r)) and
+    D_i = N_i(s(i)), the Lagrange polynomial is l_i = N_i / D_i, and
+    Newton's forward formula gives its falling-factorial coefficients
+    Delta^j N_i(0) / (j! D_i).  T^{-1} maps (x)_j / j! to C(n, j) u^j, and
+    the power-to-B-form step at degree m finishes
+
+        A(r, i) = sum_{j<=r} C(r, j) / C(m, j) * C(n, j) Delta^j N_i(0) / D_i,
+
+    summed in integers over lcm_j C(m, j), one Fraction per entry.  Power
+    embedding: E(s,:) is a 0/1 matrix, inverted by :func:`mat_inv`.
+    """
     if (s.m, s.n) != (emb.m, emb.n):
         raise SelectionError(
             f"selection ({s.m},{s.n}) does not match embedding ({emb.m},{emb.n})"
         )
-    A = mat_inv(row_select(emb.E, s))
+    if emb.kind == "bernstein":
+        A = _bernstein_dual_matrix(emb.m, emb.n, s.indices)
+    else:
+        A = mat_inv(row_select(emb.E, s))
     return DualBasis(emb.m, emb.n, s, A, iv, emb.kind)
+
+
+def _bernstein_dual_matrix(m: int, n: int, s: tuple) -> Mat:
+    """E(s,:)^{-1} for the Bernstein embedding by the closed form of :func:`dual_basis`."""
+    for k in s:
+        if not 0 <= k <= n:
+            raise IndexError(f"row index {k} out of range for {n + 1}-row matrix")
+    lcm = math.lcm(*(math.comb(m, j) for j in range(m + 1)))
+    scale = [lcm // math.comb(m, j) * math.comb(n, j) for j in range(m + 1)]
+    cols = []
+    for i, si in enumerate(s):
+        others = s[:i] + s[i + 1:]
+        denom = math.prod(si - x for x in others) * lcm
+        if denom == 0:
+            raise SingularMatrixError(f"singular matrix: selection index {si} repeats")
+        diffs = _int_forward_differences([math.prod(t - x for x in others) for t in range(m + 1)])
+        nums = _int_pascal_sum([d * c for d, c in zip(diffs, scale)], m + 1)
+        cols.append([Fraction(x, denom) for x in nums])
+    return Mat(zip(*cols))
 
 
 def dual_basis_eval(db: DualBasis, i: int, t):
@@ -155,7 +206,10 @@ def verify_duality(db: DualBasis) -> bool:
 
     Bernstein embedding: applies the left-endpoint functionals
     lambda_{s(i)}^n to each basis element (a degree-m polynomial inside the
-    degree-n space) and compares with the identity matrix, exactly.  For the
+    degree-n space) and compares with the identity matrix, exactly.  Each
+    column of A is converted to power form once and lambda_k^n applied by
+    the running-ratio sum of :func:`dual_functional_apply`, so the check is
+    independent of the closed form that built A.  For the
     power embedding (whose dual functionals are endpoint derivatives against
     monomials rather than the Bernstein family) the equivalent exact matrix
     identity E(s,:) A = I is checked instead.
@@ -163,8 +217,12 @@ def verify_duality(db: DualBasis) -> bool:
     if db.kind != "bernstein":
         E = power_embedding(db.m, db.n).E
         return mat_mul(row_select(E, db.s), db.A) == Mat.identity(db.m + 1)
-    columns = [BPoly(db.m, db.interval, db.A.col(c)) for c in range(db.m + 1)]
-    return _gram(db.n, db.s, columns, dual_functional_apply) == Mat.identity(db.m + 1)
+    powers = [bform_to_power(BPoly(db.m, db.interval, db.A.col(c))) for c in range(db.m + 1)]
+    return all(
+        _ratio_sum(db.n, Fraction(k), c) == int(i == j)
+        for i, k in enumerate(db.s)
+        for j, c in enumerate(powers)
+    )
 
 
 def _gram(n: int, s, polys, apply_fn) -> Mat:

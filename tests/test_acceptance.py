@@ -36,6 +36,7 @@ from dualbern.ratmat import (
     mat_inv,
     mat_mul,
     mat_sub,
+    row_select,
 )
 from dualbern.subspace import (
     bernstein_embedding,
@@ -95,12 +96,14 @@ def test_acceptance_2_selection_invertibility():
     def check():
         # Bernstein embedding: every selection of m+1 rows of the elevation
         # matrix is invertible (exhaustive for 1 <= m <= n <= 8), as
-        # is_complete states without enumerating
+        # is_complete states without enumerating, and the closed-form A is
+        # the Gauss-Jordan inverse of E(s,:)
         for n in range(2, 9):
             for m in range(1, n + 1):
                 emb = bernstein_embedding(m, n)
                 for sel in combinations(range(n + 1), m + 1):
-                    dual_basis(emb, make_selection(m, n, sel))  # must not raise
+                    s = make_selection(m, n, sel)
+                    assert dual_basis(emb, s).A == mat_inv(row_select(emb.E, s))
                 assert is_complete(emb)
         # power embedding: only the leading selection 0..m survives
         for n in range(2, 9):

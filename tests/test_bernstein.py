@@ -1,6 +1,7 @@
 """Bernstein basis machinery: evaluation, elevation, conversion, dual functionals."""
 
 import math
+import random
 import warnings
 from fractions import Fraction as F
 
@@ -198,6 +199,71 @@ def test_power_roundtrip_exact(coeffs):
     assert bform_to_power(p) == tuple(coeffs)
 
 
+def _pascal_loop(c, n):
+    # the Fraction-ratio loop power_to_bform ran on every input
+    c = list(c) + [0] * (n + 1 - len(c))
+    support = [j for j, v in enumerate(c) if v != 0]
+    return tuple(
+        sum(F(math.comb(i, j), math.comb(n, j)) * c[j] for j in support if j <= i)
+        for i in range(n + 1)
+    )
+
+
+def _difference_loop(alpha):
+    # the coefficient-arithmetic difference table bform_to_power ran on every input
+    n = len(alpha) - 1
+    row, out = list(alpha), []
+    for j in range(n + 1):
+        if not any(row):
+            return tuple(out) + (alpha[0] * 0,) * (n + 1 - j)
+        out.append(F(math.comb(n, j)) * row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return tuple(out)
+
+
+def _conversion_inputs(rng, exact):
+    for n in (0, 1, 2, 3, 7, 16, 40, 2000):
+        for d in sorted({0, min(n, 1), min(n, 3), min(n, 9)}):
+            for kind in ("int", "fraction", "sparse", "zero"):
+                if exact:
+                    draw = {
+                        "int": lambda: rng.randint(-9, 9),
+                        "fraction": lambda: F(rng.randint(-40, 40), rng.randint(1, 24)),
+                        "sparse": lambda: rng.choice([0, 0, 0, F(rng.randint(-9, 9), rng.randint(1, 9))]),
+                        "zero": lambda: 0,
+                    }[kind]
+                else:
+                    draw = {
+                        "int": lambda: float(rng.randint(-9, 9)),
+                        "fraction": lambda: rng.uniform(-3, 3),
+                        "sparse": lambda: rng.choice([0.0, 0.0, rng.uniform(-3, 3)]),
+                        "zero": lambda: 0.0,
+                    }[kind]
+                yield n, [draw() for _ in range(d + 1)]
+
+
+def test_power_conversions_match_the_fraction_loops_on_exact_input():
+    rng = random.Random(20261018)
+    for n, c in _conversion_inputs(rng, exact=True):
+        p = power_to_bform(c, n)
+        assert p.coeffs == _pascal_loop(c, n), (n, c)
+        assert bform_to_power(p) == _difference_loop(p.coeffs) == tuple(c) + (0,) * (n + 1 - len(c))
+        if n <= 40:  # a B-form that is not a low-degree elevation
+            alpha = [F(rng.randint(-40, 40), rng.randint(1, 24)) for _ in range(n + 1)]
+            assert bform_to_power(BPoly(n, UNIT_INTERVAL, alpha)) == _difference_loop(alpha)
+            assert power_to_bform(bform_to_power(BPoly(n, UNIT_INTERVAL, alpha)), n).coeffs == tuple(alpha)
+
+
+def test_power_conversions_keep_float_bits():
+    rng = random.Random(20261019)
+    for n, c in _conversion_inputs(rng, exact=False):
+        if n > 40:
+            continue  # the float loops are quadratic in the support
+        p = power_to_bform(c, n)
+        assert repr(p.coeffs) == repr(_pascal_loop(c, n)), (n, c)
+        assert repr(bform_to_power(p)) == repr(_difference_loop(p.coeffs))
+
+
 def test_biorthogonality_left_and_right():
     # lambda_k^n applied to B_j^m gives E(k, j), the Gram identity both
     # duality checks rest on; at m = n it is the Kronecker delta, exactly
@@ -258,6 +324,16 @@ def test_generalized_golden():
     p = power_to_bform([F(0), F(0), F(1)], 1000)
     got = generalized_dual_apply(1000, F(1, 2), p)
     assert got == F(249500, 999000)
+
+
+def test_generalized_rejects_degree_above_n():
+    p = power_to_bform([0, 0, 0, 0, 0, 1], 5)
+    with pytest.raises(ValueError, match="polynomial degree 5 exceeds ambient degree 3"):
+        dual_functional_apply(3, 1, p)
+    with pytest.raises(ValueError, match="polynomial degree 5 exceeds ambient degree 3"):
+        generalized_dual_apply(3, F(1, 2), p)
+    # at n = 5 the same p is in range: u^5 has no term up to floor(xn) = 2
+    assert generalized_dual_apply(5, F(1, 2), p) == 0
 
 
 def test_generalized_converges_to_point_value():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -91,6 +92,19 @@ def test_inf_norm():
     a = Mat([[1, 0, 0], ["-1/4", "6/4", "-1/4"], [0, 0, 1]])
     assert inf_norm(a) == 2
     assert inf_norm(Mat.zero(2, 3)) == 0
+
+
+def test_inf_norm_is_the_abs_row_sum():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        a = Mat(
+            [[F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) if rng.random() < 0.8 else 0
+              for _ in range(cols)] for _ in range(rows)]
+        )
+        got = inf_norm(a)
+        assert got == max(sum(abs(x) for x in a.row(i)) for i in range(rows))
+        assert isinstance(got, F)
 
 
 def test_is_row_affine():

@@ -1,15 +1,17 @@
 import math
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
 from dualbern.bernstein import Interval, bernstein_value
-from dualbern.ratmat import Mat, SingularMatrixError, mat_mul, row_select
+from dualbern.ratmat import Mat, SingularMatrixError, mat_inv, mat_mul, row_select
 from dualbern.subspace import (
     IndexOutOfRangeError,
     NotInjectiveError,
     SelectionError,
+    SelectionMap,
     WrongLengthError,
     bernstein_embedding,
     data_map_invariance_check,
@@ -52,6 +54,34 @@ def test_dual_basis_trivial_selection_is_identity():
         emb = bernstein_embedding(m, m)
         db = dual_basis(emb, make_selection(m, m, tuple(range(m + 1))))
         assert db.A == Mat.identity(m + 1)
+
+
+def test_closed_form_dual_matches_gauss_jordan():
+    rng = random.Random(20261018)
+    cases = [(0, n, (k,)) for n in (0, 1, 5) for k in (0, n)]  # m = 0
+    cases += [(n, n, tuple(rng.sample(range(n + 1), n + 1))) for n in range(1, 9)]  # m = n
+    for _ in range(40):  # permuted (unsorted) selections
+        n = rng.randint(1, 12)
+        m = rng.randint(1, n)
+        cases.append((m, n, tuple(rng.sample(range(n + 1), m + 1))))
+    for m, k in ((12, 16), (20, 20)):  # the symmetric selections s(i) = i k
+        cases.append((m, m * k, tuple(i * k for i in range(m + 1))))
+    for m, n in ((12, 40), (20, 400)):
+        cases.append((m, n, tuple(sorted(rng.sample(range(n + 1), m + 1)))))
+    for m, n, sel in cases:
+        emb = bernstein_embedding(m, n)
+        s = make_selection(m, n, sel)
+        assert dual_basis(emb, s).A == mat_inv(row_select(emb.E, s)), (m, n, sel)
+
+
+def test_closed_form_dual_rejects_what_gauss_jordan_rejects():
+    # a SelectionMap built without make_selection: a repeated index makes
+    # E(s,:) singular, an index past n has no row
+    emb = bernstein_embedding(2, 4)
+    with pytest.raises(SingularMatrixError):
+        dual_basis(emb, SelectionMap(2, 4, (0, 3, 3)))
+    with pytest.raises(IndexError):
+        dual_basis(emb, SelectionMap(2, 4, (0, 3, 5)))
 
 
 def test_power_embedding_singular_selection():
