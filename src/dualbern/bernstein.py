@@ -236,14 +236,23 @@ def elevation_matrix(m: int, n: int) -> Mat:
     (Chu–Vandermonde), rows 0 and n are unit rows e_0 and e_m, and all
     entries are nonnegative.
     """
+    _check_degrees(m, n)
+    return _elevation_rows(m, n, range(n + 1))
+
+
+def _check_degrees(m: int, n: int, what: str = "elevation"):
     if m > n:
-        raise ValueError(f"elevation needs m <= n, got m={m} n={n}")
+        raise ValueError(f"{what} needs m <= n, got m={m} n={n}")
     if m < 0:
         raise ValueError("degrees must be nonnegative")
+
+
+def _elevation_rows(m: int, n: int, rows) -> Mat:
+    """The rows of :func:`elevation_matrix` with the given indices, in order."""
     denom = math.comb(n, m)
     return Mat(
         [[Fraction(math.comb(n - i, m - j) * math.comb(i, j), denom) for j in range(m + 1)]
-         for i in range(n + 1)]
+         for i in rows]
     )
 
 

@@ -27,7 +27,9 @@ built from that closed form in integers; no elimination runs.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,11 +37,10 @@ from .bernstein import (
     BPoly,
     Interval,
     UNIT_INTERVAL,
+    _check_degrees,
     _int_forward_differences,
     _int_pascal_sum,
-    _ratio_sum,
     bernstein_value,
-    bform_to_power,
     dual_functional_apply,
     dual_functional_apply_right,
     elevation_matrix,
@@ -101,24 +102,34 @@ def make_selection(m: int, n: int, indices) -> SelectionMap:
 
 @dataclass(frozen=True)
 class Embedding:
-    """An embedding of the degree-m space into degree n: Phi^m = Phi^n E."""
+    """An embedding of the degree-m space into degree n: Phi^m = Phi^n E.
+
+    E is built from (kind, m, n) on first read and kept: the Bernstein dual
+    basis and its checks never read it, so an embedding costs nothing until
+    something asks for the (n+1) x (m+1) matrix.
+    """
 
     kind: str  # "bernstein" | "power"
     m: int
     n: int
-    E: Mat
+
+    @functools.cached_property
+    def E(self) -> Mat:
+        if self.kind == "bernstein":
+            return elevation_matrix(self.m, self.n)
+        # the power basis: the identity block I(:, 0:m)
+        return Mat([[Fraction(int(i == j)) for j in range(self.m + 1)] for i in range(self.n + 1)])
 
 
 def bernstein_embedding(m: int, n: int) -> Embedding:
-    return Embedding("bernstein", m, n, elevation_matrix(m, n))
+    _check_degrees(m, n)
+    return Embedding("bernstein", m, n)
 
 
 def power_embedding(m: int, n: int) -> Embedding:
     """Power-basis embedding: E = I(:, 0:m), an (n+1) x (m+1) identity block."""
-    if m > n:
-        raise ValueError(f"embedding needs m <= n, got m={m} n={n}")
-    E = Mat([[Fraction(int(i == j)) for j in range(m + 1)] for i in range(n + 1)])
-    return Embedding("power", m, n, E)
+    _check_degrees(m, n, "embedding")
+    return Embedding("power", m, n)
 
 
 @dataclass(frozen=True)
@@ -206,23 +217,41 @@ def verify_duality(db: DualBasis) -> bool:
 
     Bernstein embedding: applies the left-endpoint functionals
     lambda_{s(i)}^n to each basis element (a degree-m polynomial inside the
-    degree-n space) and compares with the identity matrix, exactly.  Each
-    column of A is converted to power form once and lambda_k^n applied by
-    the running-ratio sum of :func:`dual_functional_apply`, so the check is
+    degree-n space) and compares with the identity matrix, exactly, in
+    integers.  Column c of A is put over one common denominator den; the
+    forward differences of its numerators times C(m, j) are the integer
+    power coefficients P_j = den * c_j.  As lambda_k^n p = sum_j c_j (k)_j / (n)_j
+    and (n)_m / (n)_j = (n-j)_{m-j}, duality scaled by the nonzero integer
+    (n)_m * den reads
+
+        sum_j (k)_j (n-j)_{m-j} P_j == (n)_m * den * [i == c],   k = s(i),
+
+    with the row weights (k)_j (n-j)_{m-j} formed once per k; (k)_j = 0 for
+    j > k, where the running-ratio sum of :func:`dual_functional_apply`
+    stops.  The check applies lambda, not the inverse of the map T, so it is
     independent of the closed form that built A.  For the
     power embedding (whose dual functionals are endpoint derivatives against
     monomials rather than the Bernstein family) the equivalent exact matrix
     identity E(s,:) A = I is checked instead.
     """
+    m, n = db.m, db.n
     if db.kind != "bernstein":
-        E = power_embedding(db.m, db.n).E
-        return mat_mul(row_select(E, db.s), db.A) == Mat.identity(db.m + 1)
-    powers = [bform_to_power(BPoly(db.m, db.interval, db.A.col(c))) for c in range(db.m + 1)]
-    return all(
-        _ratio_sum(db.n, Fraction(k), c) == int(i == j)
-        for i, k in enumerate(db.s)
-        for j, c in enumerate(powers)
-    )
+        E = power_embedding(m, n).E
+        return mat_mul(row_select(E, db.s), db.A) == Mat.identity(m + 1)
+    powers, scales = [], []
+    for c in range(m + 1):
+        col = db.A.col(c)
+        den = math.lcm(*(x.denominator for x in col))
+        diffs = _int_forward_differences([x.numerator * (den // x.denominator) for x in col])
+        powers.append([math.comb(m, j) * d for j, d in enumerate(diffs)])
+        scales.append(math.perm(n, m) * den)
+    tail = [math.perm(n - j, m - j) for j in range(m + 1)]
+    for i, k in enumerate(db.s):
+        weights = [math.perm(k, j) * t for j, t in enumerate(tail)]
+        for c, p in enumerate(powers):
+            if sum(map(operator.mul, weights, p)) != scales[c] * (i == c):
+                return False
+    return True
 
 
 def _gram(n: int, s, polys, apply_fn) -> Mat:

@@ -24,13 +24,13 @@ import numpy as np
 from .bernstein import (
     UNIT_INTERVAL,
     _colloc_inv,
+    _elevation_rows,
     bernstein_value,
     bform_eval,
     collocation_matrix,
-    elevation_matrix,
     uniform_grid,
 )
-from .ratmat import Mat, inf_norm, mat_sub, row_select
+from .ratmat import Mat, inf_norm, mat_sub
 from .subspace import SelectionMap, bernstein_embedding, dual_basis, make_selection
 
 
@@ -63,9 +63,12 @@ class RateConstant:
 
 
 def selected_elevation_rows(m: int, k: int) -> Mat:
-    """E(s,:) for the symmetric selection — this is exactly A_{m,k}^{-1}."""
+    """E(s,:) for the symmetric selection — this is exactly A_{m,k}^{-1}.
+
+    Only the m+1 selected rows are built, by the row formula of
+    :func:`~dualbern.bernstein.elevation_matrix`."""
     cfg = SymmetricConfig(m, k)
-    return row_select(elevation_matrix(m, cfg.n), cfg.selection())
+    return _elevation_rows(m, cfg.n, cfg.selection())
 
 
 def symmetric_dual_matrix(m: int, k: int) -> Mat:

@@ -1,11 +1,20 @@
+import dataclasses
 import math
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
-from dualbern.bernstein import Interval, bernstein_value
+from dualbern.bernstein import (
+    BPoly,
+    Interval,
+    _ratio_sum,
+    bernstein_value,
+    bform_to_power,
+    elevation_matrix,
+)
 from dualbern.ratmat import Mat, SingularMatrixError, mat_inv, mat_mul, row_select
 from dualbern.subspace import (
     IndexOutOfRangeError,
@@ -221,3 +230,56 @@ def test_dual_basis_rows_affine():
         emb = bernstein_embedding(m, n)
         db = dual_basis(emb, make_selection(m, n, s))
         assert is_row_affine(db.A)
+
+
+def _fraction_duality_check(db):
+    """The Bernstein duality check in Fractions: each column of A to power
+    form, then lambda_k^n by the running-ratio sum, against the identity."""
+    powers = [bform_to_power(BPoly(db.m, db.interval, db.A.col(c))) for c in range(db.m + 1)]
+    return all(
+        _ratio_sum(db.n, F(k), c) == int(i == j)
+        for i, k in enumerate(db.s)
+        for j, c in enumerate(powers)
+    )
+
+
+def _nudged(db, rng):
+    """db with one entry of A moved by 1/q, q random up to 10^6."""
+    rows = db.A.to_lists()
+    rows[rng.randrange(db.m + 1)][rng.randrange(db.m + 1)] += F(1, rng.randint(1, 10**6))
+    return dataclasses.replace(db, A=Mat(rows))
+
+
+def test_integer_duality_check_matches_the_fraction_check():
+    rng = random.Random(8)
+    cases = [(m, n, sel) for n in range(9) for m in range(n + 1)
+             for sel in combinations(range(n + 1), m + 1)]
+    assert len(cases) == 1013
+    for m, n in [(12, 40), (20, 400)]:
+        cases.append((m, n, tuple(round(i * n / m) for i in range(m + 1))))
+        cases.append((m, n, tuple(rng.sample(range(n + 1), m + 1))))
+    for m, n, sel in cases:
+        db = dual_basis(bernstein_embedding(m, n), make_selection(m, n, sel))
+        assert verify_duality(db) is _fraction_duality_check(db) is True, (m, n, sel)
+        bad = _nudged(db, rng)
+        assert verify_duality(bad) is _fraction_duality_check(bad) is False, (m, n, sel)
+
+
+def test_embeddings_build_E_on_first_read():
+    emb = bernstein_embedding(12, 400)
+    assert "E" not in vars(emb)
+    # the Bernstein dual basis and its check never read E
+    db = dual_basis(emb, make_selection(12, 400, range(0, 361, 30)))
+    assert verify_duality(db)
+    assert "E" not in vars(emb)
+    assert emb.E == elevation_matrix(12, 400)
+    assert "E" in vars(emb)
+    assert power_embedding(2, 4).E == Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    for factory, m, n, msg in [
+        (bernstein_embedding, 5, 3, "elevation needs m <= n, got m=5 n=3"),
+        (bernstein_embedding, -1, 3, "degrees must be nonnegative"),
+        (power_embedding, 5, 3, "embedding needs m <= n, got m=5 n=3"),
+        (power_embedding, -1, 3, "degrees must be nonnegative"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            factory(m, n)

@@ -5,13 +5,14 @@ computation and are asserted entry-for-entry against the library's
 construction (invert the selected rows of the degree-elevation matrix).
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from reference_tables import REFERENCE_TABLES, mat_from_table
 
-from dualbern.bernstein import collocation_matrix
-from dualbern.ratmat import Mat, inf_norm, is_row_affine, mat_mul, mat_sub
+from dualbern.bernstein import bernstein_value, collocation_matrix, elevation_matrix
+from dualbern.ratmat import Mat, inf_norm, is_row_affine, mat_mul, mat_sub, row_select
 from dualbern.symmetric import (
     SymmetricConfig,
     convergence_csv,
@@ -97,6 +98,43 @@ def test_rate_constant_matches_matrix_limit():
         scaled = mat_sub(collocation_matrix(m), selected_elevation_rows(m, k))
         diff = mat_sub(Mat([[k * x for x in scaled.row(i)] for i in range(m + 1)]), c)
         assert float(inf_norm(diff)) <= 1e-2
+
+
+def _linear_product(factors) -> list:
+    """Coefficients (lowest first) of prod (a k + b) over the (a, b) in factors."""
+    poly = [1]
+    for a, b in factors:
+        poly = [b * x + a * y for x, y in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def test_rate_constant_is_the_exact_one_over_k_term_of_the_elevation_entries():
+    # at n = mk, E(ik, j) = C(mk-ik, m-j) C(ik, j) / C(mk, m) = N(k) / D(k) with
+    # N = C(m, j) ((m-i)k)_{m-j} (ik)_j and D = (mk)_m, both of degree m in k, so
+    # E(ik, j) = M + (N_{m-1} - M D_{m-1}) / D_m / k + O(1/k^2),  M = N_m / D_m:
+    # M is the collocation entry B_j^m(i/m), and k (M - E(ik, j)) -> C(i, j)
+    for m in range(1, 10):
+        c = rate_constant(m).C
+        d = _linear_product([(m, -t) for t in range(m)])
+        for i in range(m + 1):
+            for j in range(m + 1):
+                factors = [(m - i, -t) for t in range(m - j)] + [(i, -t) for t in range(j)]
+                num = [math.comb(m, j) * x for x in _linear_product(factors)]
+                for k in (1, 2, 5):
+                    value = F(sum(x * k**e for e, x in enumerate(num)),
+                              sum(x * k**e for e, x in enumerate(d)))
+                    assert value == selected_elevation_rows(m, k)[i, j]
+                lead = F(num[m], d[m])
+                assert lead == bernstein_value(m, j, F(i, m)), (m, i, j)
+                assert (lead * d[m - 1] - num[m - 1]) / d[m] == c[i, j], (m, i, j)
+
+
+def test_selected_elevation_rows_are_rows_of_the_elevation_matrix():
+    for m in range(1, 9):
+        for k in range(1, 7):
+            cfg = SymmetricConfig(m, k)
+            rows = row_select(elevation_matrix(m, cfg.n), cfg.selection())
+            assert selected_elevation_rows(m, k) == rows
 
 
 def test_convergence_table_m1_is_exact():
