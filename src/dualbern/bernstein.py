@@ -5,13 +5,15 @@ The degree-m Bernstein basis in the local parameter u = (t - a)/(b - a) is
     B_i^m(t) = C(m, i) * (1 - u)^(m - i) * u^i,          i = 0..m,
 
 a nonnegative partition of unity.  This module provides evaluation (direct
-and de Casteljau), the degree-elevation matrix E with B^m = B^n E, the
-collocation matrix and its cached inverse, the Pascal matrix and power-basis
-conversion, the endpoint dual functionals lambda_k^n (left and right forms)
-and their real-index generalization, which share one running-ratio sum, and
-uniform node vectors.  On exact input the two power-basis conversions work
-on integer numerators over one common denominator and build one Fraction per
-output coefficient.
+and de Casteljau), the degree-elevation matrix E with B^m = B^n E (one row
+formula, which also builds any chosen rows E(s,:) alone), the collocation
+matrix, one Fraction per entry, and its cached inverse, the Pascal matrix
+and power-basis conversion, the endpoint dual functionals lambda_k^n (left
+and right forms) and their real-index generalization, which share one
+running-ratio sum, and uniform node vectors.  On exact input the two
+power-basis conversions work on integer numerators over one common
+denominator and build one Fraction per output coefficient; B-form to power
+runs one forward-difference routine for exact and float input alike.
 
 The collocation inverse has a closed form rather than a generic elimination:
 its columns are the B-form coefficients of the Lagrange polynomials on the
@@ -36,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ratmat import Mat, binomial
+from .ratmat import Mat, _over_common_denominator, binomial
 
 
 def _is_exact(x) -> bool:
@@ -190,9 +192,10 @@ def collocation_matrix(n: int) -> Mat:
     map of the quasi-interpolant."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Mat(
-        [[bernstein_value(n, j, Fraction(i, n)) for j in range(n + 1)] for i in range(n + 1)]
-    )
+    # B_j^n(i/n) = C(n, j) i^j (n-i)^(n-j) / n^n, one Fraction per entry
+    nn = n**n
+    return Mat([[Fraction(math.comb(n, j) * i**j * (n - i) ** (n - j), nn) for j in range(n + 1)]
+                for i in range(n + 1)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,10 +285,10 @@ def power_to_bform(power_coeffs: Sequence, n: int, iv: Interval = UNIT_INTERVAL)
         raise ValueError(f"{len(c)} power coefficients exceed degree {n}")
     c += [0] * (n + 1 - len(c))
     if all(_is_exact(x) for x in c):
-        w = [Fraction(x) / math.comb(n, j) for j, x in enumerate(c[: _support_degree(c) + 1])]
-        den = math.lcm(*(x.denominator for x in w))
-        nums = _int_pascal_sum([x.numerator * (den // x.denominator) for x in w], n + 1)
-        return BPoly(n, iv, tuple(Fraction(x, den) for x in nums))
+        w, den = _over_common_denominator(
+            [Fraction(x) / math.comb(n, j) for j, x in enumerate(c[: _support_degree(c) + 1])]
+        )
+        return BPoly(n, iv, tuple(Fraction(x, den) for x in _int_pascal_sum(w, n + 1)))
     support = [j for j, v in enumerate(c) if v != 0]  # zero terms add nothing
     alpha = [
         sum((binomial(i, j) / binomial(n, j)) * c[j] for j in support if j <= i)
@@ -306,30 +309,23 @@ def bform_to_power(p: BPoly) -> tuple:
 
     Exact coefficients are put over one common denominator, the difference
     table runs on the integer numerators, and each c_j is one Fraction.  Any
-    float coefficient keeps the coefficient-arithmetic loop, so float results
-    keep their bits.
+    float coefficient runs the same difference table on the coefficients
+    themselves, so float results keep their bits.
     """
     n = p.degree
     zero = p.coeffs[0] * 0  # 0 or 0.0, matching the coefficient arithmetic
     if all(_is_exact(x) for x in p.coeffs):
-        den = math.lcm(*(x.denominator for x in p.coeffs))
-        diffs = _int_forward_differences([x.numerator * (den // x.denominator) for x in p.coeffs])
+        nums, den = _over_common_denominator(p.coeffs)
+        diffs = _forward_differences(nums)
         out = tuple(Fraction(math.comb(n, j) * d, den) for j, d in enumerate(diffs))
-        return out + (zero,) * (n + 1 - len(diffs))
-    row = list(p.coeffs)
-    out = []
-    for j in range(n + 1):
-        if not any(row):
-            out.extend([zero] * (n + 1 - j))
-            break
-        out.append(binomial(n, j) * row[0])
-        row = [row[q + 1] - row[q] for q in range(len(row) - 1)]
-    return tuple(out)
+    else:
+        out = tuple(binomial(n, j) * d for j, d in enumerate(_forward_differences(list(p.coeffs))))
+    return out + (zero,) * (n + 1 - len(out))
 
 
-def _int_forward_differences(row) -> list:
-    """[(Delta^j row)(0) for j = 0, 1, ...] of an integer sequence, up to the
-    last nonzero one: once a difference row vanishes, every later one does."""
+def _forward_differences(row) -> list:
+    """[(Delta^j row)(0) for j = 0, 1, ...] of a sequence, up to the last
+    nonzero one: once a difference row vanishes, every later one does."""
     out = []
     while any(row):
         out.append(row[0])
@@ -340,7 +336,7 @@ def _int_forward_differences(row) -> list:
 def _int_pascal_sum(w, count: int) -> list:
     """[sum_j C(r, j) w_j for r = 0..count-1] for integers w.
 
-    The inverse of :func:`_int_forward_differences`: w is the diagonal
+    The inverse of :func:`_forward_differences`: w is the diagonal
     (Delta^j b)(0) of the difference table of b, and each step
     Delta^j b(r+1) = Delta^j b(r) + Delta^(j+1) b(r) reads off the next b(r),
     so the cost is count * len(w) additions."""

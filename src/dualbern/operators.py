@@ -204,7 +204,9 @@ def modulus_of_continuity(f: SampledFunction, h, iv: Interval = UNIT_INTERVAL) -
     span = int((float(h) * 1024) / width + 1e-9)  # indices within distance h
     span = max(1, min(span, 1024))
     windows = sliding_window_view(vals, span + 1)
-    return float(np.max(windows.max(axis=1) - windows.min(axis=1)))
+    # like bform_eval, overflow and inf - inf give inf/nan without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(windows.max(axis=1) - windows.min(axis=1)))
 
 
 _BOUND_KINDS = {"c0": "C0-modulus", "c1": "C1", "c2": "C2"}

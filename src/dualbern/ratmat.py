@@ -15,6 +15,7 @@ denominator, fully reduced, arbitrary precision.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -184,6 +185,22 @@ def row_select(a: Mat, indices: Iterable[int]) -> Mat:
     return Mat(rows)
 
 
+def is_inverse(a: Mat, b: Mat) -> bool:
+    """True iff a . b is exactly the identity; a and b must both be n x n.
+
+    Each row of a and each column of b is put over one common denominator,
+    and each integer dot product is compared with the product of the two
+    denominators on the diagonal and with 0 off it: no product matrix and no
+    per-entry Fraction is built."""
+    n = a.rows
+    if not a.cols == b.rows == b.cols == n:
+        raise ValueError(f"is_inverse needs n x n matrices: {a.rows}x{a.cols}, {b.rows}x{b.cols}")
+    rows = [_over_common_denominator(a.row(i)) for i in range(n)]
+    cols = [_over_common_denominator(b.col(j)) for j in range(n)]
+    return all(sum(map(operator.mul, ra, cb)) == (da * db if i == j else 0)
+               for i, (ra, da) in enumerate(rows) for j, (cb, db) in enumerate(cols))
+
+
 def inf_norm(a: Mat) -> Fraction:
     """Max over rows of the sum of absolute entries (exact).
 
@@ -193,8 +210,14 @@ def inf_norm(a: Mat) -> Fraction:
 
 
 def _abs_row_sum(row) -> Fraction:
-    den = math.lcm(*(x.denominator for x in row))
-    return Fraction(sum(abs(x.numerator) * (den // x.denominator) for x in row), den)
+    nums, den = _over_common_denominator(row)
+    return Fraction(sum(map(abs, nums)), den)
+
+
+def _over_common_denominator(xs) -> tuple[list[int], int]:
+    """(nums, den) with xs[i] == nums[i] / den, den the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def is_row_affine(a: Mat) -> bool:

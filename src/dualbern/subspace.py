@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,15 +37,15 @@ from .bernstein import (
     Interval,
     UNIT_INTERVAL,
     _check_degrees,
-    _int_forward_differences,
+    _elevation_rows,
+    _forward_differences,
     _int_pascal_sum,
     bernstein_value,
     dual_functional_apply,
     dual_functional_apply_right,
-    elevation_matrix,
     xi_nodes,
 )
-from .ratmat import Mat, SingularMatrixError, mat_inv, mat_mul, row_select
+from .ratmat import Mat, SingularMatrixError, is_inverse, mat_inv
 
 
 class SelectionError(ValueError):
@@ -104,21 +103,34 @@ def make_selection(m: int, n: int, indices) -> SelectionMap:
 class Embedding:
     """An embedding of the degree-m space into degree n: Phi^m = Phi^n E.
 
-    E is built from (kind, m, n) on first read and kept: the Bernstein dual
-    basis and its checks never read it, so an embedding costs nothing until
-    something asks for the (n+1) x (m+1) matrix.
+    :meth:`rows` builds only the selected rows E(s,:), from one row formula
+    per kind (Bernstein: the elevation entries; power: the identity block
+    I(:, 0:m)); the full (n+1) x (m+1) matrix E is those rows for s = 0..n,
+    built on first read and kept.  The dual bases and the duality check
+    never read E, so an embedding costs nothing until something asks for it.
     """
 
     kind: str  # "bernstein" | "power"
     m: int
     n: int
 
+    def rows(self, s) -> Mat:
+        """E(s,:): row s(i) of E as row i; IndexError for an index outside 0..n."""
+        s = tuple(s)
+        _check_row_indices(s, self.n)
+        if self.kind == "bernstein":
+            return _elevation_rows(self.m, self.n, s)
+        return Mat([[Fraction(int(k == j)) for j in range(self.m + 1)] for k in s])
+
     @functools.cached_property
     def E(self) -> Mat:
-        if self.kind == "bernstein":
-            return elevation_matrix(self.m, self.n)
-        # the power basis: the identity block I(:, 0:m)
-        return Mat([[Fraction(int(i == j)) for j in range(self.m + 1)] for i in range(self.n + 1)])
+        return self.rows(range(self.n + 1))
+
+
+def _check_row_indices(s, n: int):
+    for k in s:
+        if not 0 <= k <= n:
+            raise IndexError(f"row index {k} out of range for {n + 1}-row matrix")
 
 
 def bernstein_embedding(m: int, n: int) -> Embedding:
@@ -171,7 +183,8 @@ def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) ->
         A(r, i) = sum_{j<=r} C(r, j) / C(m, j) * C(n, j) Delta^j N_i(0) / D_i,
 
     summed in integers over lcm_j C(m, j), one Fraction per entry.  Power
-    embedding: E(s,:) is a 0/1 matrix, inverted by :func:`mat_inv`.
+    embedding: E(s,:) is a 0/1 matrix from :meth:`Embedding.rows`, inverted
+    by :func:`mat_inv`.
     """
     if (s.m, s.n) != (emb.m, emb.n):
         raise SelectionError(
@@ -180,15 +193,13 @@ def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) ->
     if emb.kind == "bernstein":
         A = _bernstein_dual_matrix(emb.m, emb.n, s.indices)
     else:
-        A = mat_inv(row_select(emb.E, s))
+        A = mat_inv(emb.rows(s))
     return DualBasis(emb.m, emb.n, s, A, iv, emb.kind)
 
 
 def _bernstein_dual_matrix(m: int, n: int, s: tuple) -> Mat:
     """E(s,:)^{-1} for the Bernstein embedding by the closed form of :func:`dual_basis`."""
-    for k in s:
-        if not 0 <= k <= n:
-            raise IndexError(f"row index {k} out of range for {n + 1}-row matrix")
+    _check_row_indices(s, n)
     lcm = math.lcm(*(math.comb(m, j) for j in range(m + 1)))
     scale = [lcm // math.comb(m, j) * math.comb(n, j) for j in range(m + 1)]
     cols = []
@@ -197,7 +208,7 @@ def _bernstein_dual_matrix(m: int, n: int, s: tuple) -> Mat:
         denom = math.prod(si - x for x in others) * lcm
         if denom == 0:
             raise SingularMatrixError(f"singular matrix: selection index {si} repeats")
-        diffs = _int_forward_differences([math.prod(t - x for x in others) for t in range(m + 1)])
+        diffs = _forward_differences([math.prod(t - x for x in others) for t in range(m + 1)])
         nums = _int_pascal_sum([d * c for d, c in zip(diffs, scale)], m + 1)
         cols.append([Fraction(x, denom) for x in nums])
     return Mat(zip(*cols))
@@ -215,43 +226,17 @@ def dual_basis_eval(db: DualBasis, i: int, t):
 def verify_duality(db: DualBasis) -> bool:
     """Exact check that the selected functionals are biorthogonal to D^m.
 
-    Bernstein embedding: applies the left-endpoint functionals
-    lambda_{s(i)}^n to each basis element (a degree-m polynomial inside the
-    degree-n space) and compares with the identity matrix, exactly, in
-    integers.  Column c of A is put over one common denominator den; the
-    forward differences of its numerators times C(m, j) are the integer
-    power coefficients P_j = den * c_j.  As lambda_k^n p = sum_j c_j (k)_j / (n)_j
-    and (n)_m / (n)_j = (n-j)_{m-j}, duality scaled by the nonzero integer
-    (n)_m * den reads
-
-        sum_j (k)_j (n-j)_{m-j} P_j == (n)_m * den * [i == c],   k = s(i),
-
-    with the row weights (k)_j (n-j)_{m-j} formed once per k; (k)_j = 0 for
-    j > k, where the running-ratio sum of :func:`dual_functional_apply`
-    stops.  The check applies lambda, not the inverse of the map T, so it is
-    independent of the closed form that built A.  For the
-    power embedding (whose dual functionals are endpoint derivatives against
-    monomials rather than the Bernstein family) the equivalent exact matrix
-    identity E(s,:) A = I is checked instead.
+    The ambient functional dual to Phi_k^n takes Phi_j^m = sum_r Phi_r^n E(r, j)
+    to E(k, j), so it takes D_c = sum_j Phi_j^m A(j, c) to (E(s,:) A)(i, c)
+    for k = s(i): duality is the identity E(s,:) A = I, for either
+    embedding.  :func:`~dualbern.ratmat.is_inverse` checks it on integer
+    numerators.  E(s,:) comes from :meth:`Embedding.rows`, the row formula
+    of E itself (elevation entries C(n-k, m-j) C(k, j) / C(n, m), or identity
+    rows), not from the map T whose inverse built the Bernstein A, so the
+    check is independent of that closed form.  Raises ValueError unless A
+    is (m+1) x (m+1).
     """
-    m, n = db.m, db.n
-    if db.kind != "bernstein":
-        E = power_embedding(m, n).E
-        return mat_mul(row_select(E, db.s), db.A) == Mat.identity(m + 1)
-    powers, scales = [], []
-    for c in range(m + 1):
-        col = db.A.col(c)
-        den = math.lcm(*(x.denominator for x in col))
-        diffs = _int_forward_differences([x.numerator * (den // x.denominator) for x in col])
-        powers.append([math.comb(m, j) * d for j, d in enumerate(diffs)])
-        scales.append(math.perm(n, m) * den)
-    tail = [math.perm(n - j, m - j) for j in range(m + 1)]
-    for i, k in enumerate(db.s):
-        weights = [math.perm(k, j) * t for j, t in enumerate(tail)]
-        for c, p in enumerate(powers):
-            if sum(map(operator.mul, weights, p)) != scales[c] * (i == c):
-                return False
-    return True
+    return is_inverse(Embedding(db.kind, db.m, db.n).rows(db.s), db.A)
 
 
 def _gram(n: int, s, polys, apply_fn) -> Mat:

@@ -24,7 +24,6 @@ import numpy as np
 from .bernstein import (
     UNIT_INTERVAL,
     _colloc_inv,
-    _elevation_rows,
     bernstein_value,
     bform_eval,
     collocation_matrix,
@@ -65,10 +64,10 @@ class RateConstant:
 def selected_elevation_rows(m: int, k: int) -> Mat:
     """E(s,:) for the symmetric selection — this is exactly A_{m,k}^{-1}.
 
-    Only the m+1 selected rows are built, by the row formula of
-    :func:`~dualbern.bernstein.elevation_matrix`."""
+    Only the m+1 selected rows are built, by
+    :meth:`~dualbern.subspace.Embedding.rows`."""
     cfg = SymmetricConfig(m, k)
-    return _elevation_rows(m, cfg.n, cfg.selection())
+    return bernstein_embedding(m, cfg.n).rows(cfg.selection())
 
 
 def symmetric_dual_matrix(m: int, k: int) -> Mat:

@@ -244,16 +244,30 @@ def test_plot_rejects_unplottable_values(tmp_path, capsys):
 def test_plot_overflow_stderr_is_only_the_error_line(tmp_path):
     # numpy's overflow/invalid warnings must not reach the CLI's stderr
     src = pathlib.Path(dualbern.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "dualbern.cli", "plot", "--kind", "polygon", "--m", "2",
-         "--symmetric", "--k", "2", "--coeffs=-1e308,1e308,-1e308", "--out", "x.svg"],
-        capture_output=True, text=True, timeout=60, cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "error: plot values are not finite\n"
-    assert list(tmp_path.iterdir()) == []
+    for argv, error in [
+        (PLOT_OVERFLOW, "plot values are not finite"),
+        (NAN_MODULUS, "result is not finite (nan); JSON has no such number"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualbern.cli", *argv],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {error}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+PLOT_OVERFLOW = (
+    "plot", "--kind", "polygon", "--m", "2", "--symmetric", "--k", "2",
+    "--coeffs=-1e308,1e308,-1e308", "--out", "x.svg",
+)
+# the sampled f is inf on the whole interval, so omega(f, h) meets inf - inf
+NAN_MODULUS = (
+    "operator", "--which", "bernop", "--m", "2", "--symmetric", "--k", "2",
+    "--fn", "sq", "--a=1e155", "--b=1e156",
+)
 
 
 def test_plot_unwritable_out(tmp_path, capsys):
@@ -421,6 +435,7 @@ def _no_constants(name):
 @example(argv=list(NONFINITE_QUASI))
 @example(argv=list(NONFINITE_BERNOP))
 @example(argv=[*OVERFLOWING_GRID, "--out", "{out}/x.svg"])
+@example(argv=list(NAN_MODULUS))
 @given(argv=_argv())
 def test_cli_keeps_exit_code_contract(argv):
     """Any argv: exit 0, 2 or 3, no traceback, JSON stdout parses without

@@ -47,6 +47,10 @@ def test_collocation_matrix_row_affine():
         m = collocation_matrix(n)
         assert is_row_affine(m)
         assert all(x >= 0 for x in m.entries)
+    # the integer closed form is the B_j^n(i/n) of its definition
+    for n in range(1, 25):
+        values = [[bernstein_value(n, j, F(i, n)) for j in range(n + 1)] for i in range(n + 1)]
+        assert collocation_matrix(n) == Mat(values), n
 
 
 def test_colloc_inv_matches_gauss_jordan():

@@ -11,6 +11,7 @@ from dualbern.ratmat import (
     SingularMatrixError,
     binomial,
     inf_norm,
+    is_inverse,
     is_row_affine,
     mat_from_json_obj,
     mat_inv,
@@ -105,6 +106,38 @@ def test_inf_norm_is_the_abs_row_sum():
         got = inf_norm(a)
         assert got == max(sum(abs(x) for x in a.row(i)) for i in range(rows))
         assert isinstance(got, F)
+
+
+def test_is_inverse_is_the_product_check():
+    rng = random.Random(20261018)
+
+    def rand_mat(n):
+        return Mat([[F(rng.randint(-50, 50), rng.randint(1, 30)) if rng.random() < 0.7 else 0
+                     for _ in range(n)] for _ in range(n)])
+
+    def nudged(a):
+        rows = a.to_lists()
+        rows[rng.randrange(a.rows)][rng.randrange(a.cols)] += F(1, rng.randint(1, 10**6))
+        return Mat(rows)
+
+    verdicts = []
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        a = rand_mat(n)
+        try:
+            b = mat_inv(a)
+        except SingularMatrixError:
+            continue
+        for x, y in [(a, b), (b, a), (nudged(a), b), (a, nudged(b)), (a, rand_mat(n)),
+                     (Mat.identity(n), Mat.identity(n))]:
+            got = is_inverse(x, y)
+            assert got == (mat_mul(x, y) == Mat.identity(n)), (x, y)
+            verdicts.append(got)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+    for (r1, c1), (r2, c2) in [((2, 3), (3, 2)), ((3, 2), (2, 3)), ((2, 2), (3, 3)),
+                               ((2, 2), (2, 3)), ((3, 3), (3, 2))]:
+        with pytest.raises(ValueError, match="is_inverse needs n x n matrices"):
+            is_inverse(Mat.zero(r1, c1), Mat.zero(r2, c2))
 
 
 def test_is_row_affine():

@@ -91,6 +91,9 @@ def test_closed_form_dual_rejects_what_gauss_jordan_rejects():
         dual_basis(emb, SelectionMap(2, 4, (0, 3, 3)))
     with pytest.raises(IndexError):
         dual_basis(emb, SelectionMap(2, 4, (0, 3, 5)))
+    # the power kind too: an index past n has no row, not a zero row
+    with pytest.raises(IndexError):
+        dual_basis(power_embedding(2, 4), SelectionMap(2, 4, (0, 1, 5)))
 
 
 def test_power_embedding_singular_selection():
@@ -150,6 +153,17 @@ def test_verify_duality_and_perturbation():
     rows[1][2] += F(1, 7)
     bad = db.__class__(db.m, db.n, db.s, Mat(rows), db.interval, db.kind)
     assert not verify_duality(bad)
+    # an A of the wrong shape is an error for both kinds, even when it holds
+    # the true A in its top-left block
+    for emb, sel in [(bernstein_embedding(1, 3), (1, 2)), (bernstein_embedding(2, 4), (0, 2, 4)),
+                     (power_embedding(1, 3), (1, 0)), (power_embedding(2, 4), (2, 0, 1))]:
+        db = dual_basis(emb, make_selection(emb.m, emb.n, sel))
+        size = emb.m + 1
+        grown = Mat([[*db.A.row(i), 0] for i in range(size)] + [[0] * size + [1]])
+        shrunk = Mat([db.A.row(i)[:-1] for i in range(size - 1)])
+        for a in (grown, shrunk):
+            with pytest.raises(ValueError, match="n x n"):
+                verify_duality(dataclasses.replace(db, A=a))
 
 
 def test_is_complete():
@@ -275,6 +289,19 @@ def test_embeddings_build_E_on_first_read():
     assert emb.E == elevation_matrix(12, 400)
     assert "E" in vars(emb)
     assert power_embedding(2, 4).E == Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    # rows(s) builds E(s,:) alone, for permuted selections of both kinds
+    rng = random.Random(9)
+    for factory in (bernstein_embedding, power_embedding):
+        for m, n in [(0, 3), (1, 1), (2, 4), (3, 7), (5, 9), (6, 6)]:
+            emb = factory(m, n)
+            sel = tuple(rng.sample(range(n + 1), m + 1))
+            rows = emb.rows(sel)
+            assert "E" not in vars(emb)
+            assert rows == row_select(emb.E, sel), (factory, m, n, sel)
+        for bad in (-1, 5):
+            msg = f"row index {bad} out of range for 5-row matrix"
+            with pytest.raises(IndexError, match=re.escape(msg)):
+                factory(2, 4).rows((0, bad, 1))
     for factory, m, n, msg in [
         (bernstein_embedding, 5, 3, "elevation needs m <= n, got m=5 n=3"),
         (bernstein_embedding, -1, 3, "degrees must be nonnegative"),
