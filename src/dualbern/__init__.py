@@ -3,9 +3,16 @@
 Exact (rational) construction of selection-based dual bases
 D^m = B^m E(s,:)^{-1}, the symmetric configuration converging to the
 Lagrange basis with an explicit first-order rate constant, and
-derivative-free approximation operators with provable stability and error
-bounds.
+derivative-free approximation operators with a provable stability sandwich
+and the error bound of a declared smoothness class (an estimate where it
+samples f on a grid).
+
+Only the float sampling needs numpy.  :mod:`dualbern.operators`, which
+samples in every function, is imported on first access to it or to one of
+its names, so the exact layers load without numpy.
 """
+
+import importlib
 
 from .bernstein import (
     BPoly,
@@ -25,18 +32,6 @@ from .bernstein import (
     power_to_bform,
     uniform_grid,
     xi_nodes,
-)
-from .operators import (
-    OperatorReport,
-    StabilityReport,
-    bernstein_like,
-    bernstein_like_report,
-    distance_to_subspace,
-    modulus_of_continuity,
-    quasi_interpolant,
-    quasi_interpolant_report,
-    stability_report,
-    tilde_lambda_apply,
 )
 from .ratmat import (
     Mat,
@@ -85,6 +80,35 @@ from .symmetric import (
 )
 
 __version__ = "0.1.0"
+
+_OPERATORS_NAMES = frozenset({
+    "OperatorReport",
+    "StabilityReport",
+    "bernstein_like",
+    "bernstein_like_report",
+    "distance_to_subspace",
+    "modulus_of_continuity",
+    "quasi_interpolant",
+    "quasi_interpolant_report",
+    "stability_report",
+    "tilde_lambda_apply",
+})
+
+
+def __getattr__(name):
+    # PEP 562.  Nothing is cached here: every access reads the operators
+    # module, so a wrapper set on it (a tracer's) is seen and then undone.
+    # importlib, not ``from . import``, which would look the name up on this
+    # package again and recurse.
+    if name == "operators" or name in _OPERATORS_NAMES:
+        operators = importlib.import_module(".operators", __name__)
+        return operators if name == "operators" else getattr(operators, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _OPERATORS_NAMES)
+
 
 __all__ = [
     "BPoly",

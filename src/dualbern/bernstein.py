@@ -26,6 +26,8 @@ exact Fractions; float inputs flow through as floats.  All matrices returned
 here are exact (:class:`dualbern.ratmat.Mat`).  The one float layer is
 :func:`uniform_grid` with :func:`bform_eval`: every float sample grid and
 every grid evaluation of a B-form polynomial in the package goes through it.
+It is the only part of this module that uses numpy, and it imports numpy
+when first called, so the exact layer loads without it.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .ratmat import Mat, _over_common_denominator, binomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _is_exact(x) -> bool:
@@ -156,6 +159,8 @@ def uniform_grid(iv: Interval, samples: int) -> np.ndarray:
     The operation order is fixed, so the grid is bit-for-bit the scalar
     formula with a = float(iv.a) and w = float(iv.width).  OverflowError
     when w*(samples-1), the largest product of that order, is not finite."""
+    import numpy as np
+
     a, w = float(iv.a), float(iv.width)
     if not math.isfinite(w * (samples - 1)):
         raise OverflowError(f"grid of {samples} points on [{iv.a}, {iv.b}] overflows")
@@ -172,6 +177,8 @@ def bform_eval(coeffs, iv: Interval, ts) -> np.ndarray:
     the sweeps use only elementwise * and + in the scalar order, so every
     value equals ``de_casteljau_eval`` at that point bit for bit.
     """
+    import numpy as np
+
     u = (np.asarray(ts, dtype=float) - float(iv.a)) / float(iv.width)
     b = np.array(coeffs, dtype=float)
     u = u.reshape((-1,) + (1,) * (b.ndim - 1))

@@ -19,10 +19,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .bernstein import Interval, bernstein_value, bform_eval, elevation_matrix, uniform_grid
-from .operators import (
-    bernstein_like_report,
-    quasi_interpolant_report,
-)
 from .ratmat import SingularMatrixError, mat_to_json_obj
 from .subspace import (
     SelectionMap,
@@ -426,6 +422,9 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_operator(args) -> int:
+    # the one command whose module needs numpy at import; the others skip it
+    from .operators import bernstein_like_report, quasi_interpolant_report
+
     n, sel = _resolve_selection(args)
     iv = _interval(args)
     reg = FN_REGISTRY.get(args.fn)

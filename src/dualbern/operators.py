@@ -11,8 +11,10 @@ Two operators share the dual basis D^m = B^m A of a selection s:
 * the Bernstein-like operator  D_m f = sum_i f(xi^n_{s(i)}) D_i^m, which
   generalizes the classical Bernstein operator (the k = 1 symmetric case).
 
-Reports pair a measured sup-error with the provable bound of the declared
-smoothness class, plus the two exact norms entering every bound.
+Reports pair a measured sup-error with the bound of the declared smoothness
+class, plus the two exact norms entering every bound.  The bound is not
+certified: where it takes sup|f| or omega(f, w) from a grid it is an
+estimate (see :class:`OperatorReport`).
 """
 
 from __future__ import annotations
@@ -52,9 +54,12 @@ class OperatorReport:
     the bound (ambient n for the quasi-interpolant's data map, subspace m for
     the stability-style constants).
 
-    Certified: norm_a and norm_minv (exact), and bound, the provable bound of
-    its class in floats (the operator-norm bound takes sup|f| and the C0
-    bound omega(f, w) from a grid, which can only under-estimate them).
+    Exact: norm_a and norm_minv.  Not certified: bound, the formula of its
+    class evaluated in round-to-nearest floats.  The "operator-norm" and
+    "C0-modulus" bounds are estimates: they take sup|f| and omega(f, w) from
+    a grid, which can only under-estimate them, so bound may fall below the
+    true error.  The "C1" and "C2" bounds hold up to float rounding when the
+    caller's d1 / d2 are true derivative sups.
     Measured: sup_error, on a grid.  Estimates, set by the quasi-interpolant
     report only and omitted from JSON when unset: distance_estimate, the
     least-squares residual of distance_to_subspace, and near_best_bound

@@ -16,20 +16,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .bernstein import (
-    UNIT_INTERVAL,
-    _colloc_inv,
-    bernstein_value,
-    bform_eval,
-    collocation_matrix,
-    uniform_grid,
-)
-from .ratmat import Mat, inf_norm, mat_sub
+from .bernstein import UNIT_INTERVAL, _colloc_inv, bernstein_value, bform_eval, uniform_grid
+from .ratmat import Mat, inf_norm
 from .subspace import SelectionMap, bernstein_embedding, dual_basis, make_selection
 
 
@@ -116,24 +108,43 @@ class ConvergenceRecord:
     scaled_mat_dist: float
 
 
+def _scaled_elevation_distance(m: int, k: int) -> Fraction:
+    """k * inf_norm(collocation_matrix(m) - selected_elevation_rows(m, k)), exact.
+
+    With n = mk, M_m(i, j) = C(m, j) i^j (m-i)^(m-j) / m^m and
+    E(ik, j) = C(n-ik, m-j) C(ik, j) / C(n, m) share the denominator
+    m^m C(n, m), so each row's abs-sum is an integer over it and the norm is
+    one Fraction."""
+    n, mm, cnm = m * k, m**m, math.comb(m * k, m)
+    top = max(
+        sum(abs(math.comb(m, j) * i**j * (m - i) ** (m - j) * cnm
+                - math.comb(n - i * k, m - j) * math.comb(i * k, j) * mm)
+            for j in range(m + 1))
+        for i in range(m + 1)
+    )
+    return Fraction(k * top, mm * cnm)
+
+
 def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRecord]:
     """Distance diagnostics of D^{m,k} from the Lagrange basis, per k.
 
     sup_dist: max over basis index i and a uniform grid of
     |D_i^{m,k}(t) - L_i^m(t)|.  scaled_mat_dist: k * inf-norm of
     (collocation_matrix(m) - E(s,:)), which stabilizes near inf_norm(C).
+    The grid is the only float work here; numpy is imported on first call.
     """
+    import numpy as np
+
     if not k_list:
         raise ValueError("k_list must be nonempty")
-    colloc = collocation_matrix(m)
     lagrange = np.array(_colloc_inv(m).to_lists(), dtype=float)
     grid = uniform_grid(UNIT_INTERVAL, samples)
     out = []
     for k in k_list:
         diff = np.array(symmetric_dual_matrix(m, k).to_lists(), dtype=float) - lagrange
         sup = float(np.max(np.abs(bform_eval(diff, UNIT_INTERVAL, grid))))
-        scaled = k * inf_norm(mat_sub(colloc, selected_elevation_rows(m, k)))
-        out.append(ConvergenceRecord(k=k, sup_dist=sup, scaled_mat_dist=float(scaled)))
+        scaled = float(_scaled_elevation_distance(m, k))
+        out.append(ConvergenceRecord(k=k, sup_dist=sup, scaled_mat_dist=scaled))
     return out
 
 

@@ -15,6 +15,7 @@ from dualbern.bernstein import bernstein_value, collocation_matrix, elevation_ma
 from dualbern.ratmat import Mat, inf_norm, is_row_affine, mat_mul, mat_sub, row_select
 from dualbern.symmetric import (
     SymmetricConfig,
+    _scaled_elevation_distance,
     convergence_csv,
     convergence_table,
     rate_constant,
@@ -155,6 +156,15 @@ def test_convergence_table_m2_closed_form():
 def test_convergence_table_rejects_empty():
     with pytest.raises(ValueError):
         convergence_table(2, [])
+
+
+def test_scaled_elevation_distance_is_the_matrix_expression():
+    # integer row sums over one denominator == the Fraction matrix difference
+    for m in range(1, 9):
+        colloc = collocation_matrix(m)
+        for k in range(1, 7):
+            want = k * inf_norm(mat_sub(colloc, selected_elevation_rows(m, k)))
+            assert _scaled_elevation_distance(m, k) == want, (m, k)
 
 
 def test_rate_bound():
