@@ -157,10 +157,13 @@ def uniform_grid(iv: Interval, samples: int) -> np.ndarray:
     """samples >= 2 equally spaced floats a + w*q/(samples-1), q = 0..samples-1.
 
     The operation order is fixed, so the grid is bit-for-bit the scalar
-    formula with a = float(iv.a) and w = float(iv.width).  OverflowError
-    when w*(samples-1), the largest product of that order, is not finite."""
+    formula with a = float(iv.a) and w = float(iv.width).  ValueError when
+    samples < 2; OverflowError when w*(samples-1), the largest product of
+    that order, is not finite."""
     import numpy as np
 
+    if samples < 2:
+        raise ValueError(f"a grid needs samples >= 2, got {samples}")
     a, w = float(iv.a), float(iv.width)
     if not math.isfinite(w * (samples - 1)):
         raise OverflowError(f"grid of {samples} points on [{iv.a}, {iv.b}] overflows")

@@ -15,6 +15,14 @@ Reports pair a measured sup-error with the bound of the declared smoothness
 class, plus the two exact norms entering every bound.  The bound is not
 certified: where it takes sup|f| or omega(f, w) from a grid it is an
 estimate (see :class:`OperatorReport`).
+
+Per call, a report builds the dual basis of its selection and the norm of
+its A, and samples f: at the nodes the operator reads (n+1 for Q_s, m+1 for
+D_m), on the report grid, and on the least-squares grid (Q_s) or the
+modulus grid (the C0 bound).  Once per degree it builds M_n^{-1} (the cache
+of :func:`~dualbern.bernstein._colloc_inv`) and its exact norm, which
+:func:`~dualbern.ratmat.inf_norm` keeps on that cached matrix, so clearing
+the cache drops both.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from .bernstein import (
     _colloc_inv,
     bform_eval,
     uniform_grid,
-    xi_nodes,
 )
 from .ratmat import inf_norm
 from .subspace import DualBasis, SelectionMap, bernstein_embedding, dual_basis
@@ -88,10 +95,15 @@ class OperatorReport:
         return obj
 
 
+def _at_nodes(f: SampledFunction, n: int, ks, iv: Interval) -> list:
+    """f(xi_k^n) for each k in ks, with xi_k^n computed as xi_nodes computes it."""
+    return [f(iv.from_local(Fraction(k, n))) for k in ks]
+
+
 def _tilde_lambdas(n: int, indices, f: SampledFunction, iv: Interval) -> list:
     """tilde-lambda_j^n f for each j in indices, sampling f once per node."""
     minv = _colloc_inv(n)
-    fs = [f(x) for x in xi_nodes(n, iv)]
+    fs = _at_nodes(f, n, range(n + 1), iv)
     return [sum(c * y for c, y in zip(minv.row(j), fs)) for j in indices]
 
 
@@ -181,8 +193,7 @@ def quasi_interpolant_report(
 
 
 def _bernop(db: DualBasis, f: SampledFunction) -> BPoly:
-    nodes = xi_nodes(db.n, db.interval)
-    return db.bform([f(nodes[k]) for k in db.s])
+    return db.bform(_at_nodes(f, db.n, db.s, db.interval))
 
 
 def bernstein_like(
@@ -200,14 +211,16 @@ def modulus_of_continuity(f: SampledFunction, h, iv: Interval = UNIT_INTERVAL) -
 
     Samples 1025 uniform points (1024 steps) and takes the largest (max - min) over
     windows spanning parameter distance <= h; a lower bound for the true
-    modulus.
+    modulus.  Below one grid step no two samples are within h, and the grid
+    value is 0.
     """
     width = float(iv.width)
     if not 0 < h <= width:
         raise ValueError(f"need 0 < h <= b - a = {width}, got h={h}")
+    span = int(float(h) / width * 1024 + 1e-9)  # indices within distance h, at most 1024
+    if span == 0:
+        return 0.0
     vals = _sample(f, uniform_grid(iv, 1025))
-    span = int((float(h) * 1024) / width + 1e-9)  # indices within distance h
-    span = max(1, min(span, 1024))
     windows = sliding_window_view(vals, span + 1)
     # like bform_eval, overflow and inf - inf give inf/nan without a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -215,6 +228,13 @@ def modulus_of_continuity(f: SampledFunction, h, iv: Interval = UNIT_INTERVAL) -
 
 
 _BOUND_KINDS = {"c0": "C0-modulus", "c1": "C1", "c2": "C2"}
+
+
+def _subspace_minv_norm(m: int) -> Fraction:
+    """inf_norm(M_m^{-1}) at the subspace degree; M_m is built on the nodes i/m."""
+    if m < 1:
+        raise ValueError(f"inf_norm(M_m^-1) needs m >= 1 (nodes i/m), got m={m}")
+    return inf_norm(_colloc_inv(m))
 
 
 def bernstein_like_report(
@@ -236,10 +256,12 @@ def bernstein_like_report(
         c2:  ||f - D_m f|| <= w^2/2 * ||A|| * ||f''||  (d2 = analytic sup|f''|)
 
     Derivative norms are caller-supplied closed-form values; nothing is
-    differentiated numerically."""
+    differentiated numerically.  norm_minv is inf_norm(M_m^{-1}), so the
+    report needs m >= 1 (ValueError otherwise)."""
     kind = _BOUND_KINDS.get(smoothness.lower())
     if kind is None:
         raise ValueError(f"smoothness must be one of c0|c1|c2, got {smoothness!r}")
+    norm_minv = _subspace_minv_norm(m)
     db = _dual(m, n, s, iv)
     _, sup_err = _sampled_error(f, _bernop(db, f), samples)
     norm_a = inf_norm(db.A)
@@ -259,7 +281,7 @@ def bernstein_like_report(
         bound=bound,
         bound_kind=kind,
         norm_a=norm_a,
-        norm_minv=inf_norm(_colloc_inv(m)),
+        norm_minv=norm_minv,
     )
 
 
@@ -278,12 +300,14 @@ def stability_report(db: DualBasis, alpha: Sequence) -> StabilityReport:
     p is sampled on a grid that includes the uniform nodes i/m (the points
     through which the lower bound is proved), and the sandwich is checked
     with multiplicative slack 1 + 1e-9; violation raises RuntimeError since
-    it would signal an internal inconsistency."""
+    it would signal an internal inconsistency.  Needs m >= 1, like the
+    norm_Minv of :func:`bernstein_like_report`."""
+    norm_minv = _subspace_minv_norm(db.m)
     iv = db.interval
     ts = np.concatenate([uniform_grid(iv, 201), uniform_grid(iv, db.m + 1)])
     p_norm = float(np.max(np.abs(bform_eval(db.bform(alpha).coeffs, iv, ts))))
     alpha_norm = max(abs(float(x)) for x in alpha)
-    lower = alpha_norm / float(inf_norm(_colloc_inv(db.m)))
+    lower = alpha_norm / float(norm_minv)
     upper = float(inf_norm(db.A)) * alpha_norm
     slack = 1 + 1e-9
     if not (lower <= p_norm * slack and p_norm <= upper * slack):

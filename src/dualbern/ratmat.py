@@ -58,10 +58,12 @@ class Mat:
 
     Construct from an iterable of rows; entries may be ints, Fractions or
     strings like ``"3/4"``.  Row-major flat access is available through
-    ``entries`` (this is also the JSON wire order).
+    ``entries`` (this is also the JSON wire order).  ``_inf_norm`` is the
+    memo of :func:`inf_norm`, filled on first use; equality and hashing
+    read the entries only.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_inf_norm")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         data = tuple(tuple(_coerce(x) for x in row) for row in rows)
@@ -71,6 +73,7 @@ class Mat:
         if any(len(r) != width for r in data):
             raise ValueError("ragged rows in matrix constructor")
         object.__setattr__(self, "_rows", data)
+        object.__setattr__(self, "_inf_norm", None)
 
     # -- basic shape/access ------------------------------------------------
 
@@ -205,8 +208,12 @@ def inf_norm(a: Mat) -> Fraction:
     """Max over rows of the sum of absolute entries (exact).
 
     Each row sum runs on integer numerators over the lcm of the row's
-    denominators, so it builds one Fraction per row."""
-    return max(_abs_row_sum(a.row(i)) for i in range(a.rows))
+    denominators, so it builds one Fraction per row.  A Mat is immutable, so
+    the norm is computed once per matrix and kept on it: a cached matrix
+    such as the collocation inverse pays for its norm once per cache entry."""
+    if a._inf_norm is None:
+        object.__setattr__(a, "_inf_norm", max(_abs_row_sum(a.row(i)) for i in range(a.rows)))
+    return a._inf_norm
 
 
 def _abs_row_sum(row) -> Fraction:

@@ -95,6 +95,13 @@ def test_uniform_grid_matches_scalar_formula(iv, samples):
     ]
 
 
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_uniform_grid_needs_two_samples(samples):
+    # one sample used to give [nan] with a RuntimeWarning, fewer an empty grid
+    with pytest.raises(ValueError, match="samples >= 2"):
+        uniform_grid(UNIT_INTERVAL, samples)
+
+
 def test_uniform_grid_overflow():
     # w*(samples-1) = 2.8e308 is past the float maximum
     iv = Interval(1e308, 1.7e308)

@@ -28,7 +28,7 @@ from dualbern.operators import (
     stability_report,
     tilde_lambda_apply,
 )
-from dualbern import bernstein, operators
+from dualbern import bernstein, operators, ratmat
 from dualbern.ratmat import Mat, inf_norm, is_row_affine, mat_inv, mat_mul
 from dualbern.subspace import bernstein_embedding, dual_basis, make_selection
 
@@ -72,6 +72,50 @@ def test_colloc_inv_is_one_shared_cache():
     assert operators._colloc_inv is bernstein._colloc_inv
     assert callable(bernstein._colloc_inv.cache_clear)
     assert callable(bernstein._colloc_inv.cache_info)
+
+
+def test_colloc_inv_norm_is_computed_once_per_cache_entry(monkeypatch):
+    row_sums = []
+    abs_row_sum = ratmat._abs_row_sum
+    monkeypatch.setattr(ratmat, "_abs_row_sum", lambda row: row_sums.append(1) or abs_row_sum(row))
+    for n in range(1, 17):
+        want = inf_norm(mat_inv(collocation_matrix(n)))
+        bernstein._colloc_inv.cache_clear()
+        for _ in range(2):  # the second pass runs after cache_clear()
+            row_sums.clear()
+            assert inf_norm(operators._colloc_inv(n)) == want, n
+            assert len(row_sums) == n + 1
+            assert inf_norm(operators._colloc_inv(n)) == want, n
+            assert len(row_sums) == n + 1  # the repeat reads the memo
+            bernstein._colloc_inv.cache_clear()
+
+
+def _recording(f):
+    seen = []
+
+    def g(t):
+        seen.append(t)
+        return f(t)
+
+    return g, seen
+
+
+def test_operators_sample_f_only_at_the_nodes_they_read():
+    # exact, exact with a Fraction end, float and mixed intervals
+    ivs = (UNIT_INTERVAL, Interval(F(1, 2), 2), Interval(1.0, 3.0), Interval(F(1, 2), 2.0))
+    for iv in ivs:
+        for m, n, sel in ((1, 3, (0, 3)), (2, 8, (0, 3, 8)), (3, 40, (0, 13, 27, 40))):
+            s = make_selection(m, n, sel)
+            nodes = list(xi_nodes(n, iv))
+            g, seen = _recording(lambda t: t)
+            bernstein_like(m, n, s, g, iv)
+            want = [nodes[k] for k in sel]
+            assert seen == want and len(seen) == m + 1
+            assert list(map(type, seen)) == list(map(type, want))
+            g, seen = _recording(lambda t: t)
+            quasi_interpolant(m, n, s, g, iv)
+            assert seen == nodes and len(seen) == n + 1
+            assert list(map(type, seen)) == list(map(type, nodes))
 
 
 def test_tilde_lambda_duality():
@@ -201,6 +245,9 @@ def test_modulus_of_continuity():
     assert modulus_of_continuity(lambda t: 4.0, 0.5) == 0
     for h in (0.1, 0.5, 1.0):
         assert modulus_of_continuity(math.sin, h) <= h + 1e-9
+    # below one grid step (1/1024) no two samples lie within h
+    for h in (1e-9, 1e-4):
+        assert modulus_of_continuity(math.sin, h) == 0
     with pytest.raises(ValueError):
         modulus_of_continuity(lambda t: t, 0.0)
     with pytest.raises(ValueError):
@@ -255,6 +302,17 @@ def test_stability_report_zero_and_ones():
     one = stability_report(db, (1, 1, 1))
     assert one.p_norm == pytest.approx(1.0)
     assert one.lower <= 1.0 <= one.upper
+
+
+def test_degree_zero_subspace():
+    # D_0 and Q_s need no M_0; the reports that print inf_norm(M_m^-1) name m
+    s = make_selection(0, 2, (1,))
+    assert bernstein_like(0, 2, s, lambda t: t).coeffs == (F(1, 2),)
+    assert quasi_interpolant_report(0, 2, s, math.sin).bound_kind == "operator-norm"
+    with pytest.raises(ValueError, match="m=0"):
+        bernstein_like_report(0, 2, s, math.sin, "c1", d1=1.0)
+    with pytest.raises(ValueError, match="m=0"):
+        stability_report(_db(0, 2, (1,)), (1,))
 
 
 def test_stability_report_length_check():

@@ -108,6 +108,18 @@ def test_inf_norm_is_the_abs_row_sum():
         assert isinstance(got, F)
 
 
+def test_inf_norm_memo_is_invisible_to_eq_and_hash():
+    rows = [[1, "-1/3"], ["5/2", 0]]
+    a, b = Mat(rows), Mat(rows)
+    assert inf_norm(a) == F(5, 2)
+    assert inf_norm(a) == F(5, 2)  # read back from the memo
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert {a: "a"}[b] == "a"
+    assert a != Mat([[1, "-1/3"], ["5/2", 1]])
+    assert inf_norm(b) == inf_norm(a)
+
+
 def test_is_inverse_is_the_product_check():
     rng = random.Random(20261018)
 

@@ -158,6 +158,12 @@ def test_convergence_table_rejects_empty():
         convergence_table(2, [])
 
 
+def test_convergence_table_rejects_a_one_point_grid():
+    # it used to report sup_dist = nan
+    with pytest.raises(ValueError, match="samples >= 2"):
+        convergence_table(2, [1], samples=1)
+
+
 def test_scaled_elevation_distance_is_the_matrix_expression():
     # integer row sums over one denominator == the Fraction matrix difference
     for m in range(1, 9):
