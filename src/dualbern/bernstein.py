@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .ratmat import Mat, _over_common_denominator, binomial
+from .ratmat import Mat, _from_common_denominator, _over_common_denominator, binomial
 
 if TYPE_CHECKING:
     import numpy as np
@@ -158,7 +158,9 @@ def uniform_grid(iv: Interval, samples: int) -> np.ndarray:
 
     The operation order is fixed, so the grid is bit-for-bit the scalar
     formula with a = float(iv.a) and w = float(iv.width).  ValueError when
-    samples < 2; OverflowError when w*(samples-1), the largest product of
+    samples < 2, or when two consecutive points round to the same float (the
+    spacing is below the float resolution at the endpoints, so a sample would
+    be repeated); OverflowError when w*(samples-1), the largest product of
     that order, is not finite."""
     import numpy as np
 
@@ -167,7 +169,11 @@ def uniform_grid(iv: Interval, samples: int) -> np.ndarray:
     a, w = float(iv.a), float(iv.width)
     if not math.isfinite(w * (samples - 1)):
         raise OverflowError(f"grid of {samples} points on [{iv.a}, {iv.b}] overflows")
-    return a + w * np.arange(samples) / (samples - 1)
+    grid = a + w * np.arange(samples) / (samples - 1)
+    if (grid[1:] == grid[:-1]).any():
+        raise ValueError(f"grid of {samples} points on [{iv.a}, {iv.b}] repeats a point: "
+                         "its spacing is below the float resolution there")
+    return grid
 
 
 def bform_eval(coeffs, iv: Interval, ts) -> np.ndarray:
@@ -250,7 +256,7 @@ def elevation_matrix(m: int, n: int) -> Mat:
     entries are nonnegative.
     """
     _check_degrees(m, n)
-    return _elevation_rows(m, n, range(n + 1))
+    return _from_common_denominator(*_elevation_int_rows(m, n, range(n + 1)))
 
 
 def _check_degrees(m: int, n: int, what: str = "elevation"):
@@ -260,13 +266,12 @@ def _check_degrees(m: int, n: int, what: str = "elevation"):
         raise ValueError("degrees must be nonnegative")
 
 
-def _elevation_rows(m: int, n: int, rows) -> Mat:
-    """The rows of :func:`elevation_matrix` with the given indices, in order."""
-    denom = math.comb(n, m)
-    return Mat(
-        [[Fraction(math.comb(n - i, m - j) * math.comb(i, j), denom) for j in range(m + 1)]
-         for i in rows]
-    )
+def _elevation_int_rows(m: int, n: int, rows) -> tuple[list[list[int]], int]:
+    """The rows of :func:`elevation_matrix` with the given indices, in order,
+    as integer numerators C(n-i, m-j) C(i, j) over their common denominator
+    C(n, m): the one row formula of E."""
+    nums = [[math.comb(n - i, m - j) * math.comb(i, j) for j in range(m + 1)] for i in rows]
+    return nums, math.comb(n, m)
 
 
 def pascal_matrix(n: int) -> Mat:
@@ -279,7 +284,8 @@ def pascal_matrix(n: int) -> Mat:
 def power_to_bform(power_coeffs: Sequence, n: int, iv: Interval = UNIT_INTERVAL) -> BPoly:
     """B-form of p(u) = sum_j c_j u^j (local parameter), elevated to degree n.
 
-    Shorter coefficient lists are zero-padded.  The conversion is
+    Shorter coefficient lists are zero-padded; the exactness and degree
+    scans read only the given coefficients.  The conversion is
     alpha_i = sum_j [C(i, j)/C(n, j)] c_j  (i.e. alpha = T_n D_n^{-1} c with
     T_n the Pascal matrix and D_n = diag C(n, j)).
 
@@ -290,10 +296,9 @@ def power_to_bform(power_coeffs: Sequence, n: int, iv: Interval = UNIT_INTERVAL)
     each alpha_i is one Fraction.  Any float coefficient keeps the loop of
     Fraction ratios times coefficients, so float results keep their bits.
     """
-    c = list(power_coeffs)
+    c = list(power_coeffs) or [0]
     if len(c) > n + 1:
         raise ValueError(f"{len(c)} power coefficients exceed degree {n}")
-    c += [0] * (n + 1 - len(c))
     if all(_is_exact(x) for x in c):
         w, den = _over_common_denominator(
             [Fraction(x) / math.comb(n, j) for j, x in enumerate(c[: _support_degree(c) + 1])]
@@ -322,15 +327,21 @@ def bform_to_power(p: BPoly) -> tuple:
     float coefficient runs the same difference table on the coefficients
     themselves, so float results keep their bits.
     """
+    c = _power_diagonal(p)
+    return c + (p.coeffs[0] * 0,) * (p.degree + 1 - len(c))
+
+
+def _power_diagonal(p: BPoly) -> tuple:
+    """:func:`bform_to_power` up to the last nonzero coefficient, unpadded: a
+    single zero for the zero polynomial, so c[0] always exists."""
     n = p.degree
-    zero = p.coeffs[0] * 0  # 0 or 0.0, matching the coefficient arithmetic
     if all(_is_exact(x) for x in p.coeffs):
         nums, den = _over_common_denominator(p.coeffs)
         diffs = _forward_differences(nums)
         out = tuple(Fraction(math.comb(n, j) * d, den) for j, d in enumerate(diffs))
     else:
         out = tuple(binomial(n, j) * d for j, d in enumerate(_forward_differences(list(p.coeffs))))
-    return out + (zero,) * (n + 1 - len(out))
+    return out or (p.coeffs[0] * 0,)  # 0 or 0.0, matching the coefficient arithmetic
 
 
 def _forward_differences(row) -> list:
@@ -382,7 +393,8 @@ def _ratio_sum(n: int, xn, c):
     """sum_{j=0}^{min(floor(xn), deg)} [prod_{t=0}^{j-1} (xn - t)/(n - t)] c_j.
 
     The running product is C(xn, j)/C(n, j), exact for an exact xn; c are the
-    local power coefficients of the polynomial."""
+    local power coefficients of the polynomial, unpadded (:func:`_power_diagonal`),
+    so the degree scan starts at the last given coefficient."""
     top = min(math.floor(xn), _support_degree(c))
     out = c[0]
     ratio = 1
@@ -405,7 +417,7 @@ def dual_functional_apply(n: int, k: int, p: BPoly):
     dual to the Bernstein basis: lambda_k^n B_i^n = delta_ki.
     """
     _check_functional_args(n, k, p)
-    return _ratio_sum(n, Fraction(k), bform_to_power(p))
+    return _ratio_sum(n, Fraction(k), _power_diagonal(p))
 
 
 def dual_functional_apply_right(n: int, k: int, p: BPoly):
@@ -419,8 +431,8 @@ def dual_functional_apply_right(n: int, k: int, p: BPoly):
     functionals only coincide on that space).
     """
     _check_functional_args(n, k, p)
-    c = bform_to_power(p)
-    deg = _support_degree(c)  # entries beyond it contribute nothing
+    c = _power_diagonal(p)
+    deg = _support_degree(c)
     top = min(n - k, deg)
     d = [(-1) ** j * sum(binomial(l, j) * c[l] for l in range(j, deg + 1)) for j in range(top + 1)]
     return _ratio_sum(n, Fraction(n - k), d)
@@ -444,7 +456,7 @@ def generalized_dual_apply(n: int, x, p: BPoly):
         raise ValueError(f"x must lie in [0, 1], got {x}")
     _check_degree(n, p)
     xn = Fraction(x) * n if _is_exact(x) else x * n
-    return _ratio_sum(n, xn, bform_to_power(p))
+    return _ratio_sum(n, xn, _power_diagonal(p))
 
 
 def xi_nodes(n: int, iv: Interval = UNIT_INTERVAL) -> NodeVector:

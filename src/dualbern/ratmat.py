@@ -29,7 +29,9 @@ class SingularMatrixError(ValueError):
     """Raised by :func:`mat_inv` when exact elimination hits a zero pivot column.
 
     This is an expected outcome for some inputs (e.g. power-basis selections
-    that are not linearly independent), so callers may catch it and proceed.
+    that are not linearly independent, for which
+    :func:`~dualbern.subspace.dual_basis` raises it with the message
+    elimination would give), so callers may catch it and proceed.
     """
 
 
@@ -191,17 +193,26 @@ def row_select(a: Mat, indices: Iterable[int]) -> Mat:
 def is_inverse(a: Mat, b: Mat) -> bool:
     """True iff a . b is exactly the identity; a and b must both be n x n.
 
-    Each row of a and each column of b is put over one common denominator,
-    and each integer dot product is compared with the product of the two
-    denominators on the diagonal and with 0 off it: no product matrix and no
-    per-entry Fraction is built."""
-    n = a.rows
-    if not a.cols == b.rows == b.cols == n:
-        raise ValueError(f"is_inverse needs n x n matrices: {a.rows}x{a.cols}, {b.rows}x{b.cols}")
-    rows = [_over_common_denominator(a.row(i)) for i in range(n)]
+    The Mat front end of :func:`_is_inverse_over`: a is put over one common
+    denominator first."""
+    nums, den = _over_common_denominator(a.entries)
+    return _is_inverse_over([nums[i * a.cols:(i + 1) * a.cols] for i in range(a.rows)], den, b)
+
+
+def _is_inverse_over(rows, den: int, b: Mat) -> bool:
+    """True iff (rows / den) . b is exactly the identity, rows a list of lists
+    of integers (the numerators of a over its common denominator den).
+
+    Each column of b is put over one common denominator, and each integer
+    dot product is compared with the product of the two denominators on the
+    diagonal and with 0 off it: no product matrix and no per-entry Fraction
+    is built.  ValueError unless a and b are both n x n."""
+    n = len(rows)
+    if not len(rows[0]) == b.rows == b.cols == n:
+        raise ValueError(f"is_inverse needs n x n matrices: {n}x{len(rows[0])}, {b.rows}x{b.cols}")
     cols = [_over_common_denominator(b.col(j)) for j in range(n)]
-    return all(sum(map(operator.mul, ra, cb)) == (da * db if i == j else 0)
-               for i, (ra, da) in enumerate(rows) for j, (cb, db) in enumerate(cols))
+    return all(sum(map(operator.mul, ra, cb)) == (den * db if i == j else 0)
+               for i, ra in enumerate(rows) for j, (cb, db) in enumerate(cols))
 
 
 def inf_norm(a: Mat) -> Fraction:
@@ -225,6 +236,12 @@ def _over_common_denominator(xs) -> tuple[list[int], int]:
     """(nums, den) with xs[i] == nums[i] / den, den the lcm of the denominators."""
     den = math.lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _from_common_denominator(rows, den: int) -> Mat:
+    """The Mat with entries rows[i][j] / den, rows lists of integers: the
+    inverse of :func:`_over_common_denominator`, one Fraction per entry."""
+    return Mat([[Fraction(x, den) for x in row] for row in rows])
 
 
 def is_row_affine(a: Mat) -> bool:

@@ -22,7 +22,14 @@ after the map T: u^j -> (x)_j / (n)_j, and
 P holding the power coefficients of the B_j^m.  E(s,:) is therefore the
 evaluation matrix of T B^m at the integer nodes s, and column i of A is the
 B-form of T^{-1} l_i, l_i the Lagrange polynomial on s.  The Bernstein A is
-built from that closed form in integers; no elimination runs.
+built from that closed form in integers; no elimination runs.  The Newton
+coefficients of every Lagrange numerator come from one product polynomial
+in the falling factorials: (t)_j (t - c) = (t)_{j+1} + (j - c) (t)_j builds
+N(t) = prod_r (t - s(r)) = sum_j a_j (t)_j by a'_j = a_{j-1} + (j - c) a_j,
+and synthetic division by t - s(i), q_{j-1} = a_j - (j - s(i)) q_j, leaves
+N_i = N / (t - s(i)) = sum_j q_j (t)_j with Delta^j N_i(0) = j! q_j.  The
+power A is E(s,:)^T, as E(s,:) holds unit rows.  The duality check runs on
+the integer rows of E(s,:) over their common denominator C(n, m).
 """
 
 from __future__ import annotations
@@ -37,15 +44,14 @@ from .bernstein import (
     Interval,
     UNIT_INTERVAL,
     _check_degrees,
-    _elevation_rows,
-    _forward_differences,
+    _elevation_int_rows,
     _int_pascal_sum,
     bernstein_value,
     dual_functional_apply,
     dual_functional_apply_right,
     xi_nodes,
 )
-from .ratmat import Mat, SingularMatrixError, is_inverse, mat_inv
+from .ratmat import Mat, SingularMatrixError, _from_common_denominator, _is_inverse_over
 
 
 class SelectionError(ValueError):
@@ -103,11 +109,11 @@ def make_selection(m: int, n: int, indices) -> SelectionMap:
 class Embedding:
     """An embedding of the degree-m space into degree n: Phi^m = Phi^n E.
 
-    :meth:`rows` builds only the selected rows E(s,:), from one row formula
-    per kind (Bernstein: the elevation entries; power: the identity block
-    I(:, 0:m)); the full (n+1) x (m+1) matrix E is those rows for s = 0..n,
-    built on first read and kept.  The dual bases and the duality check
-    never read E, so an embedding costs nothing until something asks for it.
+    :meth:`rows` builds only the selected rows E(s,:), from one integer row
+    formula per kind (:meth:`_int_rows`); the full (n+1) x (m+1) matrix E is
+    those rows for s = 0..n, built on first read and kept.  The dual bases
+    and the duality check never read E, so an embedding costs nothing until
+    something asks for it.
     """
 
     kind: str  # "bernstein" | "power"
@@ -116,11 +122,18 @@ class Embedding:
 
     def rows(self, s) -> Mat:
         """E(s,:): row s(i) of E as row i; IndexError for an index outside 0..n."""
+        return _from_common_denominator(*self._int_rows(s))
+
+    def _int_rows(self, s) -> tuple[list[list[int]], int]:
+        """E(s,:) as (integer rows, common denominator): the elevation entries
+        C(n-k, m-j) C(k, j) over C(n, m) for the Bernstein kind, the unit
+        rows e_k of the identity block I(:, 0:m) over 1 (zero rows for k > m)
+        for the power kind.  IndexError for an index outside 0..n."""
         s = tuple(s)
         _check_row_indices(s, self.n)
         if self.kind == "bernstein":
-            return _elevation_rows(self.m, self.n, s)
-        return Mat([[Fraction(int(k == j)) for j in range(self.m + 1)] for k in s])
+            return _elevation_int_rows(self.m, self.n, s)
+        return [[int(k == j) for j in range(self.m + 1)] for k in s], 1
 
     @functools.cached_property
     def E(self) -> Mat:
@@ -177,14 +190,21 @@ def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) ->
     docstring).  With N_i(t) = prod_{r != i} (t - s(r)) and
     D_i = N_i(s(i)), the Lagrange polynomial is l_i = N_i / D_i, and
     Newton's forward formula gives its falling-factorial coefficients
-    Delta^j N_i(0) / (j! D_i).  T^{-1} maps (x)_j / j! to C(n, j) u^j, and
-    the power-to-B-form step at degree m finishes
+    Delta^j N_i(0) / (j! D_i).  These come from one product: with
+    (t)_j (t - c) = (t)_{j+1} + (j - c) (t)_j, the coefficients of
+    N(t) = prod_r (t - s(r)) = sum_{j<=m+1} a_j (t)_j are built one factor
+    at a time (a'_j = a_{j-1} + (j - c) a_j), and exact division by
+    t - s(i) gives N_i = sum_j q_j (t)_j from q_m = a_{m+1} and
+    q_{j-1} = a_j - (j - s(i)) q_j, so Delta^j N_i(0) = j! q_j: O(m^2)
+    integer work for all columns.  T^{-1} maps (x)_j / j! to C(n, j) u^j,
+    and the power-to-B-form step at degree m finishes
 
-        A(r, i) = sum_{j<=r} C(r, j) / C(m, j) * C(n, j) Delta^j N_i(0) / D_i,
+        A(r, i) = sum_{j<=r} C(r, j) / C(m, j) * C(n, j) j! q_j / D_i,
 
     summed in integers over lcm_j C(m, j), one Fraction per entry.  Power
-    embedding: E(s,:) is a 0/1 matrix from :meth:`Embedding.rows`, inverted
-    by :func:`mat_inv`.
+    embedding: E(s,:) holds the unit rows e_{s(i)} (zero rows for s(i) > m),
+    so A = E(s,:)^T when {s(i)} = {0..m}; otherwise SingularMatrixError
+    names the first column c not in s, where elimination finds no pivot.
     """
     if (s.m, s.n) != (emb.m, emb.n):
         raise SelectionError(
@@ -193,7 +213,7 @@ def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) ->
     if emb.kind == "bernstein":
         A = _bernstein_dual_matrix(emb.m, emb.n, s.indices)
     else:
-        A = mat_inv(emb.rows(s))
+        A = _power_dual_matrix(emb, s.indices)
     return DualBasis(emb.m, emb.n, s, A, iv, emb.kind)
 
 
@@ -201,17 +221,31 @@ def _bernstein_dual_matrix(m: int, n: int, s: tuple) -> Mat:
     """E(s,:)^{-1} for the Bernstein embedding by the closed form of :func:`dual_basis`."""
     _check_row_indices(s, n)
     lcm = math.lcm(*(math.comb(m, j) for j in range(m + 1)))
-    scale = [lcm // math.comb(m, j) * math.comb(n, j) for j in range(m + 1)]
+    # C(n, j) j! = (n)_j: the j! of Delta^j N_i(0) = j! q_j is folded in
+    scale = [lcm // math.comb(m, j) * math.perm(n, j) for j in range(m + 1)]
+    full = [1]  # a_j: N(t) = prod_r (t - s(r)) in the falling factorials (t)_j
+    for c in s:
+        full = [x + (j - c) * y for j, (x, y) in enumerate(zip([0] + full, full + [0]))]
     cols = []
     for i, si in enumerate(s):
-        others = s[:i] + s[i + 1:]
-        denom = math.prod(si - x for x in others) * lcm
+        denom = math.prod(si - x for x in s[:i] + s[i + 1:]) * lcm
         if denom == 0:
             raise SingularMatrixError(f"singular matrix: selection index {si} repeats")
-        diffs = _forward_differences([math.prod(t - x for x in others) for t in range(m + 1)])
-        nums = _int_pascal_sum([d * c for d, c in zip(diffs, scale)], m + 1)
-        cols.append([Fraction(x, denom) for x in nums])
+        w, q = [0] * (m + 1), 0
+        for j in range(m + 1, 0, -1):  # N_i = N / (t - s(i)) by synthetic division
+            q = full[j] - (j - si) * q
+            w[j - 1] = q * scale[j - 1]
+        cols.append([Fraction(x, denom) for x in _int_pascal_sum(w, m + 1)])
     return Mat(zip(*cols))
+
+
+def _power_dual_matrix(emb: Embedding, s: tuple) -> Mat:
+    """E(s,:)^{-1} for the power embedding by the closed form of :func:`dual_basis`."""
+    rows, _ = emb._int_rows(s)  # unit rows over 1; IndexError for an index past n
+    missing = set(range(emb.m + 1)).difference(s)
+    if missing:
+        raise SingularMatrixError(f"singular matrix: no pivot in column {min(missing)}")
+    return Mat(zip(*rows))
 
 
 def dual_basis_eval(db: DualBasis, i: int, t):
@@ -229,14 +263,16 @@ def verify_duality(db: DualBasis) -> bool:
     The ambient functional dual to Phi_k^n takes Phi_j^m = sum_r Phi_r^n E(r, j)
     to E(k, j), so it takes D_c = sum_j Phi_j^m A(j, c) to (E(s,:) A)(i, c)
     for k = s(i): duality is the identity E(s,:) A = I, for either
-    embedding.  :func:`~dualbern.ratmat.is_inverse` checks it on integer
-    numerators.  E(s,:) comes from :meth:`Embedding.rows`, the row formula
-    of E itself (elevation entries C(n-k, m-j) C(k, j) / C(n, m), or identity
-    rows), not from the map T whose inverse built the Bernstein A, so the
-    check is independent of that closed form.  Raises ValueError unless A
-    is (m+1) x (m+1).
+    embedding.  It is checked on integers: E(s,:) comes as integer rows over
+    one common denominator (elevation entries C(n-k, m-j) C(k, j) over
+    C(n, m), or unit rows over 1) from the row formula of E itself, not from
+    the map T whose inverse built the Bernstein A, so the check is
+    independent of that closed form; each column of A is put over one
+    common denominator, and the integer dot products are compared with the
+    identity (the routine behind :func:`~dualbern.ratmat.is_inverse`).
+    Raises ValueError unless A is (m+1) x (m+1).
     """
-    return is_inverse(Embedding(db.kind, db.m, db.n).rows(db.s), db.A)
+    return _is_inverse_over(*Embedding(db.kind, db.m, db.n)._int_rows(db.s), db.A)
 
 
 def _gram(n: int, s, polys, apply_fn) -> Mat:

@@ -149,9 +149,15 @@ def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRec
 
 
 def rate_bound(m: int, k: int) -> float:
-    """The first-order bound  inf_norm(A_L)^2 * inf_norm(C) / k  on the
+    """The leading-order estimate  inf_norm(A_L)^2 * inf_norm(C) / k  of the
     sup-distance between D^{m,k} and the Lagrange basis, where
-    A_L = collocation_matrix(m)^{-1}."""
+    A_L = collocation_matrix(m)^{-1}.
+
+    It is not a bound: it keeps only the 1/k term of A_k - A_L, and the
+    exact scaled distance k * inf_norm(M_m - E(s,:)) exceeds inf_norm(C) for
+    every m = 2..9 and k = 1..64, so no finite-k argument covers it.  It has
+    exceeded the grid sup-distance in every case measured (9x at m = 2,
+    630x at m = 5, 2.5e5x at m = 9)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     norm_al = inf_norm(_colloc_inv(m))

@@ -14,6 +14,7 @@ from dualbern.bernstein import (
     BPoly,
     Interval,
     NodeVector,
+    _ratio_sum,
     bernstein_value,
     bform_eval,
     bform_to_power,
@@ -100,6 +101,17 @@ def test_uniform_grid_needs_two_samples(samples):
     # one sample used to give [nan] with a RuntimeWarning, fewer an empty grid
     with pytest.raises(ValueError, match="samples >= 2"):
         uniform_grid(UNIT_INTERVAL, samples)
+
+
+def test_uniform_grid_rejects_repeated_points():
+    # at 1e16 the float spacing is 2, so 201 points over a width of 200 give
+    # 101 distinct floats and over a width of 2 give 2
+    for b in (10**16 + 200, 10**16 + 2, 1e16 + 2.0):
+        with pytest.raises(ValueError, match="repeats a point"):
+            uniform_grid(Interval(1e16, b), 201)
+    # spacing 2 (the float spacing itself) and 2 samples still work
+    assert uniform_grid(Interval(1e16, 10**16 + 400), 201)[1] == 1e16 + 2
+    assert uniform_grid(Interval(1e16, 10**16 + 2), 2).tolist() == [1e16, 1e16 + 2]
 
 
 def test_uniform_grid_overflow():
@@ -259,6 +271,41 @@ def test_power_conversions_match_the_fraction_loops_on_exact_input():
             alpha = [F(rng.randint(-40, 40), rng.randint(1, 24)) for _ in range(n + 1)]
             assert bform_to_power(BPoly(n, UNIT_INTERVAL, alpha)) == _difference_loop(alpha)
             assert power_to_bform(bform_to_power(BPoly(n, UNIT_INTERVAL, alpha)), n).coeffs == tuple(alpha)
+
+
+def test_power_to_bform_of_no_coefficients_is_zero():
+    for n in (0, 3, 40):
+        assert power_to_bform([], n).coeffs == (0,) * (n + 1)
+        assert generalized_dual_apply(max(n, 1), F(1, 2), power_to_bform([], n)) == 0
+
+
+def _padded_functionals(n, x, p):
+    # lambda_k^n (left and right forms) and lambda_{xn}^n p on the padded
+    # n+1 power coefficients, as the functionals read them before
+    c = bform_to_power(p)
+    deg = max((j for j, v in enumerate(c) if v != 0), default=0)
+    left = [_ratio_sum(n, F(k), c) for k in range(n + 1)]
+    right = []
+    for k in range(n + 1):
+        d = [(-1) ** j * sum(F(math.comb(l, j)) * c[l] for l in range(j, deg + 1))
+             for j in range(min(n - k, deg) + 1)]
+        right.append(_ratio_sum(n, F(n - k), d))
+    return left, right, _ratio_sum(n, x * n, c)
+
+
+def test_functionals_read_the_unpadded_power_coefficients():
+    # same values (the same bits on float input) as the padded coefficients,
+    # for low-degree polynomials at high degree and for the zero polynomial
+    rng = random.Random(20261020)
+    polys = [(n, power_to_bform(c, n)) for exact in (True, False)
+             for n, c in _conversion_inputs(rng, exact) if 1 <= n <= 40]
+    polys += [(3, BPoly(3, UNIT_INTERVAL, z)) for z in ((0,) * 4, (F(0),) * 4, (-0.0, 0.0, 0.0, 0.0))]
+    for n, p in polys:
+        x = 0.3 if any(isinstance(v, float) for v in p.coeffs) else F(3, 10)
+        left, right, gen = _padded_functionals(n, x, p)
+        assert repr([dual_functional_apply(n, k, p) for k in range(n + 1)]) == repr(left), (n, p)
+        assert repr([dual_functional_apply_right(n, k, p) for k in range(n + 1)]) == repr(right)
+        assert repr(generalized_dual_apply(n, x, p)) == repr(gen), (n, p)
 
 
 def test_power_conversions_keep_float_bits():

@@ -323,6 +323,31 @@ def test_plot_overflowing_grid_is_a_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# intervals so narrow for their magnitude that the 201-point report grid
+# repeats floats (101 distinct ones at b = a + 200, 2 at b = a + 2)
+COLLAPSED_QUASI = (
+    "operator", "--which", "quasi", "--m", "2", "--symmetric", "--k", "20", "--fn", "sin",
+    "--a=1e16", "--b=10000000000000200",
+)
+COLLAPSED_BERNOP = (
+    "operator", "--which", "bernop", "--m", "2", "--symmetric", "--k", "20", "--fn", "sin",
+    "--smoothness", "c1", "--a=1e16", "--b=10000000000000002",
+)
+COLLAPSED_PLOT = (
+    "plot", "--kind", "basis", "--m", "2", "--symmetric", "--k", "2",
+    "--a=1e16", "--b=10000000000000200",
+)
+
+
+def test_collapsed_grid_is_a_usage_error(tmp_path, capsys):
+    for argv in (COLLAPSED_QUASI, COLLAPSED_BERNOP, (*COLLAPSED_PLOT, "--out", str(tmp_path / "x.svg"))):
+        rc, out, err = invoke(capsys, *argv)
+        assert rc == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and "repeats a point" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_operator_quasi_reproduces_square(capsys):
     rc, out, _ = invoke(
         capsys,
@@ -436,6 +461,9 @@ def _no_constants(name):
 @example(argv=list(NONFINITE_BERNOP))
 @example(argv=[*OVERFLOWING_GRID, "--out", "{out}/x.svg"])
 @example(argv=list(NAN_MODULUS))
+@example(argv=list(COLLAPSED_QUASI))
+@example(argv=list(COLLAPSED_BERNOP))
+@example(argv=[*COLLAPSED_PLOT, "--out", "{out}/x.svg"])
 @given(argv=_argv())
 def test_cli_keeps_exit_code_contract(argv):
     """Any argv: exit 0, 2 or 3, no traceback, JSON stdout parses without

@@ -3,7 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -67,7 +67,10 @@ def test_dual_basis_trivial_selection_is_identity():
 
 def test_closed_form_dual_matches_gauss_jordan():
     rng = random.Random(20261018)
-    cases = [(0, n, (k,)) for n in (0, 1, 5) for k in (0, n)]  # m = 0
+    # every increasing selection with m <= n <= 8
+    cases = [(m, n, sel) for n in range(9) for m in range(n + 1)
+             for sel in combinations(range(n + 1), m + 1)]
+    assert len(cases) == 1013  # m = 0 included
     cases += [(n, n, tuple(rng.sample(range(n + 1), n + 1))) for n in range(1, 9)]  # m = n
     for _ in range(40):  # permuted (unsorted) selections
         n = rng.randint(1, 12)
@@ -94,6 +97,33 @@ def test_closed_form_dual_rejects_what_gauss_jordan_rejects():
     # the power kind too: an index past n has no row, not a zero row
     with pytest.raises(IndexError):
         dual_basis(power_embedding(2, 4), SelectionMap(2, 4, (0, 1, 5)))
+
+
+def test_power_dual_basis_matches_gauss_jordan():
+    # the closed form (A = E(s,:)^T, or the first column missing from s) against
+    # elimination on E(s,:): every ordered selection with n <= 5, and with n <= 3
+    # every index tuple, repeats included (a SelectionMap not from make_selection)
+    cases = [(m, n, sel) for n in range(6) for m in range(n + 1)
+             for sel in permutations(range(n + 1), m + 1)]
+    cases += [(m, n, sel) for n in range(4) for m in range(n + 1)
+              for sel in product(range(n + 1), repeat=m + 1) if len(set(sel)) <= m]
+    singular = 0
+    for m, n, sel in cases:
+        emb = power_embedding(m, n)
+        try:
+            want = mat_inv(emb.rows(sel))
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError, match=f"^{re.escape(str(exc))}$"):
+                dual_basis(emb, SelectionMap(m, n, sel))
+            singular += 1
+            continue
+        db = dual_basis(emb, SelectionMap(m, n, sel))
+        assert db.A == want, (m, n, sel)
+        assert verify_duality(db)
+    assert (len(cases), singular) == (2667, 1595)
+    # an index past n has no row, before any singularity is found
+    with pytest.raises(IndexError, match="row index 5 out of range for 5-row matrix"):
+        dual_basis(power_embedding(2, 4), SelectionMap(2, 4, (3, 4, 5)))
 
 
 def test_power_embedding_singular_selection():
