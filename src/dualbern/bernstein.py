@@ -13,7 +13,12 @@ and right forms) and their real-index generalization, which share one
 running-ratio sum, and uniform node vectors.  On exact input the two
 power-basis conversions work on integer numerators over one common
 denominator and build one Fraction per output coefficient; B-form to power
-runs one forward-difference routine for exact and float input alike.
+runs one forward-difference routine for exact and float input alike.  Both
+difference tables run at C speed: one ``map`` of ``operator.sub`` per row
+forwards, chained ``itertools.accumulate`` iterators backwards.  A BPoly
+converts to power form at most once: the result is memoised on it, and the
+exact :func:`power_to_bform` fills that memo with the coefficients it was
+given, so a polynomial built from its power form never converts back.
 
 The collocation inverse has a closed form rather than a generic elimination:
 its columns are the B-form coefficients of the Lagrange polynomials on the
@@ -34,8 +39,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 from typing import TYPE_CHECKING, Sequence
 
 from .ratmat import Mat, _from_common_denominator, _over_common_denominator, binomial
@@ -87,11 +94,17 @@ class BPoly:
     """A polynomial in B-form: degree, interval, and m+1 coefficients.
 
     p(t) = sum_i coeffs[i] * B_i^m(t) with the basis taken over `interval`.
+
+    ``_power`` is the memo of :func:`_power_diagonal`, filled on first use (or
+    by the exact :func:`power_to_bform`).  It is a class attribute, not a
+    field, so equality, hashing, ``repr`` and ``dataclasses.replace`` read the
+    three fields only.
     """
 
     degree: int
     interval: Interval
     coeffs: tuple
+    _power = None
 
     def __post_init__(self):
         if self.degree < 0:
@@ -134,7 +147,7 @@ def bernstein_value(m: int, i: int, t, iv: Interval = UNIT_INTERVAL):
     if not 0 <= i <= m:
         raise IndexError(f"basis index {i} out of range 0..{m}")
     u = iv.to_local(t)
-    return binomial(m, i) * (1 - u) ** (m - i) * u**i
+    return math.comb(m, i) * (1 - u) ** (m - i) * u**i
 
 
 def de_casteljau_eval(p: BPoly, t):
@@ -293,17 +306,20 @@ def power_to_bform(power_coeffs: Sequence, n: int, iv: Interval = UNIT_INTERVAL)
     w_j = c_j / C(n, j) up to the degree d of p are put over one common
     denominator, the Pascal sum runs on their integer numerators as a
     difference table read forwards from its diagonal (O(n d) additions), and
-    each alpha_i is one Fraction.  Any float coefficient keeps the loop of
-    Fraction ratios times coefficients, so float results keep their bits.
+    each alpha_i is one Fraction.  The result's power-form memo is set to
+    c_0..c_d as Fractions, which is what :func:`_power_diagonal` would compute
+    from the alphas.  Any float coefficient keeps the loop of Fraction ratios
+    times coefficients, so float results keep their bits, and sets no memo.
     """
     c = list(power_coeffs) or [0]
     if len(c) > n + 1:
         raise ValueError(f"{len(c)} power coefficients exceed degree {n}")
     if all(_is_exact(x) for x in c):
-        w, den = _over_common_denominator(
-            [Fraction(x) / math.comb(n, j) for j, x in enumerate(c[: _support_degree(c) + 1])]
-        )
-        return BPoly(n, iv, tuple(Fraction(x, den) for x in _int_pascal_sum(w, n + 1)))
+        c = [Fraction(x) for x in c[: _support_degree(c) + 1]]
+        w, den = _over_common_denominator([x / math.comb(n, j) for j, x in enumerate(c)])
+        p = BPoly(n, iv, tuple(Fraction(x, den) for x in _int_pascal_sum(w, n + 1)))
+        object.__setattr__(p, "_power", tuple(c))
+        return p
     support = [j for j, v in enumerate(c) if v != 0]  # zero terms add nothing
     alpha = [
         sum((binomial(i, j) / binomial(n, j)) * c[j] for j in support if j <= i)
@@ -333,7 +349,12 @@ def bform_to_power(p: BPoly) -> tuple:
 
 def _power_diagonal(p: BPoly) -> tuple:
     """:func:`bform_to_power` up to the last nonzero coefficient, unpadded: a
-    single zero for the zero polynomial, so c[0] always exists."""
+    single zero for the zero polynomial, so c[0] always exists.
+
+    Computed once per polynomial and kept in ``p._power``; a later call
+    returns that same tuple."""
+    if p._power is not None:
+        return p._power
     n = p.degree
     if all(_is_exact(x) for x in p.coeffs):
         nums, den = _over_common_denominator(p.coeffs)
@@ -341,7 +362,9 @@ def _power_diagonal(p: BPoly) -> tuple:
         out = tuple(Fraction(math.comb(n, j) * d, den) for j, d in enumerate(diffs))
     else:
         out = tuple(binomial(n, j) * d for j, d in enumerate(_forward_differences(list(p.coeffs))))
-    return out or (p.coeffs[0] * 0,)  # 0 or 0.0, matching the coefficient arithmetic
+    out = out or (p.coeffs[0] * 0,)  # 0 or 0.0, matching the coefficient arithmetic
+    object.__setattr__(p, "_power", out)
+    return out
 
 
 def _forward_differences(row) -> list:
@@ -350,7 +373,7 @@ def _forward_differences(row) -> list:
     out = []
     while any(row):
         out.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
+        row = list(map(operator.sub, row[1:], row))
     return out
 
 
@@ -358,16 +381,16 @@ def _int_pascal_sum(w, count: int) -> list:
     """[sum_j C(r, j) w_j for r = 0..count-1] for integers w.
 
     The inverse of :func:`_forward_differences`: w is the diagonal
-    (Delta^j b)(0) of the difference table of b, and each step
-    Delta^j b(r+1) = Delta^j b(r) + Delta^(j+1) b(r) reads off the next b(r),
-    so the cost is count * len(w) additions."""
-    v = list(w)
-    out = []
-    for _ in range(count):
-        out.append(v[0])
-        for j in range(len(v) - 1):
-            v[j] += v[j + 1]
-    return out
+    (Delta^j b)(0) of the difference table of b.  Row len(w)-1 of the table
+    is constant, and row j is the running sum of row j+1 started at w_j
+    (Delta^j b(r+1) = Delta^j b(r) + Delta^(j+1) b(r)).  The rows are
+    chained ``accumulate`` iterators from the last up, and the first count
+    entries of row 0 are drawn through them: count * len(w) additions at C
+    speed, with no intermediate row built."""
+    row = repeat(w[-1])
+    for wj in reversed(w[:-1]):
+        row = accumulate(row, initial=wj)
+    return list(islice(row, count))
 
 
 def _support_degree(c) -> int:

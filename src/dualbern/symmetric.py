@@ -135,6 +135,8 @@ def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRec
     """
     import numpy as np
 
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if not k_list:
         raise ValueError("k_list must be nonempty")
     lagrange = np.array(_colloc_inv(m).to_lists(), dtype=float)
@@ -158,6 +160,8 @@ def rate_bound(m: int, k: int) -> float:
     every m = 2..9 and k = 1..64, so no finite-k argument covers it.  It has
     exceeded the grid sup-distance in every case measured (9x at m = 2,
     630x at m = 5, 2.5e5x at m = 9)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
     norm_al = inf_norm(_colloc_inv(m))

@@ -1,5 +1,6 @@
 """Bernstein basis machinery: evaluation, elevation, conversion, dual functionals."""
 
+import dataclasses
 import math
 import random
 import warnings
@@ -14,6 +15,9 @@ from dualbern.bernstein import (
     BPoly,
     Interval,
     NodeVector,
+    _forward_differences,
+    _int_pascal_sum,
+    _power_diagonal,
     _ratio_sum,
     bernstein_value,
     bform_eval,
@@ -50,6 +54,25 @@ def test_bernstein_value_goldens():
     assert bernstein_value(4, 2, F(1, 2)) == F(3, 8)
     # off-unit interval: B_1^2 at the midpoint of [1,3]
     assert bernstein_value(2, 1, F(2), Interval(F(1), F(3))) == F(1, 2)
+
+
+def test_bernstein_value_matches_the_fraction_binomial_formula():
+    # the integer C(m, i) rounds as its Fraction did on floats, and keeps
+    # exact points exact
+    def fraction_formula(m, i, t, iv):
+        u = iv.to_local(t)
+        return F(math.comb(m, i)) * (1 - u) ** (m - i) * u**i
+
+    for iv in (UNIT_INTERVAL, Interval(1.0, 3.0), Interval(F(1, 2), 2)):
+        ts = uniform_grid(iv, 41).tolist()
+        exact = [iv.a + F(q, 7) * (iv.b - iv.a) for q in range(8)] if iv.is_exact() else []
+        for m in range(13):
+            for i in range(m + 1):
+                for t in ts:
+                    assert repr(bernstein_value(m, i, t, iv)) == repr(fraction_formula(m, i, t, iv))
+                for t in exact:
+                    got, want = bernstein_value(m, i, t, iv), fraction_formula(m, i, t, iv)
+                    assert got == want and type(got) is type(want) is F, (m, i, t)
 
 
 def test_partition_of_unity():
@@ -271,6 +294,80 @@ def test_power_conversions_match_the_fraction_loops_on_exact_input():
             alpha = [F(rng.randint(-40, 40), rng.randint(1, 24)) for _ in range(n + 1)]
             assert bform_to_power(BPoly(n, UNIT_INTERVAL, alpha)) == _difference_loop(alpha)
             assert power_to_bform(bform_to_power(BPoly(n, UNIT_INTERVAL, alpha)), n).coeffs == tuple(alpha)
+
+
+def test_power_memo_is_invisible_to_the_dataclass():
+    p = power_to_bform([F(1, 3), 0, -2], 5)
+    q = BPoly(5, UNIT_INTERVAL, p.coeffs)  # the same fields, no memo
+    assert p._power is not None and q._power is None
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert [f.name for f in dataclasses.fields(p)] == ["degree", "interval", "coeffs"]
+    assert dataclasses.asdict(p) == dataclasses.asdict(q)
+    r = dataclasses.replace(p)
+    assert r == q and r._power is None
+    _power_diagonal(q)
+    assert q._power is not None and p == q and hash(p) == hash(q) and repr(p) == repr(q)
+
+
+def test_power_to_bform_memo_is_the_fresh_conversion():
+    # the memo the exact conversion leaves equals, in value and type, what
+    # the difference table gives on the alphas; floats leave no memo
+    rng = random.Random(20261021)
+    # float B-forms at n = 2000 do not difference to zero, and C(2000, j) overflows a float
+    cases = [(n, c) for exact in (True, False) for n, c in _conversion_inputs(rng, exact)
+             if exact or n <= 40]
+    cases += [(4, []), (4, [0, 0]), (6, [3, 0, 0]), (6, [F(1, 3), 2, F(0)]), (3, [0, F(-5, 4)]),
+              (2000, [1, 0, F(7, 9), 0, 0])]
+    for n, c in cases:
+        p = power_to_bform(c, n, Interval(F(1, 2), 2))
+        fresh = _power_diagonal(BPoly(n, p.interval, p.coeffs))
+        if all(isinstance(x, (int, F)) for x in c):
+            assert repr(p._power) == repr(fresh), (n, c)
+        else:
+            assert p._power is None
+        first = _power_diagonal(p)
+        assert repr(first) == repr(fresh), (n, c)
+        assert _power_diagonal(p) is first
+
+
+def _naive_pascal_sum(w, count):
+    return [sum(math.comb(r, j) * x for j, x in enumerate(w)) for r in range(count)]
+
+
+def _trimmed(xs):
+    xs = list(xs)
+    while xs and xs[-1] == 0:
+        xs.pop()
+    return xs
+
+
+def _naive_forward_differences(row):
+    # the whole diagonal by the alternating-binomial formula, trailing zeros trimmed
+    return _trimmed(sum((-1) ** (j - i) * math.comb(j, i) * row[i] for i in range(j + 1))
+                    for j in range(len(row)))
+
+
+def test_difference_kernels_match_the_naive_formulas():
+    rng = random.Random(20261022)
+    big = 10**40
+    ws = [[5], [-7], [0], [0, 0, 0], [3, 0, 0], [0, 0, 4], [1, -1, 1, -1],
+          [-big, big + 1, -3, -(big**2)], [rng.randint(-big, big) for _ in range(9)]]
+    for w in ws:
+        for count in (1, 2, len(w), len(w) + 1, 40):
+            row = _int_pascal_sum(w, count)
+            assert row == _naive_pascal_sum(w, count), (w, count)
+            assert _forward_differences(row) == _naive_forward_differences(row), (w, count)
+            if count >= len(w):  # the two kernels are inverse on the diagonal
+                assert _forward_differences(row) == _trimmed(w), (w, count)
+    for row in ([], [0], [0] * 6, [9], [-big], [2, -big, 0, 5, big**3], [0, 0, 1]):
+        assert _forward_differences(row) == _naive_forward_differences(row), row
+    # on floats the pass keeps the comprehension's bits
+    floats = [rng.uniform(-3, 3) for _ in range(12)] + [0.0, -0.0]
+    out, r = [], list(floats)
+    while any(r):
+        out.append(r[0])
+        r = [b - a for a, b in zip(r, r[1:])]
+    assert repr(_forward_differences(floats)) == repr(out)
 
 
 def test_power_to_bform_of_no_coefficients_is_zero():

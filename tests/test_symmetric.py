@@ -158,6 +158,13 @@ def test_convergence_table_rejects_empty():
         convergence_table(2, [])
 
 
+def test_convergence_table_names_m_when_m_is_below_one():
+    # the message used to come from the collocation inverse and name an n
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            convergence_table(m, [1, 2])
+
+
 def test_convergence_table_rejects_a_one_point_grid():
     # it used to report sup_dist = nan
     with pytest.raises(ValueError, match="samples >= 2"):
@@ -180,6 +187,12 @@ def test_rate_bound():
     for m in (2, 3, 4):
         bounds = [rate_bound(m, k) for k in (1, 2, 4, 8, 16)]
         assert bounds == sorted(bounds, reverse=True)
+
+
+def test_rate_bound_names_m_when_m_is_below_one():
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            rate_bound(m, 3)
 
 
 def test_sup_distance_within_rate_bound():
