@@ -13,12 +13,10 @@ and right forms) and their real-index generalization, which share one
 running-ratio sum, and uniform node vectors.  On exact input the two
 power-basis conversions work on integer numerators over one common
 denominator and build one Fraction per output coefficient; B-form to power
-runs one forward-difference routine for exact and float input alike.  Both
-difference tables run at C speed: one ``map`` of ``operator.sub`` per row
-forwards, chained ``itertools.accumulate`` iterators backwards.  A BPoly
-converts to power form at most once: the result is memoised on it, and the
-exact :func:`power_to_bform` fills that memo with the coefficients it was
-given, so a polynomial built from its power form never converts back.
+runs one forward-difference routine for exact and float input alike.  The
+exact :func:`power_to_bform` leaves the power coefficients it was given on
+the BPoly it builds, so a polynomial built from its power form is never
+converted back.
 
 The collocation inverse has a closed form rather than a generic elimination:
 its columns are the B-form coefficients of the Lagrange polynomials on the
@@ -39,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
@@ -95,10 +92,10 @@ class BPoly:
 
     p(t) = sum_i coeffs[i] * B_i^m(t) with the basis taken over `interval`.
 
-    ``_power`` is the memo of :func:`_power_diagonal`, filled on first use (or
-    by the exact :func:`power_to_bform`).  It is a class attribute, not a
-    field, so equality, hashing, ``repr`` and ``dataclasses.replace`` read the
-    three fields only.
+    ``_power`` holds the result of :func:`_power_diagonal` when the exact
+    :func:`power_to_bform` built the polynomial, and is None otherwise.  It is
+    a class attribute, not a field, so equality, hashing, ``repr`` and
+    ``dataclasses.replace`` read the three fields only.
     """
 
     degree: int
@@ -351,8 +348,8 @@ def _power_diagonal(p: BPoly) -> tuple:
     """:func:`bform_to_power` up to the last nonzero coefficient, unpadded: a
     single zero for the zero polynomial, so c[0] always exists.
 
-    Computed once per polynomial and kept in ``p._power``; a later call
-    returns that same tuple."""
+    Returns ``p._power`` when the exact :func:`power_to_bform` left it there;
+    otherwise computes it and leaves p as it was."""
     if p._power is not None:
         return p._power
     n = p.degree
@@ -362,9 +359,7 @@ def _power_diagonal(p: BPoly) -> tuple:
         out = tuple(Fraction(math.comb(n, j) * d, den) for j, d in enumerate(diffs))
     else:
         out = tuple(binomial(n, j) * d for j, d in enumerate(_forward_differences(list(p.coeffs))))
-    out = out or (p.coeffs[0] * 0,)  # 0 or 0.0, matching the coefficient arithmetic
-    object.__setattr__(p, "_power", out)
-    return out
+    return out or (p.coeffs[0] * 0,)  # 0 or 0.0, matching the coefficient arithmetic
 
 
 def _forward_differences(row) -> list:
@@ -373,7 +368,7 @@ def _forward_differences(row) -> list:
     out = []
     while any(row):
         out.append(row[0])
-        row = list(map(operator.sub, row[1:], row))
+        row = [b - a for a, b in zip(row, row[1:])]
     return out
 
 
