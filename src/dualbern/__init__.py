@@ -28,26 +28,17 @@ from .bernstein import (
     dual_functional_apply_right,
     elevation_matrix,
     generalized_dual_apply,
-    pascal_matrix,
     power_to_bform,
     uniform_grid,
     xi_nodes,
 )
 from .ratmat import (
     Mat,
-    Rational,
     SingularMatrixError,
     binomial,
     inf_norm,
     is_inverse,
-    is_row_affine,
-    mat_from_json_obj,
-    mat_inv,
-    mat_mul,
-    mat_sub,
     mat_to_json_obj,
-    row_select,
-    transpose,
 )
 from .subspace import (
     DualBasis,
@@ -122,7 +113,6 @@ __all__ = [
     "NotInjectiveError",
     "OperatorReport",
     "RateConstant",
-    "Rational",
     "SelectionError",
     "SelectionMap",
     "SingularMatrixError",
@@ -152,28 +142,20 @@ __all__ = [
     "inf_norm",
     "is_complete",
     "is_inverse",
-    "is_row_affine",
     "linear_precision_check",
     "make_selection",
-    "mat_from_json_obj",
-    "mat_inv",
-    "mat_mul",
-    "mat_sub",
     "mat_to_json_obj",
     "modulus_of_continuity",
-    "pascal_matrix",
     "power_embedding",
     "power_to_bform",
     "quasi_interpolant",
     "quasi_interpolant_report",
     "rate_bound",
     "rate_constant",
-    "row_select",
     "selected_elevation_rows",
     "stability_report",
     "symmetric_dual_matrix",
     "tilde_lambda_apply",
-    "transpose",
     "uniform_grid",
     "verify_duality",
     "xi_nodes",

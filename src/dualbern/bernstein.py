@@ -7,8 +7,8 @@ The degree-m Bernstein basis in the local parameter u = (t - a)/(b - a) is
 a nonnegative partition of unity.  This module provides evaluation (direct
 and de Casteljau), the degree-elevation matrix E with B^m = B^n E (one row
 formula, which also builds any chosen rows E(s,:) alone), the collocation
-matrix, one Fraction per entry, and its cached inverse, the Pascal matrix
-and power-basis conversion, the endpoint dual functionals lambda_k^n (left
+matrix (likewise one integer row formula) and its cached inverse,
+power-basis conversion, the endpoint dual functionals lambda_k^n (left
 and right forms) and their real-index generalization, which share one
 running-ratio sum, and uniform node vectors.  On exact input the two
 power-basis conversions work on integer numerators over one common
@@ -218,10 +218,16 @@ def collocation_matrix(n: int) -> Mat:
     map of the quasi-interpolant."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # B_j^n(i/n) = C(n, j) i^j (n-i)^(n-j) / n^n, one Fraction per entry
-    nn = n**n
-    return Mat([[Fraction(math.comb(n, j) * i**j * (n - i) ** (n - j), nn) for j in range(n + 1)]
-                for i in range(n + 1)])
+    return _from_common_denominator(*_collocation_int_rows(n))
+
+
+def _collocation_int_rows(n: int) -> tuple[list[list[int]], int]:
+    """The rows of :func:`collocation_matrix` as integer numerators
+    C(n, j) i^j (n-i)^(n-j) over their common denominator n^n: the one row
+    formula of M_n, as :func:`_elevation_int_rows` is that of E."""
+    nums = [[math.comb(n, j) * i**j * (n - i) ** (n - j) for j in range(n + 1)]
+            for i in range(n + 1)]
+    return nums, n**n
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,13 +288,6 @@ def _elevation_int_rows(m: int, n: int, rows) -> tuple[list[list[int]], int]:
     C(n, m): the one row formula of E."""
     nums = [[math.comb(n - i, m - j) * math.comb(i, j) for j in range(m + 1)] for i in rows]
     return nums, math.comb(n, m)
-
-
-def pascal_matrix(n: int) -> Mat:
-    """Lower-triangular Pascal matrix T(i, j) = C(i, j), size (n+1) x (n+1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return Mat([[binomial(i, j) for j in range(n + 1)] for i in range(n + 1)])
 
 
 def power_to_bform(power_coeffs: Sequence, n: int, iv: Interval = UNIT_INTERVAL) -> BPoly:

@@ -301,7 +301,8 @@ def stability_report(db: DualBasis, alpha: Sequence) -> StabilityReport:
     through which the lower bound is proved), and the sandwich is checked
     with multiplicative slack 1 + 1e-9; violation raises RuntimeError since
     it would signal an internal inconsistency.  Needs m >= 1, like the
-    norm_Minv of :func:`bernstein_like_report`."""
+    norm_Minv of :func:`bernstein_like_report`, and a Bernstein-kind basis,
+    like :meth:`~dualbern.subspace.DualBasis.bform` (ValueError otherwise)."""
     norm_minv = _subspace_minv_norm(db.m)
     iv = db.interval
     ts = np.concatenate([uniform_grid(iv, 201), uniform_grid(iv, db.m + 1)])

@@ -7,9 +7,13 @@ algebraic identities (duality, row-affineness) can be asserted with ``==``
 instead of tolerances.  Floating point enters only where functions are
 sampled.
 
-The scalar type is :class:`fractions.Fraction` (re-exported as
-``Rational``): it already guarantees the canonical form we need — positive
-denominator, fully reduced, arbitrary precision.
+The scalar type is :class:`fractions.Fraction`: it already guarantees the
+canonical form we need — positive denominator, fully reduced, arbitrary
+precision.  This module holds the :class:`Mat` container, the exact
+inf-norm, the exact inverse test, the common-denominator helpers that let
+the closed forms elsewhere run on integer numerators, and the JSON writer
+the CLI uses.  No library path eliminates: every inverse the package needs
+has a closed form.
 """
 
 from __future__ import annotations
@@ -17,21 +21,19 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Rational = Fraction
+from typing import Iterable, Union
 
 # Accepted scalar inputs for matrix construction.
 Scalar = Union[int, str, Fraction]
 
 
 class SingularMatrixError(ValueError):
-    """Raised by :func:`mat_inv` when exact elimination hits a zero pivot column.
+    """Raised when a square matrix the package needs to invert is singular.
 
-    This is an expected outcome for some inputs (e.g. power-basis selections
-    that are not linearly independent, for which
-    :func:`~dualbern.subspace.dual_basis` raises it with the message
-    elimination would give), so callers may catch it and proceed.
+    :func:`~dualbern.subspace.dual_basis` raises it for power-basis
+    selections that are not linearly independent, with the message exact
+    elimination would give.  This is an expected outcome for some inputs, so
+    callers may catch it and proceed.
     """
 
 
@@ -128,68 +130,6 @@ class Mat:
         return Mat([[Fraction(0)] * cols for _ in range(rows)])
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Exact matrix product."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    bt = [b.col(j) for j in range(b.cols)]
-    return Mat(
-        [[sum(x * y for x, y in zip(a.row(i), bt[j])) for j in range(b.cols)]
-         for i in range(a.rows)]
-    )
-
-
-def mat_inv(a: Mat) -> Mat:
-    """Exact inverse by Gauss–Jordan elimination.
-
-    Pivot rule: first nonzero entry in the column — with exact arithmetic no
-    numerical pivoting is needed.  Raises :class:`SingularMatrixError` when a
-    column has no usable pivot.
-    """
-    if a.rows != a.cols:
-        raise ValueError(f"mat_inv needs a square matrix, got {a.rows}x{a.cols}")
-    n = a.rows
-    work = [list(a.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot_row = next((r for r in range(c, n) if work[r][c] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"singular matrix: no pivot in column {c}")
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-        piv = work[c][c]
-        if piv != 1:
-            work[c] = [x / piv for x in work[c]]
-        for r in range(n):
-            if r != c and work[r][c] != 0:
-                f = work[r][c]
-                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
-    return Mat([row[n:] for row in work])
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("dimension mismatch in mat_sub")
-    return Mat([[x - y for x, y in zip(a.row(i), b.row(i))] for i in range(a.rows)])
-
-
-def transpose(a: Mat) -> Mat:
-    return Mat([a.col(j) for j in range(a.cols)])
-
-
-def row_select(a: Mat, indices: Iterable[int]) -> Mat:
-    """Matrix whose i-th row is ``a.row(indices[i])``.
-
-    ``indices`` is any iterable of row indices (a selection map works
-    directly).  Raises IndexError on an out-of-range index.
-    """
-    rows = []
-    for i in indices:
-        if not 0 <= i < a.rows:
-            raise IndexError(f"row index {i} out of range for {a.rows}-row matrix")
-        rows.append(a.row(i))
-    return Mat(rows)
-
-
 def is_inverse(a: Mat, b: Mat) -> bool:
     """True iff a . b is exactly the identity; a and b must both be n x n.
 
@@ -244,11 +184,6 @@ def _from_common_denominator(rows, den: int) -> Mat:
     return Mat([[Fraction(x, den) for x in row] for row in rows])
 
 
-def is_row_affine(a: Mat) -> bool:
-    """True iff every row sums exactly to 1."""
-    return all(sum(a.row(i)) == 1 for i in range(a.rows))
-
-
 # -- JSON wire format ---------------------------------------------------------
 #
 # {"rows": r, "cols": c, "entries": ["p/q", ...]} with entries row-major and
@@ -262,12 +197,3 @@ def mat_to_json_obj(a: Mat) -> dict:
         "cols": a.cols,
         "entries": [str(x) for x in a.entries],
     }
-
-
-def mat_from_json_obj(obj: dict) -> Mat:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries: Sequence[str] = obj["entries"]
-    if len(entries) != rows * cols:
-        raise ValueError("entries length does not match rows*cols")
-    it = iter(entries)
-    return Mat([[Fraction(next(it)) for _ in range(cols)] for _ in range(rows)])

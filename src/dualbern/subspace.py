@@ -159,10 +159,12 @@ def power_embedding(m: int, n: int) -> Embedding:
 
 @dataclass(frozen=True)
 class DualBasis:
-    """The basis D^m = B^m A with A = E(s,:)^{-1}, over an interval.
+    """The basis D^m = Phi^m A with A = E(s,:)^{-1}, over an interval.
 
-    Element i has B-form coefficients A(:, i); duality means E(s,:) A = I,
-    i.e. the selected ambient functionals are biorthogonal to the D_i.
+    Phi^m is the basis of the embedding's kind: B^m for the Bernstein kind,
+    where element i has B-form coefficients A(:, i), and the power basis for
+    the power kind.  Duality means E(s,:) A = I, i.e. the selected ambient
+    functionals are biorthogonal to the D_i.
     """
 
     m: int
@@ -174,7 +176,10 @@ class DualBasis:
 
     def bform(self, v) -> BPoly:
         """sum_i v_i D_i^m as a B-form polynomial: its coefficients are A . v
-        (exact for exact v)."""
+        (exact for exact v).  Bernstein kind only: for the power kind A . v
+        holds power coefficients, so ValueError."""
+        if self.kind != "bernstein":
+            raise ValueError("bform builds B-forms of Bernstein-embedding bases only")
         if len(v) != self.m + 1:
             raise ValueError(f"need {self.m + 1} values, got {len(v)}")
         coeffs = (sum(a * x for a, x in zip(self.A.row(r), v)) for r in range(self.m + 1))
@@ -324,6 +329,7 @@ def linear_precision_check(db: DualBasis) -> float:
     The result is max_r |(A . xi^n_s)_r - xi^m_r|, which bounds the deviation
     everywhere on [a, b] (the B_r^m are a nonnegative partition of unity); it
     is exactly 0.0 on an exact interval and rounding-sized on a float one.
+    Bernstein kind only, like :meth:`DualBasis.bform` (ValueError otherwise).
     """
     nodes = xi_nodes(db.n, db.interval)
     p = db.bform([nodes[k] for k in db.s])

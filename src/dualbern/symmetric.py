@@ -14,13 +14,17 @@ C, and convergence diagnostics.
 
 from __future__ import annotations
 
-import csv
-import io
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bernstein import UNIT_INTERVAL, _colloc_inv, bernstein_value, bform_eval, uniform_grid
+from .bernstein import (
+    UNIT_INTERVAL,
+    _collocation_int_rows,
+    _colloc_inv,
+    _elevation_int_rows,
+    bform_eval,
+    uniform_grid,
+)
 from .ratmat import Mat, inf_norm
 from .subspace import SelectionMap, bernstein_embedding, dual_basis, make_selection
 
@@ -71,34 +75,25 @@ def symmetric_dual_matrix(m: int, k: int) -> Mat:
 def rate_constant(m: int) -> RateConstant:
     """Exact first-order constant C for the symmetric configuration.
 
-    For 0 < i < m and with w = B_j^m(i/m):
+    With n = mk, E(ik, j) = C(m, j) ((m-i)k)_{m-j} (ik)_j / (mk)_m, and each
+    falling factorial expands as (xk)_r = (xk)^r (1 - r(r-1)/(2xk) + O(1/k^2)).
+    The powers of k multiply out to the collocation entry M_m(i, j), so
+    k (M_m(i, j) - E(ik, j)) -> C(i, j) with, for 0 < i < m,
 
-        C(i, j) = (w/2) * [ (j-1) j (m-i) / (i m) * [j > 0]
-                            - (m-j)(2 m j - i m + i - i j) / (m (m-i)) * [j < m] ]
+        C(i, j) = M_m(i, j)/2 * [ j(j-1)/i + (m-j)(m-j-1)/(m-i) - (m-1) ],
 
-    and the boundary rows i in {0, m} are identically zero.  The relative
-    MINUS between the two bracket terms is forced by the exact k -> infinity
-    expansion of the elevation entries E(ik, j).
+    the last term from the denominator (mk)_m.  The boundary rows i in {0, m}
+    are zero: there E(ik, :) and M_m(i, :) are the same unit row.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    rows = []
-    for i in range(m + 1):
-        if i == 0 or i == m:
-            rows.append([Fraction(0)] * (m + 1))
-            continue
-        row = []
+    rows, den = _collocation_int_rows(m)
+    C = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
+    for i in range(1, m):
         for j in range(m + 1):
-            w = bernstein_value(m, j, Fraction(i, m)) / 2
-            first = Fraction((j - 1) * j * (m - i), i * m) if j > 0 else Fraction(0)
-            second = (
-                Fraction((m - j) * (2 * m * j - i * m + i - i * j), m * (m - i))
-                if j < m
-                else Fraction(0)
-            )
-            row.append(w * (first - second))
-        rows.append(row)
-    return RateConstant(m, Mat(rows))
+            bracket = Fraction(j * (j - 1), i) + Fraction((m - j) * (m - j - 1), m - i) - (m - 1)
+            C[i][j] = Fraction(rows[i][j], den) * bracket / 2
+    return RateConstant(m, Mat(C))
 
 
 @dataclass(frozen=True)
@@ -111,17 +106,12 @@ class ConvergenceRecord:
 def _scaled_elevation_distance(m: int, k: int) -> Fraction:
     """k * inf_norm(collocation_matrix(m) - selected_elevation_rows(m, k)), exact.
 
-    With n = mk, M_m(i, j) = C(m, j) i^j (m-i)^(m-j) / m^m and
-    E(ik, j) = C(n-ik, m-j) C(ik, j) / C(n, m) share the denominator
-    m^m C(n, m), so each row's abs-sum is an integer over it and the norm is
+    Both come as integer rows over a common denominator (m^m and C(mk, m)),
+    so each row's abs-sum is an integer over m^m C(mk, m) and the norm is
     one Fraction."""
-    n, mm, cnm = m * k, m**m, math.comb(m * k, m)
-    top = max(
-        sum(abs(math.comb(m, j) * i**j * (m - i) ** (m - j) * cnm
-                - math.comb(n - i * k, m - j) * math.comb(i * k, j) * mm)
-            for j in range(m + 1))
-        for i in range(m + 1)
-    )
+    colloc, mm = _collocation_int_rows(m)
+    elev, cnm = _elevation_int_rows(m, m * k, range(0, m * k + 1, k))
+    top = max(sum(abs(x * cnm - y * mm) for x, y in zip(cr, er)) for cr, er in zip(colloc, elev))
     return Fraction(k * top, mm * cnm)
 
 
@@ -170,9 +160,5 @@ def rate_bound(m: int, k: int) -> float:
 
 def convergence_csv(records) -> str:
     """CSV with header ``k,sup_dist,scaled_mat_dist`` (floats at 17 significant digits)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "sup_dist", "scaled_mat_dist"])
-    for r in records:
-        writer.writerow([r.k, format(r.sup_dist, ".17g"), format(r.scaled_mat_dist, ".17g")])
-    return buf.getvalue()
+    return "k,sup_dist,scaled_mat_dist\n" + "".join(
+        f"{r.k},{r.sup_dist:.17g},{r.scaled_mat_dist:.17g}\n" for r in records)

@@ -1,0 +1,98 @@
+"""Generic exact matrix algebra, kept as the tests' independent oracle.
+
+No library path calls these: the library builds its dual bases, collocation
+inverses and duality checks in closed form.  The tests compare those closed
+forms with the generic routines here (Gauss–Jordan inversion, products,
+row selection, the Pascal matrix), so the two must never share code beyond
+the :class:`~dualbern.ratmat.Mat` container.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+from dualbern.ratmat import Mat, SingularMatrixError, binomial
+
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    """Exact matrix product."""
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    bt = [b.col(j) for j in range(b.cols)]
+    return Mat(
+        [[sum(x * y for x, y in zip(a.row(i), bt[j])) for j in range(b.cols)]
+         for i in range(a.rows)]
+    )
+
+
+def mat_inv(a: Mat) -> Mat:
+    """Exact inverse by Gauss–Jordan elimination.
+
+    Pivot rule: first nonzero entry in the column — with exact arithmetic no
+    numerical pivoting is needed.  Raises :class:`SingularMatrixError` when a
+    column has no usable pivot.
+    """
+    if a.rows != a.cols:
+        raise ValueError(f"mat_inv needs a square matrix, got {a.rows}x{a.cols}")
+    n = a.rows
+    work = [list(a.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        pivot_row = next((r for r in range(c, n) if work[r][c] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError(f"singular matrix: no pivot in column {c}")
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+        piv = work[c][c]
+        if piv != 1:
+            work[c] = [x / piv for x in work[c]]
+        for r in range(n):
+            if r != c and work[r][c] != 0:
+                f = work[r][c]
+                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
+    return Mat([row[n:] for row in work])
+
+
+def mat_sub(a: Mat, b: Mat) -> Mat:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("dimension mismatch in mat_sub")
+    return Mat([[x - y for x, y in zip(a.row(i), b.row(i))] for i in range(a.rows)])
+
+
+def transpose(a: Mat) -> Mat:
+    return Mat([a.col(j) for j in range(a.cols)])
+
+
+def row_select(a: Mat, indices: Iterable[int]) -> Mat:
+    """Matrix whose i-th row is ``a.row(indices[i])``.
+
+    ``indices`` is any iterable of row indices (a selection map works
+    directly).  Raises IndexError on an out-of-range index.
+    """
+    rows = []
+    for i in indices:
+        if not 0 <= i < a.rows:
+            raise IndexError(f"row index {i} out of range for {a.rows}-row matrix")
+        rows.append(a.row(i))
+    return Mat(rows)
+
+
+def is_row_affine(a: Mat) -> bool:
+    """True iff every row sums exactly to 1."""
+    return all(sum(a.row(i)) == 1 for i in range(a.rows))
+
+
+def mat_from_json_obj(obj: dict) -> Mat:
+    rows, cols = int(obj["rows"]), int(obj["cols"])
+    entries: Sequence[str] = obj["entries"]
+    if len(entries) != rows * cols:
+        raise ValueError("entries length does not match rows*cols")
+    it = iter(entries)
+    return Mat([[Fraction(next(it)) for _ in range(cols)] for _ in range(rows)])
+
+
+def pascal_matrix(n: int) -> Mat:
+    """Lower-triangular Pascal matrix T(i, j) = C(i, j), size (n+1) x (n+1)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return Mat([[binomial(i, j) for j in range(n + 1)] for i in range(n + 1)])

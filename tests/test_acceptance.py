@@ -10,6 +10,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
+from oracle import is_row_affine, mat_inv, mat_mul, mat_sub, row_select
 from reference_tables import REFERENCE_TABLES, mat_from_table
 
 from dualbern.bernstein import (
@@ -28,16 +29,7 @@ from dualbern.operators import (
     quasi_interpolant_report,
     stability_report,
 )
-from dualbern.ratmat import (
-    Mat,
-    SingularMatrixError,
-    inf_norm,
-    is_row_affine,
-    mat_inv,
-    mat_mul,
-    mat_sub,
-    row_select,
-)
+from dualbern.ratmat import Mat, SingularMatrixError, inf_norm
 from dualbern.subspace import (
     bernstein_embedding,
     data_map_invariance_check,

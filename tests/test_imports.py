@@ -1,7 +1,8 @@
 """The import contract: numpy is loaded only by the code that samples floats.
 
 The exact commands (``elevate``, ``dual-basis``, the singular power probe)
-and ``import dualbern`` itself must not import numpy; the ``operators`` names
+and ``import dualbern`` itself must not import numpy, and ``import
+dualbern.cli`` must not import ``csv``; the ``operators`` names
 stay reachable from the package through its module ``__getattr__``.  Each
 check runs in a fresh interpreter, since this test process has numpy loaded.
 """
@@ -25,6 +26,7 @@ import dualbern
 no_numpy("import dualbern")
 import dualbern.cli
 no_numpy("import dualbern.cli")
+assert "csv" not in sys.modules, "import dualbern.cli"
 for argv, code in [
     (["elevate", "--m", "3", "--n", "7"], 0),
     (["elevate", "--m", "3", "--n", "7", "--format", "csv"], 0),

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import is_row_affine, mat_inv, mat_mul
 
 from dualbern.bernstein import (
     UNIT_INTERVAL,
@@ -29,8 +30,8 @@ from dualbern.operators import (
     tilde_lambda_apply,
 )
 from dualbern import bernstein, operators, ratmat
-from dualbern.ratmat import Mat, inf_norm, is_row_affine, mat_inv, mat_mul
-from dualbern.subspace import bernstein_embedding, dual_basis, make_selection
+from dualbern.ratmat import Mat, inf_norm
+from dualbern.subspace import bernstein_embedding, dual_basis, make_selection, power_embedding
 
 IV13 = Interval(F(1), F(3))
 
@@ -313,6 +314,13 @@ def test_degree_zero_subspace():
         bernstein_like_report(0, 2, s, math.sin, "c1", d1=1.0)
     with pytest.raises(ValueError, match="m=0"):
         stability_report(_db(0, 2, (1,)), (1,))
+
+
+def test_stability_report_rejects_a_power_kind_basis():
+    # the sandwich holds for the Bernstein kind; A . alpha are power coefficients here
+    db = dual_basis(power_embedding(2, 4), make_selection(2, 4, (0, 1, 2)))
+    with pytest.raises(ValueError, match="Bernstein"):
+        stability_report(db, (0, 1, 0))
 
 
 def test_stability_report_length_check():

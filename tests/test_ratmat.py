@@ -5,22 +5,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dualbern.bernstein import elevation_matrix
-from dualbern.ratmat import (
-    Mat,
-    SingularMatrixError,
-    binomial,
-    inf_norm,
-    is_inverse,
+from oracle import (
     is_row_affine,
     mat_from_json_obj,
     mat_inv,
     mat_mul,
     mat_sub,
-    mat_to_json_obj,
     row_select,
     transpose,
 )
+
+from dualbern.bernstein import elevation_matrix
+from dualbern.ratmat import Mat, SingularMatrixError, binomial, inf_norm, is_inverse, mat_to_json_obj
 
 
 def test_binomial_values():

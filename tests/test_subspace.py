@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from itertools import combinations, permutations, product
 
 import pytest
+from oracle import is_row_affine, mat_inv, mat_mul, row_select
 
 from dualbern.bernstein import (
     BPoly,
@@ -15,7 +16,7 @@ from dualbern.bernstein import (
     bform_to_power,
     elevation_matrix,
 )
-from dualbern.ratmat import Mat, SingularMatrixError, mat_inv, mat_mul, row_select
+from dualbern.ratmat import Mat, SingularMatrixError
 from dualbern.subspace import (
     IndexOutOfRangeError,
     NotInjectiveError,
@@ -258,6 +259,18 @@ def test_linear_precision():
     assert linear_precision_check(db2) <= 1e-12
 
 
+def test_power_kind_basis_is_not_read_as_a_b_form():
+    # D = Phi^m A with Phi the power basis, so A . v holds power coefficients:
+    # bform([0, 1, 0]) read them as 2u(1-u), 3/8 at u = 1/4, where D_1 = u
+    db = dual_basis(power_embedding(2, 4), make_selection(2, 4, (0, 1, 2)))
+    with pytest.raises(ValueError, match="Bernstein"):
+        db.bform([0, 1, 0])
+    with pytest.raises(ValueError, match="Bernstein"):
+        linear_precision_check(db)
+    bern = dual_basis(bernstein_embedding(2, 4), make_selection(2, 4, (0, 1, 2)))
+    assert bern.bform([0, 1, 0]).coeffs == bern.A.col(1)
+
+
 def test_selection_permutation_permutes_columns():
     # reordering the selection indices permutes the dual elements, nothing more
     emb = bernstein_embedding(2, 5)
@@ -268,8 +281,6 @@ def test_selection_permutation_permutes_columns():
 
 
 def test_dual_basis_rows_affine():
-    from dualbern.ratmat import is_row_affine
-
     for m, n, s in [(1, 4, (0, 4)), (2, 6, (1, 3, 5)), (3, 6, (0, 2, 4, 6))]:
         emb = bernstein_embedding(m, n)
         db = dual_basis(emb, make_selection(m, n, s))

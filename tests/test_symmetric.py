@@ -5,15 +5,20 @@ computation and are asserted entry-for-entry against the library's
 construction (invert the selected rows of the degree-elevation matrix).
 """
 
+import csv
+import io
 import math
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
+from oracle import is_row_affine, mat_mul, mat_sub, row_select
 from reference_tables import REFERENCE_TABLES, mat_from_table
 
 from dualbern.bernstein import bernstein_value, collocation_matrix, elevation_matrix
-from dualbern.ratmat import Mat, inf_norm, is_row_affine, mat_mul, mat_sub, row_select
+from dualbern.ratmat import Mat, inf_norm
 from dualbern.symmetric import (
+    ConvergenceRecord,
     SymmetricConfig,
     _scaled_elevation_distance,
     convergence_csv,
@@ -89,6 +94,30 @@ def test_rate_constant_structure():
         assert all(x == 0 for x in c.row(m))
         for i in range(m + 1):
             assert sum(c.row(i)) == 0
+
+
+def _transcribed_rate_constant(m: int) -> Mat:
+    """C in an independently transcribed form, kept as an oracle: for 0 < i < m
+    and w = B_j^m(i/m),
+    C(i, j) = (w/2) [(j-1) j (m-i) / (i m) [j > 0] - (m-j)(2mj - im + i - ij) / (m (m-i)) [j < m]]."""
+    rows = []
+    for i in range(m + 1):
+        if i == 0 or i == m:
+            rows.append([F(0)] * (m + 1))
+            continue
+        row = []
+        for j in range(m + 1):
+            w = bernstein_value(m, j, F(i, m)) / 2
+            first = F((j - 1) * j * (m - i), i * m) if j > 0 else F(0)
+            second = F((m - j) * (2 * m * j - i * m + i - i * j), m * (m - i)) if j < m else F(0)
+            row.append(w * (first - second))
+        rows.append(row)
+    return Mat(rows)
+
+
+def test_rate_constant_equals_the_transcribed_formula():
+    for m in range(1, 17):
+        assert rate_constant(m).C == _transcribed_rate_constant(m), m
 
 
 def test_rate_constant_matches_matrix_limit():
@@ -199,6 +228,24 @@ def test_sup_distance_within_rate_bound():
     for m in (2, 3):
         for rec in convergence_table(m, [2, 4, 8]):
             assert rec.sup_dist <= rate_bound(m, rec.k) + 1e-12
+
+
+def _csv_writer_convergence_csv(records) -> str:
+    """convergence_csv on csv.writer, kept as the byte-for-byte oracle."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["k", "sup_dist", "scaled_mat_dist"])
+    for r in records:
+        writer.writerow([r.k, format(r.sup_dist, ".17g"), format(r.scaled_mat_dist, ".17g")])
+    return buf.getvalue()
+
+
+def test_convergence_csv_matches_the_csv_writer():
+    edge = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, -1 / 3]
+    records = [ConvergenceRecord(k, x, y) for k, (x, y) in enumerate(product(edge, edge), 1)]
+    records += [ConvergenceRecord(10**40 + 7, 0.25, 2 / 3)] + convergence_table(3, [1, 2, 4])
+    for rs in ([], records[:1], records):
+        assert convergence_csv(rs) == _csv_writer_convergence_csv(rs)
 
 
 def test_convergence_csv_format():
