@@ -25,7 +25,6 @@ from .bernstein import (
     collocation_matrix,
     de_casteljau_eval,
     dual_functional_apply,
-    dual_functional_apply_right,
     elevation_matrix,
     generalized_dual_apply,
     power_to_bform,
@@ -49,7 +48,6 @@ from .subspace import (
     SelectionMap,
     WrongLengthError,
     bernstein_embedding,
-    data_map_invariance_check,
     dual_basis,
     dual_basis_eval,
     is_complete,
@@ -130,13 +128,11 @@ __all__ = [
     "collocation_matrix",
     "convergence_csv",
     "convergence_table",
-    "data_map_invariance_check",
     "de_casteljau_eval",
     "distance_to_subspace",
     "dual_basis",
     "dual_basis_eval",
     "dual_functional_apply",
-    "dual_functional_apply_right",
     "elevation_matrix",
     "generalized_dual_apply",
     "inf_norm",

@@ -8,9 +8,9 @@ a nonnegative partition of unity.  This module provides evaluation (direct
 and de Casteljau), the degree-elevation matrix E with B^m = B^n E (one row
 formula, which also builds any chosen rows E(s,:) alone), the collocation
 matrix (likewise one integer row formula) and its cached inverse,
-power-basis conversion, the endpoint dual functionals lambda_k^n (left
-and right forms) and their real-index generalization, which share one
-running-ratio sum, and uniform node vectors.  On exact input the two
+power-basis conversion, the dual functionals lambda_k^n (row k of the
+elevation matrix applied to the B-form coefficients) and their real-index
+generalization, and uniform node vectors.  On exact input the two
 power-basis conversions work on integer numerators over one common
 denominator and build one Fraction per output coefficient; B-form to power
 runs one forward-difference routine for exact and float input alike.  The
@@ -400,72 +400,51 @@ def _check_degree(n: int, p: BPoly):
         raise ValueError(f"polynomial degree {p.degree} exceeds ambient degree {n}")
 
 
-def _check_functional_args(n: int, k: int, p: BPoly):
+def dual_functional_apply(n: int, k: int, p: BPoly):
+    """The dual functional lambda_k^n applied to p: row k of the elevation matrix.
+
+    The lambda_k^n are dual to B^n, and p of degree d <= n with B-form
+    coefficients alpha is B^n E alpha, E the elevation matrix from d to n, so
+
+        lambda_k^n p = (E alpha)_k = sum_j C(n-k, d-j) C(k, j) / C(n, d) alpha_j
+
+    over the band max(0, d-(n-k)) <= j <= min(k, d) where row k is nonzero.
+    This is the value of the left-endpoint form
+    sum_j [C(k,j)/C(n,j)] (b-a)^j / j! (D^j p)(a) and of the right-endpoint
+    form.  It reads only the coefficients, so it is interval-invariant.  Each
+    weight is one Fraction: exact alpha give an exact Fraction, and float
+    alpha a convex combination of correctly rounded weights, summed left to
+    right, within gamma_{d+2} max|alpha_j| of its exact value
+    (gamma_m = m u / (1 - m u), u = 2^-53).
+    """
     if not 0 <= k <= n:
         raise ValueError(f"functional index {k} out of range 0..{n}")
     _check_degree(n, p)
-
-
-def _ratio_sum(n: int, xn, c):
-    """sum_{j=0}^{min(floor(xn), deg)} [prod_{t=0}^{j-1} (xn - t)/(n - t)] c_j.
-
-    The running product is C(xn, j)/C(n, j), exact for an exact xn; c are the
-    local power coefficients of the polynomial, unpadded (:func:`_power_diagonal`),
-    so the degree scan starts at the last given coefficient."""
-    top = min(math.floor(xn), _support_degree(c))
-    out = c[0]
-    ratio = 1
-    for j in range(1, top + 1):
-        ratio = ratio * (xn - (j - 1)) / (n - (j - 1))
-        out = out + ratio * c[j]
+    d = p.degree
+    den = math.comb(n, d)
+    out = 0
+    for j in range(max(0, d - (n - k)), min(k, d) + 1):
+        out = out + Fraction(math.comb(n - k, d - j) * math.comb(k, j), den) * p.coeffs[j]
     return out
-
-
-def dual_functional_apply(n: int, k: int, p: BPoly):
-    """The left-endpoint dual functional lambda_k^n applied to p.
-
-    lambda_k^n = sum_{j=0}^{k} [C(k,j)/C(n,j)] (b-a)^j / j! * (D^j at a);
-    in terms of the local power coefficients c of p this collapses to
-
-        lambda_k^n p = sum_{j=0}^{min(k, deg p)} [C(k,j)/C(n,j)] c_j
-
-    because the (b-a)^j factor cancels the chain rule exactly: the integer
-    case xn = k of :func:`generalized_dual_apply`.  These functionals are
-    dual to the Bernstein basis: lambda_k^n B_i^n = delta_ki.
-    """
-    _check_functional_args(n, k, p)
-    return _ratio_sum(n, Fraction(k), _power_diagonal(p))
-
-
-def dual_functional_apply_right(n: int, k: int, p: BPoly):
-    """The same functional in its right-endpoint form.
-
-    lambda_k^n p = sum_{j=0}^{n-k} (-1)^j [C(n-k,j)/C(n,j)] d_j where
-    d_j = q^{(j)}(1)/j! = sum_{l>=j} C(l,j) c_l are the local Taylor
-    coefficients at u = 1: the running-ratio sum at xn = n - k over the
-    signed (-1)^j d_j.  Agrees with the left form for every p of degree
-    <= n; for higher-degree arguments the two forms may disagree (the
-    functionals only coincide on that space).
-    """
-    _check_functional_args(n, k, p)
-    c = _power_diagonal(p)
-    deg = _support_degree(c)
-    top = min(n - k, deg)
-    d = [(-1) ** j * sum(binomial(l, j) * c[l] for l in range(j, deg + 1)) for j in range(top + 1)]
-    return _ratio_sum(n, Fraction(n - k), d)
 
 
 def generalized_dual_apply(n: int, x, p: BPoly):
     """Real-index dual functional lambda_{xn}^n applied to p, 0 <= x <= 1.
 
-    The binomial ratio generalizes through falling factorials:
+    At an integer xn = k (exact, or a float equal to its floor) this is
+    :func:`dual_functional_apply` at k, exact whenever p is.  Otherwise the
+    ratio C(k, j)/C(n, j) of the left-endpoint form becomes the falling-
+    factorial ratio prod_{t<j} (xn - t)/(n - t), which multiplies the local
+    power coefficients c_j of p for j <= min(floor(xn), deg p).  That sum is
+    Newton's forward series of the degree-n control points of p, cut at
+    floor(xn) and read at xn: an extrapolation, so on float input at high
+    degree it is ill-conditioned by definition (it amplifies the rounding
+    noise of the control points).
 
-        C(xn, j)/C(n, j) = prod_{t=0}^{j-1} (xn - t)/(n - t),
-
-    so no gamma function is needed.  The sum runs to min(floor(xn), deg p).
-    As n grows, lambda_{xn}^n p -> p(x) at rate O(1/n).  Like
-    :func:`dual_functional_apply`, it raises ValueError when p has degree
-    above n (the functional is defined on the degree-n space only).
+    For 0 < x < 1 it converges to p(x) at first order,
+    n (lambda_{xn}^n p - p(x)) -> -x (1 - x) p''(x) / 2: Voronovskaya's
+    constant of the Bernstein operator with the sign reversed.  ValueError
+    when p has degree above n, as for :func:`dual_functional_apply`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -473,7 +452,16 @@ def generalized_dual_apply(n: int, x, p: BPoly):
         raise ValueError(f"x must lie in [0, 1], got {x}")
     _check_degree(n, p)
     xn = Fraction(x) * n if _is_exact(x) else x * n
-    return _ratio_sum(n, xn, _power_diagonal(p))
+    k = math.floor(xn)
+    if k == xn:
+        return dual_functional_apply(n, k, p)
+    c = _power_diagonal(p)
+    out = c[0]
+    ratio = 1
+    for j in range(1, min(k, _support_degree(c)) + 1):
+        ratio = ratio * (xn - (j - 1)) / (n - (j - 1))
+        out = out + ratio * c[j]
+    return out
 
 
 def xi_nodes(n: int, iv: Interval = UNIT_INTERVAL) -> NodeVector:

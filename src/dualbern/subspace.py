@@ -47,8 +47,6 @@ from .bernstein import (
     _elevation_int_rows,
     _int_pascal_sum,
     bernstein_value,
-    dual_functional_apply,
-    dual_functional_apply_right,
     xi_nodes,
 )
 from .ratmat import Mat, SingularMatrixError, _from_common_denominator, _is_inverse_over
@@ -280,11 +278,6 @@ def verify_duality(db: DualBasis) -> bool:
     return _is_inverse_over(*Embedding(db.kind, db.m, db.n)._int_rows(db.s), db.A)
 
 
-def _gram(n: int, s, polys, apply_fn) -> Mat:
-    """G(i, j) = lambda_{s(i)}^n(polys[j]), with lambda applied by apply_fn."""
-    return Mat([[apply_fn(n, k, p) for p in polys] for k in s])
-
-
 def is_complete(emb: Embedding) -> bool:
     """True iff EVERY selection of m+1 ambient functionals is linearly
     independent on the subspace, i.e. every E(s,:) is invertible.
@@ -304,21 +297,6 @@ def is_complete(emb: Embedding) -> bool:
     selection only when m == n.
     """
     return emb.kind == "bernstein" or emb.m == emb.n
-
-
-def data_map_invariance_check(m: int, n: int, s: SelectionMap) -> bool:
-    """Compare the Gram matrices G(i, j) = lambda_{s(i)}^n(B_j^m) of the
-    left- and right-endpoint functional families exactly.
-
-    Both equal E(s,:) since the two families are dual to the same ambient
-    basis; as A = G^{-1}, equal Grams give the same dual basis.  This check
-    exercises both functional code paths end to end.  Raises a
-    SelectionError when s is not a selection map into 0..n.
-    """
-    s = make_selection(m, n, s)
-    basis = [BPoly(m, UNIT_INTERVAL, e) for e in Mat.identity(m + 1).to_lists()]
-    left = _gram(n, s, basis, dual_functional_apply)
-    return left == _gram(n, s, basis, dual_functional_apply_right)
 
 
 def linear_precision_check(db: DualBasis) -> float:

@@ -103,13 +103,14 @@ class ConvergenceRecord:
     scaled_mat_dist: float
 
 
-def _scaled_elevation_distance(m: int, k: int) -> Fraction:
+def _scaled_elevation_distance(colloc: list[list[int]], mm: int, k: int) -> Fraction:
     """k * inf_norm(collocation_matrix(m) - selected_elevation_rows(m, k)), exact.
 
-    Both come as integer rows over a common denominator (m^m and C(mk, m)),
-    so each row's abs-sum is an integer over m^m C(mk, m) and the norm is
-    one Fraction."""
-    colloc, mm = _collocation_int_rows(m)
+    ``colloc, mm`` is ``_collocation_int_rows(m)``, which depends on m only,
+    so a table over many k builds it once.  Both matrices come as integer
+    rows over a common denominator (m^m and C(mk, m)), so each row's abs-sum
+    is an integer over m^m C(mk, m) and the norm is one Fraction."""
+    m = len(colloc) - 1
     elev, cnm = _elevation_int_rows(m, m * k, range(0, m * k + 1, k))
     top = max(sum(abs(x * cnm - y * mm) for x, y in zip(cr, er)) for cr, er in zip(colloc, elev))
     return Fraction(k * top, mm * cnm)
@@ -131,11 +132,12 @@ def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRec
         raise ValueError("k_list must be nonempty")
     lagrange = np.array(_colloc_inv(m).to_lists(), dtype=float)
     grid = uniform_grid(UNIT_INTERVAL, samples)
+    colloc = _collocation_int_rows(m)
     out = []
     for k in k_list:
         diff = np.array(symmetric_dual_matrix(m, k).to_lists(), dtype=float) - lagrange
         sup = float(np.max(np.abs(bform_eval(diff, UNIT_INTERVAL, grid))))
-        scaled = float(_scaled_elevation_distance(m, k))
+        scaled = float(_scaled_elevation_distance(*colloc, k))
         out.append(ConvergenceRecord(k=k, sup_dist=sup, scaled_mat_dist=scaled))
     return out
 

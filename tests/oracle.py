@@ -1,14 +1,19 @@
-"""Generic exact matrix algebra, kept as the tests' independent oracle.
+"""Generic exact matrix algebra and the power-form dual functionals, kept as
+the tests' independent oracle.
 
 No library path calls these: the library builds its dual bases, collocation
-inverses and duality checks in closed form.  The tests compare those closed
-forms with the generic routines here (Gauss–Jordan inversion, products,
-row selection, the Pascal matrix), so the two must never share code beyond
-the :class:`~dualbern.ratmat.Mat` container.
+inverses and duality checks in closed form, and applies the dual functionals
+as rows of the elevation matrix.  The tests compare those closed forms with
+the generic routines here (Gauss–Jordan inversion, products, row selection,
+the Pascal matrix, the left- and right-endpoint readings of lambda_k^n on
+power coefficients computed here), so the two must never share code beyond
+the :class:`~dualbern.ratmat.Mat` container and
+:func:`~dualbern.ratmat.binomial`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -96,3 +101,33 @@ def pascal_matrix(n: int) -> Mat:
     if n < 0:
         raise ValueError("n must be >= 0")
     return Mat([[binomial(i, j) for j in range(n + 1)] for i in range(n + 1)])
+
+
+def power_coefficients(alpha: Sequence) -> list:
+    """Local power coefficients c of the B-form alpha of degree d = len(alpha) - 1:
+    c_j = C(d, j) (Delta^j alpha)(0), the forward difference by its
+    alternating-binomial sum."""
+    d = len(alpha) - 1
+    return [math.comb(d, j) * sum((-1) ** (j - i) * math.comb(j, i) * alpha[i] for i in range(j + 1))
+            for j in range(d + 1)]
+
+
+def left_functionals(n: int, ks: Iterable[int], alpha: Sequence) -> list:
+    """[lambda_k^n p for k in ks], p the B-form alpha of degree d <= n, by the
+    left-endpoint reading sum_{j <= min(k, d)} [C(k, j)/C(n, j)] c_j."""
+    c = power_coefficients(alpha)
+    d = len(c) - 1
+    return [sum(Fraction(math.comb(k, j), math.comb(n, j)) * c[j] for j in range(min(k, d) + 1))
+            for k in ks]
+
+
+def right_functionals(n: int, ks: Iterable[int], alpha: Sequence) -> list:
+    """The same functionals by the right-endpoint reading
+    sum_{j <= min(n-k, d)} (-1)^j [C(n-k, j)/C(n, j)] e_j, where
+    e_j = sum_{l >= j} C(l, j) c_l are the local Taylor coefficients at u = 1."""
+    c = power_coefficients(alpha)
+    d = len(c) - 1
+    e = [sum(math.comb(l, j) * c[l] for l in range(j, d + 1)) for j in range(d + 1)]
+    return [sum(Fraction((-1) ** j * math.comb(n - k, j), math.comb(n, j)) * e[j]
+                for j in range(min(n - k, d) + 1))
+            for k in ks]

@@ -10,14 +10,16 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
-from oracle import is_row_affine, mat_inv, mat_mul, mat_sub, row_select
+from oracle import is_row_affine, mat_inv, mat_mul, mat_sub, right_functionals, row_select
 from reference_tables import REFERENCE_TABLES, mat_from_table
 
 from dualbern.bernstein import (
     UNIT_INTERVAL,
+    BPoly,
     Interval,
     collocation_matrix,
     de_casteljau_eval,
+    dual_functional_apply,
     generalized_dual_apply,
     power_to_bform,
     xi_nodes,
@@ -32,7 +34,6 @@ from dualbern.operators import (
 from dualbern.ratmat import Mat, SingularMatrixError, inf_norm
 from dualbern.subspace import (
     bernstein_embedding,
-    data_map_invariance_check,
     dual_basis,
     dual_basis_eval,
     is_complete,
@@ -143,7 +144,13 @@ def test_acceptance_4_data_map_invariance():
             sel = tuple(sorted(rng.sample(range(n + 1), m + 1)))
             seen.add((m, n, sel))
         for m, n, sel in sorted(seen):
-            assert data_map_invariance_check(m, n, sel)
+            # Gram matrices G(i, j) = lambda_{s(i)}^n(B_j^m) of the library's
+            # functional and of the oracle's right-endpoint reading, both E(s,:)
+            basis = Mat.identity(m + 1).to_lists()
+            left = Mat([[dual_functional_apply(n, k, BPoly(m, UNIT_INTERVAL, e)) for e in basis]
+                        for k in sel])
+            right = Mat(list(zip(*(right_functionals(n, sel, e) for e in basis))))
+            assert left == right == bernstein_embedding(m, n).rows(sel), (m, n, sel)
 
     _verdict(4, "50 random cases: left/right data maps induce the same basis", check)
 

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import mat_inv, pascal_matrix
+from oracle import left_functionals, mat_inv, pascal_matrix, right_functionals
 
 from dualbern.bernstein import (
     UNIT_INTERVAL,
@@ -19,13 +19,11 @@ from dualbern.bernstein import (
     _forward_differences,
     _int_pascal_sum,
     _power_diagonal,
-    _ratio_sum,
     bernstein_value,
     bform_eval,
     bform_to_power,
     de_casteljau_eval,
     dual_functional_apply,
-    dual_functional_apply_right,
     elevation_matrix,
     generalized_dual_apply,
     power_to_bform,
@@ -377,33 +375,64 @@ def test_power_to_bform_of_no_coefficients_is_zero():
         assert generalized_dual_apply(max(n, 1), F(1, 2), power_to_bform([], n)) == 0
 
 
-def _padded_functionals(n, x, p):
-    # lambda_k^n (left and right forms) and lambda_{xn}^n p on the padded
-    # n+1 power coefficients, as the functionals read them before
-    c = bform_to_power(p)
-    deg = max((j for j, v in enumerate(c) if v != 0), default=0)
-    left = [_ratio_sum(n, F(k), c) for k in range(n + 1)]
-    right = []
-    for k in range(n + 1):
-        d = [(-1) ** j * sum(F(math.comb(l, j)) * c[l] for l in range(j, deg + 1))
-             for j in range(min(n - k, deg) + 1)]
-        right.append(_ratio_sum(n, F(n - k), d))
-    return left, right, _ratio_sum(n, x * n, c)
+def _gamma(m):
+    """gamma_m = m u / (1 - m u), u = 2^-53, as a Fraction."""
+    return F(m, 2**53 - m)
 
 
-def test_functionals_read_the_unpadded_power_coefficients():
-    # same values (the same bits on float input) as the padded coefficients,
-    # for low-degree polynomials at high degree and for the zero polynomial
+def _band_reading(n, k, alpha):
+    # row k of the elevation matrix from degree d to n on alpha, summed left
+    # to right over its band; a float alpha_j meets its weight rounded to float
+    d = len(alpha) - 1
+    out = 0
+    for j in range(max(0, d - (n - k)), min(k, d) + 1):
+        w = F(math.comb(n - k, d - j) * math.comb(k, j), math.comb(n, d))
+        out = out + (float(w) if isinstance(alpha[j], float) else w) * alpha[j]
+    return out
+
+
+def _ratio_reading(n, xn, c):
+    # the left-endpoint form at a real index: the running ratio
+    # C(xn, j)/C(n, j) times the power coefficients c, to min(floor(xn), deg)
+    top = min(math.floor(xn), max((j for j, v in enumerate(c) if v != 0), default=0))
+    out, ratio = c[0], 1
+    for j in range(1, top + 1):
+        ratio = ratio * (xn - (j - 1)) / (n - (j - 1))
+        out = out + ratio * c[j]
+    return out
+
+
+def test_functionals_match_the_oracle_and_the_float_transcriptions():
+    # exact input: lambda_k^n equals both power-form readings of the oracle.
+    # float input: the same bits as the band formula written out here, within
+    # gamma_{d+2} max|alpha| of the exact value on the float alphas; at a
+    # non-integral xn, generalized_dual_apply keeps the bits of the running
+    # ratio over the padded power coefficients.  Each p is read at its own
+    # degree and nine degrees up.
     rng = random.Random(20261020)
-    polys = [(n, power_to_bform(c, n)) for exact in (True, False)
+    polys = [power_to_bform(c, n) for exact in (True, False)
              for n, c in _conversion_inputs(rng, exact) if 1 <= n <= 40]
-    polys += [(3, BPoly(3, UNIT_INTERVAL, z)) for z in ((0,) * 4, (F(0),) * 4, (-0.0, 0.0, 0.0, 0.0))]
-    for n, p in polys:
-        x = 0.3 if any(isinstance(v, float) for v in p.coeffs) else F(3, 10)
-        left, right, gen = _padded_functionals(n, x, p)
-        assert repr([dual_functional_apply(n, k, p) for k in range(n + 1)]) == repr(left), (n, p)
-        assert repr([dual_functional_apply_right(n, k, p) for k in range(n + 1)]) == repr(right)
-        assert repr(generalized_dual_apply(n, x, p)) == repr(gen), (n, p)
+    polys += [BPoly(3, UNIT_INTERVAL, z) for z in ((0,) * 4, (F(0),) * 4, (-0.0, 0.0, 0.0, 0.0))]
+    for p in polys:
+        d, alpha = p.degree, p.coeffs
+        is_float = any(isinstance(v, float) for v in alpha)
+        x = 0.3 if is_float else F(3, 10)
+        for n in (d, d + 9):
+            got = [dual_functional_apply(n, k, p) for k in range(n + 1)]
+            if is_float:
+                assert repr(got) == repr([_band_reading(n, k, alpha) for k in range(n + 1)]), (n, p)
+                exact = left_functionals(n, range(n + 1), [F(v) for v in alpha])
+                bound = _gamma(d + 2) * max(abs(F(v)) for v in alpha)
+                assert all(abs(F(v) - e) <= bound for v, e in zip(got, exact)), (n, p)
+            else:
+                assert got == left_functionals(n, range(n + 1), alpha), (n, p)
+                assert got == right_functionals(n, range(n + 1), alpha), (n, p)
+            xn = x * n
+            if xn == math.floor(xn):
+                want = dual_functional_apply(n, math.floor(xn), p)
+            else:
+                want = _ratio_reading(n, xn, bform_to_power(p))
+            assert repr(generalized_dual_apply(n, x, p)) == repr(want), (n, p)
 
 
 def test_power_conversions_keep_float_bits():
@@ -418,16 +447,17 @@ def test_power_conversions_keep_float_bits():
 
 def test_biorthogonality_left_and_right():
     # lambda_k^n applied to B_j^m gives E(k, j), the Gram identity both
-    # duality checks rest on; at m = n it is the Kronecker delta, exactly
+    # duality checks rest on; at m = n it is the Kronecker delta, exactly.
+    # The oracle's right-endpoint reading gives the same values.
     for n in range(8):
         for m in range(n + 1):
             e = elevation_matrix(m, n)
             for j in range(m + 1):
                 b = BPoly(m, UNIT_INTERVAL, tuple(F(int(r == j)) for r in range(m + 1)))
+                right = right_functionals(n, range(n + 1), b.coeffs)
                 for k in range(n + 1):
                     want = e[k, j] if m < n else int(j == k)
-                    assert dual_functional_apply(n, k, b) == want, (m, n, k, j)
-                    assert dual_functional_apply_right(n, k, b) == want, (m, n, k, j)
+                    assert dual_functional_apply(n, k, b) == want == right[k], (m, n, k, j)
 
 
 def test_dual_functional_goldens():
@@ -442,24 +472,26 @@ def test_dual_functional_goldens():
 def test_endpoint_functionals_on_shifted_interval():
     iv = Interval(F(1), F(3))
     p = power_to_bform([F(2), F(-1), F(4)], 2, iv)
-    assert dual_functional_apply_right(2, 2, p) == p(F(3))
-    assert dual_functional_apply(2, 0, p) == p(F(1))
+    assert dual_functional_apply(2, 2, p) == right_functionals(2, [2], p.coeffs)[0] == p(F(3))
+    assert dual_functional_apply(2, 0, p) == left_functionals(2, [0], p.coeffs)[0] == p(F(1))
 
 
 @given(
     st.integers(1, 5).flatmap(
         lambda n: st.tuples(
             st.just(n),
-            st.lists(coeff_fracs, min_size=n + 1, max_size=n + 1),
+            st.lists(coeff_fracs, min_size=1, max_size=n + 1),
             st.integers(0, n),
         )
     )
 )
 @settings(max_examples=60, deadline=None)
 def test_left_right_functionals_agree(args):
+    # a B-form of degree d <= n: the elevation row against both power-form readings
     n, coeffs, k = args
-    p = BPoly(n, UNIT_INTERVAL, tuple(coeffs))
-    assert dual_functional_apply(n, k, p) == dual_functional_apply_right(n, k, p)
+    p = BPoly(len(coeffs) - 1, UNIT_INTERVAL, tuple(coeffs))
+    want = left_functionals(n, [k], coeffs)[0]
+    assert dual_functional_apply(n, k, p) == want == right_functionals(n, [k], coeffs)[0]
 
 
 def test_generalized_matches_grid_points():
@@ -500,6 +532,52 @@ def test_generalized_converges_to_point_value():
     assert errs[2] < errs[1] / 5
 
 
+def test_float_functionals_on_a_low_degree_polynomial_at_high_degree():
+    # 1/2 + u as a float B-form, at degree n and at degree 1, read at the
+    # midpoint index: 1.0 within the rounding bound.  Its power-form reading
+    # (the running ratio over float power coefficients) is 5.5e13 at n = 200
+    # (1.07e14 at the float index 0.5 * n) and nan at n = 1000, and it
+    # overflows at n = 2000.
+    for n in (60, 200, 1000, 2000):
+        for p in (power_to_bform([0.5, 1.0], n), BPoly(1, UNIT_INTERVAL, (0.5, 1.5))):
+            bound = _gamma(p.degree + 2) * max(abs(F(v)) for v in p.coeffs)
+            for got in (dual_functional_apply(n, n // 2, p), generalized_dual_apply(n, 0.5, p)):
+                assert abs(F(got) - 1) <= bound, (n, p.degree, got)
+
+
+def _linear_product(factors) -> list:
+    """Coefficients (lowest first) of prod (a n + b) over the (a, b) in factors."""
+    poly = [F(1)]
+    for a, b in factors:
+        poly = [b * x + a * y for x, y in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def test_generalized_first_order_term_is_the_voronovskaya_constant():
+    # with c the power coefficients of p, of degree d, and floor(xn) >= d,
+    # lambda_{xn}^n p = sum_j c_j (xn)_j / (n)_j = N(n) / D(n), where
+    # N = sum_j c_j (xn)_j (n - j)_{d-j} and D = (n)_d are of degree d in n and
+    # D is monic, so lambda = N_d + (N_{d-1} - N_d D_{d-1}) / n + O(1/n^2): the
+    # lead is p(x) and the 1/n term is -x (1 - x) p''(x) / 2
+    c = [F(1, 3), 0, -1, 0, F(5, 2)]
+    d = len(c) - 1
+    den = _linear_product([(1, -t) for t in range(d)])
+    for x in (F(1, 3), F(1, 2), F(7, 10)):
+        num = [0] * (d + 1)
+        for j, cj in enumerate(c):
+            factors = [(x, -t) for t in range(j)] + [(1, -t) for t in range(j, d)]
+            num = [a + cj * b for a, b in zip(num, _linear_product(factors))]
+        for n in (300, 301, 2400):  # xn integral, not integral, integral
+            value = (sum(a * n**e for e, a in enumerate(num))
+                     / sum(a * n**e for e, a in enumerate(den)))
+            for p in (power_to_bform(c, d), power_to_bform(c, n)):
+                assert generalized_dual_apply(n, x, p) == value, (x, n, p.degree)
+        p_x = sum(cj * x**j for j, cj in enumerate(c))
+        p2_x = sum(j * (j - 1) * cj * x ** (j - 2) for j, cj in enumerate(c) if j >= 2)
+        assert den[d] == 1 and num[d] == p_x, x
+        assert num[d - 1] - num[d] * den[d - 1] == -x * (1 - x) * p2_x / 2, x
+
+
 def test_xi_nodes():
     assert xi_nodes(2) == NodeVector(2, UNIT_INTERVAL, (F(0), F(1, 2), F(1)))
     iv = Interval(F(0), F(2))
@@ -525,7 +603,6 @@ def test_functionals_are_interval_invariant():
     p2 = BPoly(3, Interval(F(2), F(5)), coeffs)
     for k in range(4):
         assert dual_functional_apply(3, k, p1) == dual_functional_apply(3, k, p2)
-        assert dual_functional_apply_right(3, k, p1) == dual_functional_apply_right(3, k, p2)
     assert generalized_dual_apply(3, F(1, 3), p1) == generalized_dual_apply(3, F(1, 3), p2)
 
 

@@ -6,16 +6,9 @@ from fractions import Fraction as F
 from itertools import combinations, permutations, product
 
 import pytest
-from oracle import is_row_affine, mat_inv, mat_mul, row_select
+from oracle import is_row_affine, left_functionals, mat_inv, mat_mul, right_functionals, row_select
 
-from dualbern.bernstein import (
-    BPoly,
-    Interval,
-    _ratio_sum,
-    bernstein_value,
-    bform_to_power,
-    elevation_matrix,
-)
+from dualbern.bernstein import Interval, bernstein_value, elevation_matrix
 from dualbern.ratmat import Mat, SingularMatrixError
 from dualbern.subspace import (
     IndexOutOfRangeError,
@@ -24,7 +17,6 @@ from dualbern.subspace import (
     SelectionMap,
     WrongLengthError,
     bernstein_embedding,
-    data_map_invariance_check,
     dual_basis,
     dual_basis_eval,
     is_complete,
@@ -239,16 +231,6 @@ def test_elevation_minor_determinant():
     assert checked == 1012
 
 
-def test_data_map_invariance():
-    assert data_map_invariance_check(1, 2, (0, 1))
-    assert data_map_invariance_check(2, 4, (0, 2, 4))
-    assert data_map_invariance_check(3, 3, (0, 1, 2, 3))
-    assert data_map_invariance_check(3, 7, (0, 2, 5, 7))
-    # equal Grams mean equal dual bases only when s is a selection
-    with pytest.raises(NotInjectiveError):
-        data_map_invariance_check(1, 2, (0, 0))
-
-
 def test_linear_precision():
     emb = bernstein_embedding(3, 4)
     db = dual_basis(emb, make_selection(3, 4, (0, 1, 3, 4)))
@@ -288,13 +270,13 @@ def test_dual_basis_rows_affine():
 
 
 def _fraction_duality_check(db):
-    """The Bernstein duality check in Fractions: each column of A to power
-    form, then lambda_k^n by the running-ratio sum, against the identity."""
-    powers = [bform_to_power(BPoly(db.m, db.interval, db.A.col(c))) for c in range(db.m + 1)]
+    """The Bernstein duality check in Fractions: lambda_{s(i)}^n of each column
+    of A by both power-form readings of the oracle, against the identity."""
+    delta = [[int(i == j) for i in range(db.m + 1)] for j in range(db.m + 1)]
     return all(
-        _ratio_sum(db.n, F(k), c) == int(i == j)
-        for i, k in enumerate(db.s)
-        for j, c in enumerate(powers)
+        read(db.n, db.s, db.A.col(j)) == delta[j]
+        for j in range(db.m + 1)
+        for read in (left_functionals, right_functionals)
     )
 
 

@@ -15,7 +15,12 @@ import pytest
 from oracle import is_row_affine, mat_mul, mat_sub, row_select
 from reference_tables import REFERENCE_TABLES, mat_from_table
 
-from dualbern.bernstein import bernstein_value, collocation_matrix, elevation_matrix
+from dualbern.bernstein import (
+    _collocation_int_rows,
+    bernstein_value,
+    collocation_matrix,
+    elevation_matrix,
+)
 from dualbern.ratmat import Mat, inf_norm
 from dualbern.symmetric import (
     ConvergenceRecord,
@@ -201,12 +206,14 @@ def test_convergence_table_rejects_a_one_point_grid():
 
 
 def test_scaled_elevation_distance_is_the_matrix_expression():
-    # integer row sums over one denominator == the Fraction matrix difference
+    # integer row sums over one denominator == the Fraction matrix difference;
+    # the collocation rows are built once per m and read for every k
     for m in range(1, 9):
         colloc = collocation_matrix(m)
+        rows = _collocation_int_rows(m)
         for k in range(1, 7):
             want = k * inf_norm(mat_sub(colloc, selected_elevation_rows(m, k)))
-            assert _scaled_elevation_distance(m, k) == want, (m, k)
+            assert _scaled_elevation_distance(*rows, k) == want, (m, k)
 
 
 def test_rate_bound():
