@@ -12,11 +12,14 @@ power-basis conversion, the dual functionals lambda_k^n (row k of the
 elevation matrix applied to the B-form coefficients) and their real-index
 generalization, and uniform node vectors.  On exact input the two
 power-basis conversions work on integer numerators over one common
-denominator and build one Fraction per output coefficient; B-form to power
-runs one forward-difference routine for exact and float input alike.  The
-exact :func:`power_to_bform` leaves the power coefficients it was given on
-the BPoly it builds, so a polynomial built from its power form is never
-converted back.
+denominator; B-form to power runs one forward-difference routine for exact
+and float input alike and builds one Fraction per output coefficient.  The
+exact :func:`power_to_bform` leaves on the BPoly it builds the power
+coefficients it was given and the integer B-form numerators over their
+denominator, so a polynomial built from its power form is never converted
+back, the dual functionals sum its integers, and its Fraction coefficients
+are built only when read.  The matrices are handed to
+:class:`~dualbern.ratmat.Mat` as integer rows over one denominator.
 
 The collocation inverse has a closed form rather than a generic elimination:
 its columns are the B-form coefficients of the Lagrange polynomials on the
@@ -92,16 +95,21 @@ class BPoly:
 
     p(t) = sum_i coeffs[i] * B_i^m(t) with the basis taken over `interval`.
 
-    ``_power`` holds the result of :func:`_power_diagonal` when the exact
-    :func:`power_to_bform` built the polynomial, and is None otherwise.  It is
-    a class attribute, not a field, so equality, hashing, ``repr`` and
-    ``dataclasses.replace`` read the three fields only.
+    When the exact :func:`power_to_bform` built the polynomial, ``_power``
+    holds the result of :func:`_power_diagonal` and ``_ints`` the pair
+    (nums, den) with coeffs[i] == nums[i] / den; both are None otherwise.
+    Such a polynomial is built without its ``coeffs`` field, which
+    ``__getattr__`` fills from ``_ints`` on first read.  The two are class
+    attributes, not fields, so equality, hashing, ``repr``,
+    ``dataclasses.asdict`` and ``dataclasses.replace`` read the three fields
+    only.
     """
 
     degree: int
     interval: Interval
     coeffs: tuple
     _power = None
+    _ints = None
 
     def __post_init__(self):
         if self.degree < 0:
@@ -112,6 +120,14 @@ class BPoly:
                 f"need {self.degree + 1} coefficients for degree {self.degree}, "
                 f"got {len(self.coeffs)}"
             )
+
+    def __getattr__(self, name):
+        if name != "coeffs" or self._ints is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        nums, den = self._ints
+        coeffs = tuple(Fraction(x, den) for x in nums)
+        object.__setattr__(self, "coeffs", coeffs)
+        return coeffs
 
     def __call__(self, t):
         return de_casteljau_eval(self, t)
@@ -300,12 +316,14 @@ def power_to_bform(power_coeffs: Sequence, n: int, iv: Interval = UNIT_INTERVAL)
 
     Exact input (ints and Fractions) gives exact output in integers: the
     w_j = c_j / C(n, j) up to the degree d of p are put over one common
-    denominator, the Pascal sum runs on their integer numerators as a
-    difference table read forwards from its diagonal (O(n d) additions), and
-    each alpha_i is one Fraction.  The result's power-form memo is set to
+    denominator and the Pascal sum runs on their integer numerators as a
+    difference table read forwards from its diagonal (O(n d) additions).
+    The result keeps those numerators and their denominator (``_ints``) and
+    builds its Fraction coeffs on first read; its power-form memo is set to
     c_0..c_d as Fractions, which is what :func:`_power_diagonal` would compute
     from the alphas.  Any float coefficient keeps the loop of Fraction ratios
-    times coefficients, so float results keep their bits, and sets no memo.
+    times coefficients, each sum started at 0.0, so every alpha_i is a float
+    with the bits of that loop, and sets no memo.
     """
     c = list(power_coeffs) or [0]
     if len(c) > n + 1:
@@ -313,12 +331,12 @@ def power_to_bform(power_coeffs: Sequence, n: int, iv: Interval = UNIT_INTERVAL)
     if all(_is_exact(x) for x in c):
         c = [Fraction(x) for x in c[: _support_degree(c) + 1]]
         w, den = _over_common_denominator([x / math.comb(n, j) for j, x in enumerate(c)])
-        p = BPoly(n, iv, tuple(Fraction(x, den) for x in _int_pascal_sum(w, n + 1)))
-        object.__setattr__(p, "_power", tuple(c))
+        p = object.__new__(BPoly)  # coeffs is filled from _ints on first read
+        vars(p).update(degree=n, interval=iv, _power=tuple(c), _ints=(_int_pascal_sum(w, n + 1), den))
         return p
     support = [j for j, v in enumerate(c) if v != 0]  # zero terms add nothing
     alpha = [
-        sum((binomial(i, j) / binomial(n, j)) * c[j] for j in support if j <= i)
+        sum(((binomial(i, j) / binomial(n, j)) * c[j] for j in support if j <= i), 0.0)
         for i in range(n + 1)
     ]
     return BPoly(n, iv, tuple(alpha))
@@ -415,15 +433,21 @@ def dual_functional_apply(n: int, k: int, p: BPoly):
     weight is one Fraction: exact alpha give an exact Fraction, and float
     alpha a convex combination of correctly rounded weights, summed left to
     right, within gamma_{d+2} max|alpha_j| of its exact value
-    (gamma_m = m u / (1 - m u), u = 2^-53).
+    (gamma_m = m u / (1 - m u), u = 2^-53).  A polynomial that keeps its
+    integer coefficients (``p._ints``) is summed on those, into one Fraction.
     """
     if not 0 <= k <= n:
         raise ValueError(f"functional index {k} out of range 0..{n}")
     _check_degree(n, p)
     d = p.degree
     den = math.comb(n, d)
+    band = range(max(0, d - (n - k)), min(k, d) + 1)
+    if p._ints is not None:
+        nums, pden = p._ints
+        return Fraction(sum(math.comb(n - k, d - j) * math.comb(k, j) * nums[j] for j in band),
+                        den * pden)
     out = 0
-    for j in range(max(0, d - (n - k)), min(k, d) + 1):
+    for j in band:
         out = out + Fraction(math.comb(n - k, d - j) * math.comb(k, j), den) * p.coeffs[j]
     return out
 

@@ -9,11 +9,16 @@ sampled.
 
 The scalar type is :class:`fractions.Fraction`: it already guarantees the
 canonical form we need — positive denominator, fully reduced, arbitrary
-precision.  This module holds the :class:`Mat` container, the exact
-inf-norm, the exact inverse test, the common-denominator helpers that let
-the closed forms elsewhere run on integer numerators, and the JSON writer
-the CLI uses.  No library path eliminates: every inverse the package needs
-has a closed form.
+precision.  A :class:`Mat` also holds its entries as integer rows over one
+denominator, the form the closed forms compute: they hand over their
+integers (:func:`_from_common_denominator`), and a Fraction is built only
+when an entry is read.  Equality, hashing, :func:`inf_norm`,
+:func:`is_inverse` and the float view :func:`_float_rows` read the integers;
+``entries``, ``row``, ``col``, ``to_lists``, indexing, ``repr`` and the JSON
+writer read Fractions.  This module holds the :class:`Mat` container, the
+exact inf-norm, the exact inverse test, the common-denominator helpers and
+the JSON writer the CLI uses.  No library path eliminates: every inverse
+the package needs has a closed form.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Union
 
 # Accepted scalar inputs for matrix construction.
@@ -62,126 +68,177 @@ class Mat:
 
     Construct from an iterable of rows; entries may be ints, Fractions or
     strings like ``"3/4"``.  Row-major flat access is available through
-    ``entries`` (this is also the JSON wire order).  ``_inf_norm`` is the
-    memo of :func:`inf_norm`, filled on first use; equality and hashing
-    read the entries only.
+    ``entries`` (this is also the JSON wire order).
+
+    A matrix has two views of one value, each a memo filled on first use:
+    ``_rows``, the entries as Fractions, and ``_nums`` over ``_den``, integer
+    rows over one positive denominator in canonical form (no prime divides
+    ``_den`` and every numerator, so ``_den`` is the lcm of the reduced
+    denominators).  The closed forms build a matrix from its integer view by
+    :func:`_from_common_denominator`; its Fractions are built when an entry
+    is first read.  Equality and hashing read the integer view; ``_inf_norm``
+    is the memo of :func:`inf_norm`.
     """
 
-    __slots__ = ("_rows", "_inf_norm")
+    __slots__ = ("_rows", "_nums", "_den", "_inf_norm")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         data = tuple(tuple(_coerce(x) for x in row) for row in rows)
-        if not data or not data[0]:
-            raise ValueError("matrix must have at least one row and one column")
-        width = len(data[0])
-        if any(len(r) != width for r in data):
-            raise ValueError("ragged rows in matrix constructor")
+        _check_shape(data)
         object.__setattr__(self, "_rows", data)
+        object.__setattr__(self, "_nums", None)
+        object.__setattr__(self, "_den", None)
         object.__setattr__(self, "_inf_norm", None)
+
+    def _fractions(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._rows is None:
+            den = self._den
+            object.__setattr__(self, "_rows", tuple(tuple(Fraction(x, den) for x in row)
+                                                    for row in self._nums))
+        return self._rows
+
+    def _ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(integer rows, denominator) in canonical form."""
+        if self._nums is None:
+            rows = self._rows
+            den = math.lcm(*(x.denominator for row in rows for x in row))
+            object.__setattr__(self, "_nums", tuple(tuple(x.numerator * (den // x.denominator)
+                                                          for x in row) for row in rows))
+            object.__setattr__(self, "_den", den)
+        return self._nums, self._den
 
     # -- basic shape/access ------------------------------------------------
 
     @property
     def rows(self) -> int:
-        return len(self._rows)
+        return len(self._nums if self._rows is None else self._rows)
 
     @property
     def cols(self) -> int:
-        return len(self._rows[0])
+        return len((self._nums if self._rows is None else self._rows)[0])
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
         """Row-major flat tuple of entries."""
-        return tuple(x for row in self._rows for x in row)
+        return tuple(x for row in self._fractions() for x in row)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self._rows[i][j]
+        return self._fractions()[i][j]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
+        return self._fractions()[i]
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self._rows)
+        return tuple(r[j] for r in self._fractions())
 
     def to_lists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._rows]
+        return [list(r) for r in self._fractions()]
 
     # -- equality / repr ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mat) and self._rows == other._rows
+        return isinstance(other, Mat) and self._ints() == other._ints()
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash(self._ints())
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
+        body = "; ".join(" ".join(str(x) for x in row) for row in self._fractions())
         return f"Mat[{self.rows}x{self.cols}: {body}]"
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return _from_common_denominator([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Mat":
-        return Mat([[Fraction(0)] * cols for _ in range(rows)])
+        return _from_common_denominator([[0] * cols for _ in range(rows)], 1)
+
+
+def _check_shape(data):
+    if not data or not data[0]:
+        raise ValueError("matrix must have at least one row and one column")
+    width = len(data[0])
+    if any(len(r) != width for r in data):
+        raise ValueError("ragged rows in matrix constructor")
+
+
+def _from_common_denominator(rows, den: int) -> Mat:
+    """The Mat with entries rows[i][j] / den, rows integers and den a nonzero
+    integer: its integer view is set directly, put in canonical form by one
+    gcd over den and every numerator, and no Fraction is built."""
+    if den == 0:
+        raise ZeroDivisionError("matrix denominator is zero")
+    nums = tuple(map(tuple, rows))
+    _check_shape(nums)
+    g = math.gcd(den, *chain.from_iterable(nums))
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = tuple(tuple(map(g.__rfloordiv__, row)) for row in nums)  # x // g
+    a = Mat.__new__(Mat)
+    object.__setattr__(a, "_rows", None)
+    object.__setattr__(a, "_nums", nums)
+    object.__setattr__(a, "_den", den // g)
+    object.__setattr__(a, "_inf_norm", None)
+    return a
 
 
 def is_inverse(a: Mat, b: Mat) -> bool:
     """True iff a . b is exactly the identity; a and b must both be n x n.
 
-    The Mat front end of :func:`_is_inverse_over`: a is put over one common
-    denominator first."""
-    nums, den = _over_common_denominator(a.entries)
-    return _is_inverse_over([nums[i * a.cols:(i + 1) * a.cols] for i in range(a.rows)], den, b)
+    The Mat front end of :func:`_is_inverse_over`, on a's integer view."""
+    return _is_inverse_over(*a._ints(), b)
 
 
 def _is_inverse_over(rows, den: int, b: Mat) -> bool:
-    """True iff (rows / den) . b is exactly the identity, rows a list of lists
-    of integers (the numerators of a over its common denominator den).
+    """True iff (rows / den) . b is exactly the identity, rows integer rows
+    (the numerators of a over a common denominator den).
 
-    Each column of b is put over one common denominator, and each integer
-    dot product is compared with the product of the two denominators on the
-    diagonal and with 0 off it: no product matrix and no per-entry Fraction
-    is built.  ValueError unless a and b are both n x n."""
+    b is read in its integer view, so each integer dot product is compared
+    with the product of the two denominators on the diagonal and with 0 off
+    it: no product matrix and no Fraction is built.  ValueError unless a and
+    b are both n x n."""
     n = len(rows)
     if not len(rows[0]) == b.rows == b.cols == n:
         raise ValueError(f"is_inverse needs n x n matrices: {n}x{len(rows[0])}, {b.rows}x{b.cols}")
-    cols = [_over_common_denominator(b.col(j)) for j in range(n)]
-    return all(sum(map(operator.mul, ra, cb)) == (den * db if i == j else 0)
-               for i, ra in enumerate(rows) for j, (cb, db) in enumerate(cols))
+    bnums, bden = b._ints()
+    one = den * bden
+    cols = list(zip(*bnums))
+    return all(sum(map(operator.mul, ra, cb)) == (one if i == j else 0)
+               for i, ra in enumerate(rows) for j, cb in enumerate(cols))
 
 
 def inf_norm(a: Mat) -> Fraction:
     """Max over rows of the sum of absolute entries (exact).
 
-    Each row sum runs on integer numerators over the lcm of the row's
-    denominators, so it builds one Fraction per row.  A Mat is immutable, so
-    the norm is computed once per matrix and kept on it: a cached matrix
-    such as the collocation inverse pays for its norm once per cache entry."""
+    The row sums run on the integer view, so the norm is one Fraction.  A
+    Mat is immutable, so the norm is computed once per matrix and kept on
+    it: a cached matrix such as the collocation inverse pays for its norm
+    once per cache entry."""
     if a._inf_norm is None:
-        object.__setattr__(a, "_inf_norm", max(_abs_row_sum(a.row(i)) for i in range(a.rows)))
+        object.__setattr__(a, "_inf_norm", _max_abs_row_sum(*a._ints()))
     return a._inf_norm
 
 
-def _abs_row_sum(row) -> Fraction:
-    nums, den = _over_common_denominator(row)
-    return Fraction(sum(map(abs, nums)), den)
+def _max_abs_row_sum(nums, den: int) -> Fraction:
+    return Fraction(max(sum(map(abs, row)) for row in nums), den)
+
+
+def _float_rows(a: Mat) -> list[list[float]]:
+    """The entries of a as floats, read off the integer view: x / den is
+    correctly rounded int division, so each float equals float(entry)."""
+    nums, den = a._ints()
+    return [[x / den for x in row] for row in nums]
 
 
 def _over_common_denominator(xs) -> tuple[list[int], int]:
     """(nums, den) with xs[i] == nums[i] / den, den the lcm of the denominators."""
     den = math.lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
-
-
-def _from_common_denominator(rows, den: int) -> Mat:
-    """The Mat with entries rows[i][j] / den, rows lists of integers: the
-    inverse of :func:`_over_common_denominator`, one Fraction per entry."""
-    return Mat([[Fraction(x, den) for x in row] for row in rows])
 
 
 # -- JSON wire format ---------------------------------------------------------

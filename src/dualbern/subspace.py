@@ -28,8 +28,9 @@ in the falling factorials: (t)_j (t - c) = (t)_{j+1} + (j - c) (t)_j builds
 N(t) = prod_r (t - s(r)) = sum_j a_j (t)_j by a'_j = a_{j-1} + (j - c) a_j,
 and synthetic division by t - s(i), q_{j-1} = a_j - (j - s(i)) q_j, leaves
 N_i = N / (t - s(i)) = sum_j q_j (t)_j with Delta^j N_i(0) = j! q_j.  The
-power A is E(s,:)^T, as E(s,:) holds unit rows.  The duality check runs on
-the integer rows of E(s,:) over their common denominator C(n, m).
+power A is E(s,:)^T, as E(s,:) holds unit rows.  Both A and E(s,:) are
+handed to :class:`~dualbern.ratmat.Mat` as integer rows over one
+denominator, and the duality check runs on those integers.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bernstein import (
     BPoly,
@@ -204,7 +204,8 @@ def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) ->
 
         A(r, i) = sum_{j<=r} C(r, j) / C(m, j) * C(n, j) j! q_j / D_i,
 
-    summed in integers over lcm_j C(m, j), one Fraction per entry.  Power
+    summed in integers over lcm_j C(m, j); the columns are brought over the
+    lcm of their denominators and A is handed over as integers.  Power
     embedding: E(s,:) holds the unit rows e_{s(i)} (zero rows for s(i) > m),
     so A = E(s,:)^T when {s(i)} = {0..m}; otherwise SingularMatrixError
     names the first column c not in s, where elimination finds no pivot.
@@ -229,7 +230,7 @@ def _bernstein_dual_matrix(m: int, n: int, s: tuple) -> Mat:
     full = [1]  # a_j: N(t) = prod_r (t - s(r)) in the falling factorials (t)_j
     for c in s:
         full = [x + (j - c) * y for j, (x, y) in enumerate(zip([0] + full, full + [0]))]
-    cols = []
+    cols, denoms = [], []
     for i, si in enumerate(s):
         denom = math.prod(si - x for x in s[:i] + s[i + 1:]) * lcm
         if denom == 0:
@@ -238,8 +239,11 @@ def _bernstein_dual_matrix(m: int, n: int, s: tuple) -> Mat:
         for j in range(m + 1, 0, -1):  # N_i = N / (t - s(i)) by synthetic division
             q = full[j] - (j - si) * q
             w[j - 1] = q * scale[j - 1]
-        cols.append([Fraction(x, denom) for x in _int_pascal_sum(w, m + 1)])
-    return Mat(zip(*cols))
+        cols.append(_int_pascal_sum(w, m + 1))
+        denoms.append(denom)
+    den = math.lcm(*denoms)  # column i is over denoms[i]; bring every column over den
+    cols = [[x * (den // d) for x in col] for col, d in zip(cols, denoms)]
+    return _from_common_denominator(zip(*cols), den)
 
 
 def _power_dual_matrix(emb: Embedding, s: tuple) -> Mat:
@@ -248,7 +252,7 @@ def _power_dual_matrix(emb: Embedding, s: tuple) -> Mat:
     missing = set(range(emb.m + 1)).difference(s)
     if missing:
         raise SingularMatrixError(f"singular matrix: no pivot in column {min(missing)}")
-    return Mat(zip(*rows))
+    return _from_common_denominator(zip(*rows), 1)
 
 
 def dual_basis_eval(db: DualBasis, i: int, t):
@@ -270,9 +274,9 @@ def verify_duality(db: DualBasis) -> bool:
     one common denominator (elevation entries C(n-k, m-j) C(k, j) over
     C(n, m), or unit rows over 1) from the row formula of E itself, not from
     the map T whose inverse built the Bernstein A, so the check is
-    independent of that closed form; each column of A is put over one
-    common denominator, and the integer dot products are compared with the
-    identity (the routine behind :func:`~dualbern.ratmat.is_inverse`).
+    independent of that closed form; A is read in its integer view, and the
+    integer dot products are compared with the identity (the routine behind
+    :func:`~dualbern.ratmat.is_inverse`).
     Raises ValueError unless A is (m+1) x (m+1).
     """
     return _is_inverse_over(*Embedding(db.kind, db.m, db.n)._int_rows(db.s), db.A)

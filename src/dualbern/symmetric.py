@@ -25,7 +25,7 @@ from .bernstein import (
     bform_eval,
     uniform_grid,
 )
-from .ratmat import Mat, inf_norm
+from .ratmat import Mat, _float_rows, inf_norm
 from .subspace import SelectionMap, bernstein_embedding, dual_basis, make_selection
 
 
@@ -123,6 +123,8 @@ def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRec
     |D_i^{m,k}(t) - L_i^m(t)|.  scaled_mat_dist: k * inf-norm of
     (collocation_matrix(m) - E(s,:)), which stabilizes near inf_norm(C).
     The grid is the only float work here; numpy is imported on first call.
+    The float matrix of each A_{m,k} is read off its integer view, so its
+    Fraction entries are never built.
     """
     import numpy as np
 
@@ -135,7 +137,7 @@ def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRec
     colloc = _collocation_int_rows(m)
     out = []
     for k in k_list:
-        diff = np.array(symmetric_dual_matrix(m, k).to_lists(), dtype=float) - lagrange
+        diff = np.array(_float_rows(symmetric_dual_matrix(m, k))) - lagrange
         sup = float(np.max(np.abs(bform_eval(diff, UNIT_INTERVAL, grid))))
         scaled = float(_scaled_elevation_distance(*colloc, k))
         out.append(ConvergenceRecord(k=k, sup_dist=sup, scaled_mat_dist=scaled))

@@ -240,11 +240,13 @@ def test_power_roundtrip_exact(coeffs):
 
 
 def _pascal_loop(c, n):
-    # the Fraction-ratio loop power_to_bform ran on every input
+    # the Fraction-ratio loop power_to_bform ran on every input; a float input
+    # starts each sum at 0.0, so an empty sum is a float too
+    start = 0 if all(isinstance(x, (int, F)) for x in c) else 0.0
     c = list(c) + [0] * (n + 1 - len(c))
     support = [j for j, v in enumerate(c) if v != 0]
     return tuple(
-        sum(F(math.comb(i, j), math.comb(n, j)) * c[j] for j in support if j <= i)
+        sum((F(math.comb(i, j), math.comb(n, j)) * c[j] for j in support if j <= i), start)
         for i in range(n + 1)
     )
 
@@ -295,15 +297,37 @@ def test_power_conversions_match_the_fraction_loops_on_exact_input():
 
 
 def test_power_memo_is_invisible_to_the_dataclass():
-    p = power_to_bform([F(1, 3), 0, -2], 5)
-    q = BPoly(5, UNIT_INTERVAL, p.coeffs)  # the same fields, no memo
-    assert p._power is not None and q._power is None
-    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
-    assert [f.name for f in dataclasses.fields(p)] == ["degree", "interval", "coeffs"]
-    assert dataclasses.asdict(p) == dataclasses.asdict(q)
-    r = dataclasses.replace(p)
-    assert r == q and r._power is None
+    # the exact conversion keeps integer coefficients and builds its coeffs
+    # field on first read; every face of the dataclass agrees with an eagerly
+    # built B-form, before and after that read
+    c, iv = [F(1, 3), 0, -2], Interval(F(1, 2), 2)
+    q = BPoly(5, iv, _pascal_loop(c, 5))  # the same fields, no memo
+    faces = {
+        "==": lambda p: p == q and q == p and not p != q,
+        "hash": lambda p: hash(p) == hash(q) and {q: 1}[p] == 1,
+        "repr": lambda p: repr(p) == repr(q),
+        "fields": lambda p: [f.name for f in dataclasses.fields(p)] == ["degree", "interval", "coeffs"],
+        "asdict": lambda p: dataclasses.asdict(p) == dataclasses.asdict(q),
+        "replace": lambda p: (dataclasses.replace(p) == q and dataclasses.replace(p)._power is None
+                              and dataclasses.replace(p)._ints is None
+                              and dataclasses.replace(p, interval=UNIT_INTERVAL)
+                              == BPoly(5, UNIT_INTERVAL, q.coeffs)),
+        "coeffs": lambda p: repr(p.coeffs) == repr(q.coeffs) and p.coeffs is p.coeffs,
+    }
+    for name, face in faces.items():
+        for read_first in (False, True):
+            p = power_to_bform(c, 5, iv)
+            assert "coeffs" not in vars(p) and p._ints is not None, name  # not built yet
+            if read_first:
+                p.coeffs
+            assert face(p), (name, read_first)
+            assert "coeffs" in vars(p) or name == "fields", name
+    assert q._power is None and q._ints is None
     assert _power_diagonal(q) == p._power and q._power is None  # reading leaves q as it was
+    with pytest.raises(AttributeError):
+        q.nothing
+    with pytest.raises(AttributeError):
+        p._nothing
 
 
 def test_power_to_bform_memo_is_the_fresh_conversion():
@@ -318,6 +342,16 @@ def test_power_to_bform_memo_is_the_fresh_conversion():
               (2000, [1, 0, F(7, 9), 0, 0])]
     for n, c in cases:
         p = power_to_bform(c, n, Interval(F(1, 2), 2))
+        if all(isinstance(x, (int, F)) for x in c):
+            # built lazily: the functionals read the integers, and the B-form
+            # equals an eager one before and after its coeffs are built
+            eager = BPoly(n, p.interval, map(F, _pascal_loop(c, n)))
+            assert "coeffs" not in vars(p), (n, c)
+            for k in sorted({0, n // 3, n // 2, n}):
+                got = dual_functional_apply(n, k, p)
+                assert got == dual_functional_apply(n, k, eager) and type(got) is F, (n, c, k)
+            assert "coeffs" not in vars(p), (n, c)
+            assert p == eager and hash(p) == hash(eager) and repr(p) == repr(eager), (n, c)
         q = BPoly(n, p.interval, p.coeffs)
         fresh = _power_diagonal(q)
         assert q._power is None, (n, c)
@@ -443,6 +477,18 @@ def test_power_conversions_keep_float_bits():
         p = power_to_bform(c, n)
         assert repr(p.coeffs) == repr(_pascal_loop(c, n)), (n, c)
         assert repr(bform_to_power(p)) == repr(_difference_loop(p.coeffs))
+    # below the first nonzero power coefficient the alpha sum is empty; it is
+    # 0.0, so a float input (an int among floats too) gives a float B-form
+    for c, n, want in (([0.0, 2.5], 4, (0.0, 0.625, 1.25, 1.875, 2.5)), ([0.0], 3, (0.0,) * 4),
+                       ([0.0, 2], 4, (0.0, 0.5, 1.0, 1.5, 2.0))):
+        p = power_to_bform(c, n)
+        assert repr(p.coeffs) == repr(want) == repr(_pascal_loop(c, n)), c
+        assert all(type(x) is float for x in bform_to_power(p)), c
+        for k in range(n + 1):
+            got = dual_functional_apply(n, k, p)
+            assert type(got) is float and got == want[k], (c, k)
+        for x in (0.3, 0.5):
+            assert type(generalized_dual_apply(n, x, p)) is float, (c, x)
 
 
 def test_biorthogonality_left_and_right():

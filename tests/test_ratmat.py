@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -16,7 +17,15 @@ from oracle import (
 )
 
 from dualbern.bernstein import elevation_matrix
-from dualbern.ratmat import Mat, SingularMatrixError, binomial, inf_norm, is_inverse, mat_to_json_obj
+from dualbern.ratmat import (
+    Mat,
+    SingularMatrixError,
+    _from_common_denominator,
+    binomial,
+    inf_norm,
+    is_inverse,
+    mat_to_json_obj,
+)
 
 
 def test_binomial_values():
@@ -114,6 +123,84 @@ def test_inf_norm_memo_is_invisible_to_eq_and_hash():
     assert {a: "a"}[b] == "a"
     assert a != Mat([[1, "-1/3"], ["5/2", 1]])
     assert inf_norm(b) == inf_norm(a)
+
+
+def _integer_cases(rng):
+    """(rows, den) pairs: random shapes and signs, zero rows, negative and
+    non-canonical denominators (a common factor on every numerator)."""
+    for _ in range(120):
+        r = rng.randint(1, 5)
+        c = r if rng.random() < 0.5 else rng.randint(1, 5)
+        nums = [[0] * c if rng.random() < 0.15 else
+                [rng.randint(-10**5, 10**5) if rng.random() < 0.8 else 0 for _ in range(c)]
+                for _ in range(r)]
+        den = rng.choice([1, -1, 6, -12, rng.randint(-10**6, -1), rng.randint(1, 10**6), 3 * 2**70])
+        f = rng.choice([1, 1, 2, -5, 2**40])
+        yield [[f * x for x in row] for row in nums], f * den
+
+
+def _views(nums, den):
+    """Makers of one value: built from the integers or from Fractions, each
+    fresh or after its other view has been read."""
+    def from_ints():
+        return _from_common_denominator(nums, den)
+
+    def from_fractions():
+        return Mat([[F(x, den) for x in row] for row in nums])
+
+    def ints_read():
+        a = from_ints()
+        a.entries
+        return a
+
+    def fractions_read():
+        a = from_fractions()
+        a._ints()
+        return a
+
+    return from_ints, ints_read, from_fractions, fractions_read
+
+
+def test_integer_and_fraction_views_agree():
+    rng = random.Random(20261019)
+    observers = {
+        "==": lambda x, y: x == y and y == x and not x != y,
+        "hash": lambda x, y: hash(x) == hash(y) and {x: 1}[y] == 1,
+        "repr": lambda x, y: repr(x) == repr(y),
+        "str": lambda x, y: [str(e) for e in x.entries] == [str(e) for e in y.entries],
+        "inf_norm": lambda x, y: inf_norm(x) == inf_norm(y) and type(inf_norm(x)) is F,
+    }
+    for nums, den in _integer_cases(rng):
+        want = [F(x, den) for row in nums for x in row]
+        square = len(nums) == len(nums[0])
+        if square:
+            try:
+                other = mat_inv(Mat([[F(x, den) for x in row] for row in nums]))
+            except SingularMatrixError:
+                other = Mat.identity(len(nums))
+            observers["is_inverse"] = lambda x, y: (
+                is_inverse(x, other) == is_inverse(y, other) == (mat_mul(x, other) == Mat.identity(x.rows))
+                and is_inverse(other, x) == is_inverse(other, y))
+        else:
+            observers.pop("is_inverse", None)
+        for name, observe in observers.items():
+            for make_x in _views(nums, den):
+                for make_y in _views(nums, den):
+                    x, y = make_x(), make_y()
+                    assert observe(x, y), (name, make_x.__name__, make_y.__name__, nums, den)
+        a = _from_common_denominator(nums, den)
+        numer, canon = a._ints()
+        assert canon > 0 and math.gcd(canon, *(x for row in numer for x in row)) == 1
+        assert canon == math.lcm(*(x.denominator for x in want))  # the lcm of the reduced ones
+        assert a.entries == tuple(want) and (a.rows, a.cols) == (len(nums), len(nums[0]))
+        if not square:
+            for x in _views(nums, den):
+                with pytest.raises(ValueError, match="is_inverse needs n x n matrices"):
+                    is_inverse(x(), x())
+    with pytest.raises(ZeroDivisionError):
+        _from_common_denominator([[1]], 0)
+    with pytest.raises(ValueError):
+        _from_common_denominator([[1, 2], [3]], 1)
 
 
 def test_is_inverse_is_the_product_check():
