@@ -257,7 +257,8 @@ def _colloc_inv(n: int) -> Mat:
     so M_n^{-1}(j, i) = P_j^(i) / (C(n, j) (-1)^(n-i) i! (n-i)!).  The full
     product over k = 0..n is formed once; each P^(i) is its exact integer
     quotient by the i-th factor.  O(n^2) integer work, equal to Gauss–Jordan
-    on :func:`collocation_matrix`.
+    on :func:`collocation_matrix`.  The Mat gets signed integers over
+    n! lcm_j C(n, j) and builds no Fraction until an entry is read.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -265,6 +266,9 @@ def _colloc_inv(n: int) -> Mat:
     full = [1]
     for k in range(n + 1):
         full = [(n - k) * x - k * y for x, y in zip([0] + full, full + [0])]
+    # over n! lcm_j C(n, j): 1 / ((-1)^(n-i) i! (n-i)!) = (-1)^(n-i) C(n, i) / n!
+    lcm = math.lcm(*(math.comb(n, j) for j in range(n + 1)))
+    scale = [lcm // math.comb(n, j) for j in range(n + 1)]
     cols = []
     for i in range(n + 1):
         # full = ((n-i)u - i(1-u)) * P, so full[j] = (n-i) P[j-1] - i P[j]
@@ -275,9 +279,9 @@ def _colloc_inv(n: int) -> Mat:
                 p.append(prev)
         else:  # the factor is n u
             p = [q // n for q in full[1:]]
-        denom = (-1) ** (n - i) * math.factorial(i) * math.factorial(n - i)
-        cols.append([Fraction(p[j], math.comb(n, j) * denom) for j in range(n + 1)])
-    return Mat(zip(*cols))
+        c = (-1) ** (n - i) * math.comb(n, i)
+        cols.append([c * x * w for x, w in zip(p, scale)])
+    return _from_common_denominator(zip(*cols), math.factorial(n) * lcm)
 
 
 def elevation_matrix(m: int, n: int) -> Mat:
@@ -358,7 +362,9 @@ def bform_to_power(p: BPoly) -> tuple:
     themselves, so float results keep their bits.
     """
     c = _power_diagonal(p)
-    return c + (p.coeffs[0] * 0,) * (p.degree + 1 - len(c))
+    # the zero of the coefficient arithmetic; c[0] is a Fraction when coeffs is unbuilt
+    zero = (c[0] if p._ints is not None else p.coeffs[0]) * 0
+    return c + (zero,) * (p.degree + 1 - len(c))
 
 
 def _power_diagonal(p: BPoly) -> tuple:
@@ -492,4 +498,18 @@ def xi_nodes(n: int, iv: Interval = UNIT_INTERVAL) -> NodeVector:
     """Uniform node vector xi_i = a + (i/n)(b-a); exact for exact intervals."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return NodeVector(n, iv, tuple(iv.from_local(Fraction(i, n)) for i in range(n + 1)))
+    return NodeVector(n, iv, tuple(_uniform_nodes(n, iv, range(n + 1))))
+
+
+def _uniform_nodes(n: int, iv: Interval, ks) -> list:
+    """[iv.from_local(Fraction(k, n)) for k in ks], value and type: the one node
+    formula.  On an exact interval a = p/d and (b - a)/n = step/d over one d,
+    so each node is one Fraction(p + k step, d).  Otherwise each is
+    a + (k / n) (b - a): k / n is float(Fraction(k, n)), which is what
+    Fraction times a float width computes."""
+    a, w = iv.a, iv.b - iv.a
+    if iv.is_exact():
+        d = a.denominator * w.denominator * n
+        p, step = a.numerator * (d // a.denominator), w.numerator * a.denominator
+        return [Fraction(p + k * step, d) for k in ks]
+    return [a + (k / n) * w for k in ks]

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .bernstein import Interval, bernstein_value, bform_eval, elevation_matrix, uniform_grid
-from .ratmat import SingularMatrixError, mat_to_json_obj
+from .ratmat import SingularMatrixError, _float_rows, mat_to_json_obj
 from .subspace import (
     SelectionMap,
     bernstein_embedding,
@@ -368,7 +368,7 @@ def _cmd_plot(args) -> int:
     if args.kind == "basis":
         # dual_basis_eval's sum, with B_j^m(t) formed once per point and A
         # converted to float once: Fraction * float already goes through float()
-        a = [[float(x) for x in row] for row in db.A.to_lists()]
+        a = _float_rows(db.A)
         values = []
         for t in ts:
             b = [bernstein_value(args.m, j, t, iv) for j in range(args.m + 1)]

@@ -22,7 +22,10 @@ D_m), on the report grid, and on the least-squares grid (Q_s) or the
 modulus grid (the C0 bound).  Once per degree it builds M_n^{-1} (the cache
 of :func:`~dualbern.bernstein._colloc_inv`) and its exact norm, which
 :func:`~dualbern.ratmat.inf_norm` keeps on that cached matrix, so clearing
-the cache drops both.
+the cache drops both.  Both operators turn data into coefficients in one
+place, :func:`~dualbern.ratmat._apply_rows` (the data map on M_n^{-1}, then
+:meth:`~dualbern.subspace.DualBasis.bform` on A): it reads the integer view
+of the matrix, so float or exact data build no Fraction entry.
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ from .bernstein import (
     Interval,
     UNIT_INTERVAL,
     _colloc_inv,
+    _uniform_nodes,
     bform_eval,
     uniform_grid,
 )
-from .ratmat import inf_norm
+from .ratmat import _apply_rows, inf_norm
 from .subspace import DualBasis, SelectionMap, bernstein_embedding, dual_basis
 
 # A sampled function is any deterministic callable on [a, b]; it may be
@@ -97,14 +101,12 @@ class OperatorReport:
 
 def _at_nodes(f: SampledFunction, n: int, ks, iv: Interval) -> list:
     """f(xi_k^n) for each k in ks, with xi_k^n computed as xi_nodes computes it."""
-    return [f(iv.from_local(Fraction(k, n))) for k in ks]
+    return [f(x) for x in _uniform_nodes(n, iv, ks)]
 
 
 def _tilde_lambdas(n: int, indices, f: SampledFunction, iv: Interval) -> list:
     """tilde-lambda_j^n f for each j in indices, sampling f once per node."""
-    minv = _colloc_inv(n)
-    fs = _at_nodes(f, n, range(n + 1), iv)
-    return [sum(c * y for c, y in zip(minv.row(j), fs)) for j in indices]
+    return _apply_rows(_colloc_inv(n), indices, _at_nodes(f, n, range(n + 1), iv))
 
 
 def tilde_lambda_apply(n: int, j: int, f: SampledFunction, iv: Interval = UNIT_INTERVAL):

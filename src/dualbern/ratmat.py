@@ -13,9 +13,10 @@ precision.  A :class:`Mat` also holds its entries as integer rows over one
 denominator, the form the closed forms compute: they hand over their
 integers (:func:`_from_common_denominator`), and a Fraction is built only
 when an entry is read.  Equality, hashing, :func:`inf_norm`,
-:func:`is_inverse` and the float view :func:`_float_rows` read the integers;
-``entries``, ``row``, ``col``, ``to_lists``, indexing, ``repr`` and the JSON
-writer read Fractions.  This module holds the :class:`Mat` container, the
+:func:`is_inverse`, the float view :func:`_float_rows` and :func:`_apply_rows`
+(rows of a matrix times float or exact data) read the integers; ``entries``,
+``row``, ``col``, ``to_lists``, indexing, ``repr`` and the JSON writer read
+Fractions.  This module holds the :class:`Mat` container, the
 exact inf-norm, the exact inverse test, the common-denominator helpers and
 the JSON writer the CLI uses.  No library path eliminates: every inverse
 the package needs has a closed form.
@@ -233,6 +234,24 @@ def _float_rows(a: Mat) -> list[list[float]]:
     correctly rounded int division, so each float equals float(entry)."""
     nums, den = a._ints()
     return [[x / den for x in row] for row in nums]
+
+
+def _apply_rows(a: Mat, rows, v) -> list:
+    """[sum(c * y for c, y in zip(a.row(r), v)) for r in rows], value and type,
+    read off the integer view.
+
+    On all-float v each product is x / den * y, which is float(entry) * y as
+    Fraction * float computes it, summed from 0 like the loop.  On exact v (ints
+    and Fractions) v goes over one denominator and each row is one integer
+    dot product and one Fraction.  Mixed v keeps the Fraction-row loop."""
+    if all(isinstance(y, float) for y in v):
+        nums, den = a._ints()
+        return [sum(map(operator.mul, map(den.__rtruediv__, nums[r]), v)) for r in rows]
+    if all(isinstance(y, (int, Fraction)) for y in v):
+        nums, den = a._ints()
+        vn, vd = _over_common_denominator(v)
+        return [Fraction(sum(map(operator.mul, nums[r], vn)), den * vd) for r in rows]
+    return [sum(c * y for c, y in zip(a.row(r), v)) for r in rows]
 
 
 def _over_common_denominator(xs) -> tuple[list[int], int]:

@@ -49,7 +49,7 @@ from .bernstein import (
     bernstein_value,
     xi_nodes,
 )
-from .ratmat import Mat, SingularMatrixError, _from_common_denominator, _is_inverse_over
+from .ratmat import Mat, SingularMatrixError, _apply_rows, _from_common_denominator, _is_inverse_over
 
 
 class SelectionError(ValueError):
@@ -180,8 +180,7 @@ class DualBasis:
             raise ValueError("bform builds B-forms of Bernstein-embedding bases only")
         if len(v) != self.m + 1:
             raise ValueError(f"need {self.m + 1} values, got {len(v)}")
-        coeffs = (sum(a * x for a, x in zip(self.A.row(r), v)) for r in range(self.m + 1))
-        return BPoly(self.m, self.interval, coeffs)
+        return BPoly(self.m, self.interval, _apply_rows(self.A, range(self.m + 1), v))
 
 
 def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) -> DualBasis:

@@ -14,6 +14,7 @@ C, and convergence diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from .bernstein import (
     bform_eval,
     uniform_grid,
 )
-from .ratmat import Mat, _float_rows, inf_norm
+from .ratmat import Mat, _float_rows, _from_common_denominator, inf_norm
 from .subspace import SelectionMap, bernstein_embedding, dual_basis, make_selection
 
 
@@ -88,12 +89,15 @@ def rate_constant(m: int) -> RateConstant:
     if m < 1:
         raise ValueError("m must be >= 1")
     rows, den = _collocation_int_rows(m)
-    C = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
+    # i (m-i) times the bracket is an integer; every row goes over 2 den lcm_i i (m-i)
+    lcm = math.lcm(*(i * (m - i) for i in range(1, m)))
+    C = [[0] * (m + 1) for _ in range(m + 1)]
     for i in range(1, m):
+        w = lcm // (i * (m - i))
         for j in range(m + 1):
-            bracket = Fraction(j * (j - 1), i) + Fraction((m - j) * (m - j - 1), m - i) - (m - 1)
-            C[i][j] = Fraction(rows[i][j], den) * bracket / 2
-    return RateConstant(m, Mat(C))
+            bracket = j * (j - 1) * (m - i) + (m - j) * (m - j - 1) * i - (m - 1) * i * (m - i)
+            C[i][j] = rows[i][j] * bracket * w
+    return RateConstant(m, _from_common_denominator(C, 2 * den * lcm))
 
 
 @dataclass(frozen=True)
@@ -132,7 +136,7 @@ def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRec
         raise ValueError("m must be >= 1")
     if not k_list:
         raise ValueError("k_list must be nonempty")
-    lagrange = np.array(_colloc_inv(m).to_lists(), dtype=float)
+    lagrange = np.array(_float_rows(_colloc_inv(m)))
     grid = uniform_grid(UNIT_INTERVAL, samples)
     colloc = _collocation_int_rows(m)
     out = []

@@ -6,6 +6,7 @@ import random
 import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from dualbern.bernstein import (
     _forward_differences,
     _int_pascal_sum,
     _power_diagonal,
+    _uniform_nodes,
     bernstein_value,
     bform_eval,
     bform_to_power,
@@ -363,6 +365,20 @@ def test_power_to_bform_memo_is_the_fresh_conversion():
             assert p._power is None, (n, c)
 
 
+def test_bform_to_power_pads_without_building_coeffs():
+    # the padding zero of a lazily built exact B-form comes from its power
+    # memo; every padding keeps the value and type of coeffs[0] * 0
+    p = power_to_bform([1, 2], 2000)
+    c = bform_to_power(p)
+    assert "coeffs" not in vars(p)
+    eager = BPoly(2000, UNIT_INTERVAL, power_to_bform([1, 2], 2000).coeffs)
+    assert repr(c) == repr(bform_to_power(eager)) and type(c[-1]) is F
+    for coeffs in [(1, 1, 1, 1), (-0.0, -0.0, -0.0), (0.0, 0.5, 1.0), (F(1, 3),) * 3, (2, 2.0)]:
+        q = BPoly(len(coeffs) - 1, UNIT_INTERVAL, coeffs)
+        zero = coeffs[0] * 0
+        assert repr(bform_to_power(q)[-1]) == repr(zero) and type(bform_to_power(q)[-1]) is type(zero)
+
+
 def _naive_pascal_sum(w, count):
     return [sum(math.comb(r, j) * x for j, x in enumerate(w)) for r in range(count)]
 
@@ -628,6 +644,25 @@ def test_xi_nodes():
     assert xi_nodes(2) == NodeVector(2, UNIT_INTERVAL, (F(0), F(1, 2), F(1)))
     iv = Interval(F(0), F(2))
     assert tuple(xi_nodes(4, iv)) == (F(0), F(1, 2), F(1), F(3, 2), F(2))
+
+
+def test_uniform_nodes_are_from_local():
+    # the one node formula against a + Fraction(k, n) (b - a), by type and
+    # repr, on exact, float, mixed and overflowing intervals
+    intervals = [
+        Interval(0, 1), Interval(F(1, 2), 2), Interval(-3, F(7, 5)), Interval(F(-1, 3), F(2, 7)),
+        Interval(10**30, 10**30 + 1), Interval(F(-10**20, 3), F(10**19, 7)),
+        Interval(0.0, 1.0), Interval(1.0, 3.0), Interval(0.1, 0.7), Interval(-1e308, 1e308),
+        Interval(1e16, 1e16 + 2.0), Interval(np.float64(-2.5), np.float64(1e-300)),
+        Interval(F(1, 3), 2.5), Interval(0.25, F(7, 3)), Interval(1, 2.5), Interval(-1e308, 10**308),
+    ]
+    for iv in intervals:
+        for n in range(1, 80):
+            ks = range(n + 1)
+            want = [iv.from_local(F(k, n)) for k in ks]
+            got = _uniform_nodes(n, iv, ks)
+            assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want], (iv, n)
+    assert _uniform_nodes(6, Interval(F(1, 2), 2), (4, 0)) == [F(3, 2), F(1, 2)]
 
 
 def test_elevation_maps_nodes_to_nodes():

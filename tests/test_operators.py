@@ -92,6 +92,24 @@ def test_colloc_inv_norm_is_computed_once_per_cache_entry(monkeypatch):
             bernstein._colloc_inv.cache_clear()
 
 
+def test_reports_read_the_cached_inverse_in_its_integer_view():
+    # on float data and on exact data the data map, the dual basis bform and
+    # the norms read integers: the cached M_n^{-1} builds no Fraction view
+    cases = ((UNIT_INTERVAL, lambda t: t * t), (Interval(F(1, 2), 2), math.sin),
+             (Interval(1.0, 3.0), math.exp), (Interval(F(1, 3), 2.5), math.sin))
+    bernstein._colloc_inv.cache_clear()
+    try:
+        for iv, f in cases:
+            for m, n in ((2, 8), (3, 24), (4, 40)):
+                s = make_selection(m, n, tuple(round(i * n / m) for i in range(m + 1)))
+                quasi_interpolant_report(m, n, s, f, iv)
+                bernstein_like_report(m, n, s, f, "c1", iv, d1=10.0)
+                assert bernstein._colloc_inv(n)._rows is None, (iv, n)
+                assert bernstein._colloc_inv(m)._rows is None, (iv, m)
+    finally:
+        bernstein._colloc_inv.cache_clear()
+
+
 def _recording(f):
     seen = []
 

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from dualbern.bernstein import elevation_matrix
 from dualbern.ratmat import (
     Mat,
     SingularMatrixError,
+    _apply_rows,
     _from_common_denominator,
     binomial,
     inf_norm,
@@ -201,6 +203,49 @@ def test_integer_and_fraction_views_agree():
         _from_common_denominator([[1]], 0)
     with pytest.raises(ValueError):
         _from_common_denominator([[1, 2], [3]], 1)
+
+
+def _row_loop(a, rows, v):
+    return [sum(c * y for c, y in zip(a.row(r), v)) for r in rows]
+
+
+_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+           1e308, -1.5, 0.1, np.float64(0.3), np.float64(-0.0), np.float64(math.inf))
+
+
+def test_apply_rows_matches_the_fraction_row_loop():
+    # value, type and float repr (which tells -0.0 from 0.0 and shows nan)
+    # against the Fraction-row loop, on float, exact and mixed data
+    rng = random.Random(20261019)
+
+    def floats(c):
+        return [rng.choice(_FLOATS) if rng.random() < 0.4 else rng.uniform(-1e3, 1e3) for _ in range(c)]
+
+    def exact(c):
+        return [rng.choice([True, False, 0, rng.randint(-10**30, 10**30),
+                            F(rng.randint(-99, 99), rng.randint(1, 10**9))]) for _ in range(c)]
+
+    def mixed(c):  # a float and an exact value whenever c >= 2
+        v = rng.sample(floats(c) + exact(c), max(c - 2, 0)) + [rng.uniform(-1, 1), F(1, 3)]
+        return rng.sample(v, c)
+
+    for nums, den in _integer_cases(rng):
+        c = len(nums[0])
+        rows = rng.sample(range(len(nums)), rng.randint(1, len(nums)))
+        for make in (floats, exact, mixed):
+            v = make(c)
+            a = _from_common_denominator(nums, den)
+            with np.errstate(all="ignore"):  # numpy scalars warn on inf - inf, in both
+                got, want = _apply_rows(a, rows, v), _row_loop(a, rows, v)
+            assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want], (nums, den, v)
+            if make is not mixed:
+                b = _from_common_denominator(nums, den)
+                with np.errstate(all="ignore"):
+                    _apply_rows(b, rows, v)
+                assert b._rows is None  # float and exact data read the integer view only
+    a = Mat([["1/3", "-2/7"], [0, "5/2"]])
+    assert _apply_rows(a, [1, 0], [1, F(1, 2)]) == [F(5, 4), F(4, 21)]
+    assert _apply_rows(a, [0], [3.0, 0.0]) == [1.0]
 
 
 def test_is_inverse_is_the_product_check():
