@@ -206,24 +206,29 @@ def bform_eval(coeffs, iv: Interval, ts) -> np.ndarray:
     """de Casteljau on a float grid, vectorised over the points.
 
     ``coeffs`` is one coefficient vector (result shape (len(ts),)) or an
-    (m+1) x k array whose columns are k polynomials (result (len(ts), k)).
-    Entries are converted to float first, which is what the scalar sweep of
-    :func:`de_casteljau_eval` does with exact coefficients at a float point;
-    the sweeps use only elementwise * and + in the scalar order, so every
-    value equals ``de_casteljau_eval`` at that point bit for bit.
+    (m+1) x k array whose columns are k polynomials (result (len(ts), k));
+    ``ts`` is flattened.  Entries are converted to float first, which is what
+    the scalar sweep of :func:`de_casteljau_eval` does with exact coefficients
+    at a float point; the sweeps use only elementwise * and + in the scalar
+    order, so every value equals ``de_casteljau_eval`` at that point bit for
+    bit.  The points sit on the last axis: the first sweep reads the
+    coefficients broadcast over them, and the later sweeps overwrite its
+    array in place through one scratch buffer; the result is its transpose.
     """
     import numpy as np
 
-    u = (np.asarray(ts, dtype=float) - float(iv.a)) / float(iv.width)
-    b = np.array(coeffs, dtype=float)
-    u = u.reshape((-1,) + (1,) * (b.ndim - 1))
+    u = (np.asarray(ts, dtype=float).ravel() - float(iv.a)) / float(iv.width)
+    b = np.array(coeffs, dtype=float)[..., np.newaxis]
     w = 1.0 - u
-    b = b[:, np.newaxis] * np.ones_like(u)
     # like the scalar sweep, overflow and inf * 0 give inf/nan without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(len(b) - 1):
-            b = w * b[:-1] + u * b[1:]
-    return b[0]
+        x = w * b[:-1] + u * b[1:] if len(b) > 1 else b * np.ones_like(u)
+        scratch = np.empty_like(x[1:])
+        for top in range(len(x) - 1, 0, -1):
+            np.multiply(u, x[1:top + 1], out=scratch[:top])
+            x[:top] *= w
+            x[:top] += scratch[:top]
+    return x[0].T
 
 
 def collocation_matrix(n: int) -> Mat:

@@ -199,18 +199,31 @@ def _is_inverse_over(rows, den: int, b: Mat) -> bool:
     """True iff (rows / den) . b is exactly the identity, rows integer rows
     (the numerators of a over a common denominator den).
 
-    b is read in its integer view, so each integer dot product is compared
-    with the product of the two denominators on the diagonal and with 0 off
-    it: no product matrix and no Fraction is built.  ValueError unless a and
-    b are both n x n."""
+    b is read in its integer view and its rows are packed into integers
+    (Kronecker substitution), P_j = sum_c b(j, c) 2^(cB), so row i of a times
+    the P_j is sum_c (a . b)(i, c) 2^(cB), compared with one 2^(iB) for
+    one = den * bden.  With B = max(bits(max|a|) + bits(max|b|) + bits(n),
+    bits(one)) + 1, every slot d of a . b - one I has
+    |d| <= n max|a| max|b| + |one| < 2^B, and such base-2^B digits are unique
+    (the lowest nonzero d_c of a zero sum would be a multiple of 2^B), so the
+    packed equality holds exactly when every entry does.  That is n^2 integer
+    products; no product matrix and no Fraction is built.  ValueError unless
+    a and b are both n x n."""
     n = len(rows)
     if not len(rows[0]) == b.rows == b.cols == n:
         raise ValueError(f"is_inverse needs n x n matrices: {n}x{len(rows[0])}, {b.rows}x{b.cols}")
     bnums, bden = b._ints()
     one = den * bden
-    cols = list(zip(*bnums))
-    return all(sum(map(operator.mul, ra, cb)) == (one if i == j else 0)
-               for i, ra in enumerate(rows) for j, cb in enumerate(cols))
+    width = 1 + max(_max_abs(rows).bit_length() + _max_abs(bnums).bit_length() + n.bit_length(),
+                    abs(one).bit_length())
+    shifts = range(0, n * width, width)
+    packed = [sum(map(operator.lshift, row, shifts)) for row in bnums]
+    return all(sum(map(operator.mul, ra, packed)) == one << shift
+               for ra, shift in zip(rows, shifts))
+
+
+def _max_abs(rows) -> int:
+    return max(map(abs, chain.from_iterable(rows)))
 
 
 def inf_norm(a: Mat) -> Fraction:

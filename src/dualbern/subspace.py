@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .bernstein import (
@@ -91,8 +92,9 @@ class SelectionMap:
 
 
 def make_selection(m: int, n: int, indices) -> SelectionMap:
-    """Validate and build a selection map; raises a SelectionError subclass."""
-    idx = tuple(int(i) for i in indices)
+    """Validate and build a selection map; raises a SelectionError subclass.
+    Indices go through ``operator.index``, so a float is refused, not truncated."""
+    idx = tuple(map(_selection_index, indices))
     if len(idx) != m + 1:
         raise WrongLengthError(f"selection needs {m + 1} indices, got {len(idx)}")
     for i in idx:
@@ -101,6 +103,13 @@ def make_selection(m: int, n: int, indices) -> SelectionMap:
     if len(set(idx)) != len(idx):
         raise NotInjectiveError(f"selection indices must be distinct, got {idx}")
     return SelectionMap(m, n, idx)
+
+
+def _selection_index(i) -> int:
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise SelectionError(f"selection index {i!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -203,8 +212,14 @@ def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) ->
 
         A(r, i) = sum_{j<=r} C(r, j) / C(m, j) * C(n, j) j! q_j / D_i,
 
-    summed in integers over lcm_j C(m, j); the columns are brought over the
-    lcm of their denominators and A is handed over as integers.  Power
+    summed in integers over lcm_j C(m, j) D_i; each column's scale also
+    takes it to the lcm of those denominators, so A is handed over as
+    integers.  A symmetric
+    selection, s(i) + s(m-i) = n in the given order, has a centrosymmetric
+    A, A(r, m-i) = A(m-r, i): the reflection R p(u) = p(1-u) maps B_j^m to
+    B_{m-j}^m and satisfies lambda_k^n(R p) = lambda_{n-k}^n(p), so
+    R D_i is dual to the selection at m-i and equals D_{m-i}.  Columns
+    0..floor(m/2) are built and reversed for the rest.  Power
     embedding: E(s,:) holds the unit rows e_{s(i)} (zero rows for s(i) > m),
     so A = E(s,:)^T when {s(i)} = {0..m}; otherwise SingularMatrixError
     names the first column c not in s, where elimination finds no pivot.
@@ -221,7 +236,8 @@ def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) ->
 
 
 def _bernstein_dual_matrix(m: int, n: int, s: tuple) -> Mat:
-    """E(s,:)^{-1} for the Bernstein embedding by the closed form of :func:`dual_basis`."""
+    """E(s,:)^{-1} for the Bernstein embedding by the closed form of
+    :func:`dual_basis`; a symmetric selection builds half the columns."""
     _check_row_indices(s, n)
     lcm = math.lcm(*(math.comb(m, j) for j in range(m + 1)))
     # C(n, j) j! = (n)_j: the j! of Delta^j N_i(0) = j! q_j is folded in
@@ -229,19 +245,19 @@ def _bernstein_dual_matrix(m: int, n: int, s: tuple) -> Mat:
     full = [1]  # a_j: N(t) = prod_r (t - s(r)) in the falling factorials (t)_j
     for c in s:
         full = [x + (j - c) * y for j, (x, y) in enumerate(zip([0] + full, full + [0]))]
-    cols, denoms = [], []
-    for i, si in enumerate(s):
-        denom = math.prod(si - x for x in s[:i] + s[i + 1:]) * lcm
-        if denom == 0:
-            raise SingularMatrixError(f"singular matrix: selection index {si} repeats")
-        w, q = [0] * (m + 1), 0
+    denoms = [math.prod(si - x for x in s[:i] + s[i + 1:]) * lcm for i, si in enumerate(s)]
+    if 0 in denoms:
+        raise SingularMatrixError(f"singular matrix: selection index {s[denoms.index(0)]} repeats")
+    den = math.lcm(*denoms)  # column i is over denoms[i]: scaled by den // denoms[i]
+    symmetric = all(si + s[m - i] == n for i, si in enumerate(s))
+    cols = []
+    for si, d in zip(s[:m // 2 + 1] if symmetric else s, denoms):
+        w, q, f = [0] * (m + 1), 0, den // d
         for j in range(m + 1, 0, -1):  # N_i = N / (t - s(i)) by synthetic division
             q = full[j] - (j - si) * q
-            w[j - 1] = q * scale[j - 1]
+            w[j - 1] = q * scale[j - 1] * f
         cols.append(_int_pascal_sum(w, m + 1))
-        denoms.append(denom)
-    den = math.lcm(*denoms)  # column i is over denoms[i]; bring every column over den
-    cols = [[x * (den // d) for x in col] for col, d in zip(cols, denoms)]
+    cols += [col[::-1] for col in reversed(cols[:m + 1 - len(cols)])]
     return _from_common_denominator(zip(*cols), den)
 
 

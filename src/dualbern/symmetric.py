@@ -27,7 +27,7 @@ from .bernstein import (
     uniform_grid,
 )
 from .ratmat import Mat, _float_rows, _from_common_denominator, inf_norm
-from .subspace import SelectionMap, bernstein_embedding, dual_basis, make_selection
+from .subspace import SelectionMap, _bernstein_dual_matrix, bernstein_embedding, make_selection
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,10 @@ def selected_elevation_rows(m: int, k: int) -> Mat:
 
 
 def symmetric_dual_matrix(m: int, k: int) -> Mat:
-    """A_{m,k} = E(s,:)^{-1}, exact; the identity when k = 1."""
-    cfg = SymmetricConfig(m, k)
-    return dual_basis(bernstein_embedding(m, cfg.n), cfg.selection()).A
+    """A_{m,k} = E(s,:)^{-1}, exact; the identity when k = 1.  The kernel
+    builds half its columns, as for every symmetric selection."""
+    SymmetricConfig(m, k)
+    return _bernstein_dual_matrix(m, m * k, tuple(range(0, m * k + 1, k)))
 
 
 def rate_constant(m: int) -> RateConstant:
@@ -120,6 +121,11 @@ def _scaled_elevation_distance(colloc: list[list[int]], mm: int, k: int) -> Frac
     return Fraction(k * top, mm * cnm)
 
 
+# values per sweep array of one bform_eval call in convergence_table: a group
+# of k holds at most this many, so memory does not grow with the k list or grid
+_GROUP_VALUES = 1 << 16
+
+
 def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRecord]:
     """Distance diagnostics of D^{m,k} from the Lagrange basis, per k.
 
@@ -128,23 +134,33 @@ def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRec
     (collocation_matrix(m) - E(s,:)), which stabilizes near inf_norm(C).
     The grid is the only float work here; numpy is imported on first call.
     The float matrix of each A_{m,k} is read off its integer view, so its
-    Fraction entries are never built.
+    Fraction entries are never built.  The differences A_k - A_L of a group
+    of k sit side by side in one block for one :func:`bform_eval` call, and
+    each k takes the maximum of its own columns (exact, so no bit moves); a
+    group's sweep array holds at most ``_GROUP_VALUES`` values, or one k.
+    ``k_list`` may be any iterable.
     """
     import numpy as np
 
     if m < 1:
         raise ValueError("m must be >= 1")
+    k_list = list(k_list)
     if not k_list:
         raise ValueError("k_list must be nonempty")
     lagrange = np.array(_float_rows(_colloc_inv(m)))
     grid = uniform_grid(UNIT_INTERVAL, samples)
     colloc = _collocation_int_rows(m)
+    group = max(1, _GROUP_VALUES // (m * (m + 1) * samples))
     out = []
-    for k in k_list:
-        diff = np.array(_float_rows(symmetric_dual_matrix(m, k))) - lagrange
-        sup = float(np.max(np.abs(bform_eval(diff, UNIT_INTERVAL, grid))))
-        scaled = float(_scaled_elevation_distance(*colloc, k))
-        out.append(ConvergenceRecord(k=k, sup_dist=sup, scaled_mat_dist=scaled))
+    for g in range(0, len(k_list), group):
+        ks = k_list[g:g + group]
+        diffs = np.array([_float_rows(symmetric_dual_matrix(m, k)) for k in ks]) - lagrange
+        block = diffs.transpose(1, 0, 2).reshape(m + 1, -1)  # column (m+1) j + i: D_i - L_i of the j-th k
+        col_sups = np.abs(bform_eval(block, UNIT_INTERVAL, grid)).max(axis=0)
+        sups = col_sups.reshape(len(ks), m + 1).max(axis=1)
+        for k, sup in zip(ks, sups):
+            scaled = float(_scaled_elevation_distance(*colloc, k))
+            out.append(ConvergenceRecord(k=k, sup_dist=float(sup), scaled_mat_dist=scaled))
     return out
 
 

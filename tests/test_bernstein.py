@@ -182,6 +182,42 @@ def test_bform_eval_nonfinite_is_silent_like_the_scalar_sweep():
         assert [repr(x) for x in got] == [repr(x) for x in expect]
 
 
+def test_bform_eval_keeps_the_float_bits_of_the_scalar_sweep():
+    # float.hex equality with de_casteljau_eval for one vector and for a block of
+    # k columns, for scalar, list and array points, at every degree from 0
+    def hexes(values):
+        return [float(x).hex() for x in values]
+
+    rng = random.Random(20261019)
+    special = [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
+    for iv in (UNIT_INTERVAL, Interval(1.0, 3.0)):
+        grid = uniform_grid(iv, 17)
+        for ts in (float(grid[3]), grid.tolist(), grid, grid.reshape(1, -1)):
+            points = np.ravel(ts).tolist()
+            for m in (0, 1, 2, 3, 7):
+                cols = [[rng.choice(special) if rng.random() < 0.2 else rng.uniform(-9, 9)
+                         for _ in range(m + 1)] for _ in range(4)]
+                block = np.array(cols).T
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # overflow and inf * 0 stay silent
+                    got = bform_eval(block, iv, ts)
+                    one = bform_eval(cols[0], iv, ts)
+                assert got.shape == (len(points), len(cols)) and one.shape == (len(points),)
+                for j, col in enumerate(cols):
+                    want = hexes(de_casteljau_eval(BPoly(m, iv, col), t) for t in points)
+                    assert hexes(got[:, j]) == want, (m, col)
+                    if j == 0:
+                        assert hexes(one) == want, (m, col)
+    # an overflow in the first sweep and inf - inf in a later one
+    ts = uniform_grid(UNIT_INTERVAL, 9)
+    for col in ([1e308, 1e308, -1e308, 1e308], [math.inf, -1e308, 1e308, -math.inf]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bform_eval(col, UNIT_INTERVAL, ts)
+        p = BPoly(len(col) - 1, UNIT_INTERVAL, col)
+        assert hexes(got) == hexes(de_casteljau_eval(p, t) for t in ts.tolist())
+
+
 def test_elevation_goldens():
     assert elevation_matrix(1, 2) == Mat([[1, 0], ["1/2", "1/2"], [0, 1]])
     assert elevation_matrix(3, 3) == Mat.identity(4)

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,6 +19,7 @@ from oracle import (
 )
 
 from dualbern.bernstein import elevation_matrix
+from dualbern.symmetric import selected_elevation_rows, symmetric_dual_matrix
 from dualbern.ratmat import (
     Mat,
     SingularMatrixError,
@@ -274,6 +276,48 @@ def test_is_inverse_is_the_product_check():
             assert got == (mat_mul(x, y) == Mat.identity(n)), (x, y)
             verdicts.append(got)
     assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+    def check(x, y):
+        got = is_inverse(x, y)
+        assert got == (mat_mul(x, y) == Mat.identity(x.rows)), (x, y)
+        return got
+
+    # near misses of the packed product: every entry of a true inverse's integer
+    # view moved by +-1, one at a time, on dual matrices and on entries of 2^200
+    # and more (a determinant -1 matrix times 3 / 2^250 and its inverse, and a
+    # unimodular pair with 2^300 entries)
+    big = 1 << 200
+    pairs = [(selected_elevation_rows(m, k), symmetric_dual_matrix(m, k)) for m, k in ((3, 4), (6, 8))]
+    pairs.append((_from_common_denominator([[3 * big + 3, 3 * big], [3 * big, 3 * big - 3]], 1 << 250),
+                  _from_common_denominator([[(1 - big) << 250, big << 250],
+                                            [big << 250, -(big + 1) << 250]], 3)))
+    u = _from_common_denominator([[1, big << 100, 3], [0, 1, big], [0, 0, 1]], 1)
+    pairs.append((u, mat_inv(u)))
+    for a, b in pairs:
+        assert check(a, b) and check(b, a)
+        nums, den = b._ints()
+        for i, j in product(range(b.rows), range(b.cols)):
+            for step in (1, -1):
+                moved = [list(row) for row in nums]
+                moved[i][j] += step
+                assert not check(a, _from_common_denominator(moved, den)), (i, j, step)
+
+    # a . b = [[one - K, 1, 0], [0, one, 0], [0, 0, one]] with K = 2^(B - 1): the
+    # error -K in slot 0 of row 0 is cancelled by the +1 in slot 1 when the slots
+    # are one bit narrower than B = bits(max|a|) + bits(max|b|) + bits(3) + 1
+    # (57 + 5 + 2 + 1 bits here, and bits(one) = 64)
+    a_rows = [[-64134830667709815, -135557710274932109, -138570103836597267],
+              [132705228566596260, 68489814593546684, -137277843183872236],
+              [138570103836580664, -131114753917108964, 73261238542008572]]
+    one = 9328034414577398084
+    b = _from_common_denominator([[14, 31, 31], [31, 16, -30], [29, -30, 15]], 1)
+    narrow = 57 + 5 + 2
+    packed = [sum(x << (c * narrow) for c, x in enumerate(row)) for row in b._ints()[0]]
+    assert all(sum(x * y for x, y in zip(row, packed)) == one << (i * narrow)
+               for i, row in enumerate(a_rows))
+    a = _from_common_denominator(a_rows, one)
+    assert a._ints() == (tuple(map(tuple, a_rows)), one)
+    assert not check(a, b)
     for (r1, c1), (r2, c2) in [((2, 3), (3, 2)), ((3, 2), (2, 3)), ((2, 2), (3, 3)),
                                ((2, 2), (2, 3)), ((3, 3), (3, 2))]:
         with pytest.raises(ValueError, match="is_inverse needs n x n matrices"):

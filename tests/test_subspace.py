@@ -5,6 +5,7 @@ import re
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 from oracle import is_row_affine, left_functionals, mat_inv, mat_mul, right_functionals, row_select
 
@@ -40,6 +41,14 @@ def test_make_selection_errors():
         make_selection(2, 6, (0, 3, 7))
     with pytest.raises(NotInjectiveError):
         make_selection(2, 6, (0, 3, 3))
+    # a non-integral index is an error, not truncated to another index; ints,
+    # bools and numpy integers pass through operator.index
+    for bad in (2.7, 2.0, "2", F(2)):
+        message = f"^selection index {re.escape(repr(bad))} is not an integer$"
+        with pytest.raises(SelectionError, match=message):
+            make_selection(2, 4, (0, bad, 4))
+    assert make_selection(2, 4, (0, True, np.int64(4))).indices == (0, 1, 4)
+    assert all(type(i) is int for i in make_selection(2, 4, (np.int32(0), True, 4)))
     # all three are SelectionError (and ValueError) subclasses
     assert issubclass(WrongLengthError, SelectionError)
     assert issubclass(SelectionError, ValueError)
@@ -77,6 +86,31 @@ def test_closed_form_dual_matches_gauss_jordan():
         emb = bernstein_embedding(m, n)
         s = make_selection(m, n, sel)
         assert dual_basis(emb, s).A == mat_inv(row_select(emb.E, s)), (m, n, sel)
+
+
+def test_symmetric_selections_build_the_oracle_inverse():
+    # s(i) + s(m-i) = n in the given order: the kernel builds half the columns and
+    # reverses them; the result is still the inverse of E(s,:)
+    rng = random.Random(20261019)
+    cases = [(m, m * k, tuple(range(0, m * k + 1, k))) for m in range(7) for k in (1, 2, 5)]
+    for m in range(9):  # non-uniform symmetric selections, m odd and even, m = 0 and 1
+        for n in (2 * m, 2 * m + 1, 3 * m + 4, 40):
+            half = sorted(rng.sample(range((n + 1) // 2), (m + 1) // 2))
+            if m % 2 == 0:  # the middle index is n / 2, so n is even
+                n += n % 2
+                half.append(n // 2)
+            sel = tuple(half) + tuple(n - x for x in reversed(half[:(m + 1) // 2]))
+            cases += [(m, n, sel), (m, n, sel[::-1])]  # and in reversed order
+    for m, n, sel in cases:
+        assert len(sel) == m + 1 and all(sel[i] + sel[m - i] == n for i in range(m + 1)), sel
+        emb = bernstein_embedding(m, n)
+        db = dual_basis(emb, make_selection(m, n, sel))
+        assert db.A == mat_inv(row_select(emb.E, sel)), (m, n, sel)
+        assert verify_duality(db)
+    # a repeated index names the first index that repeats, symmetric or not
+    for sel, first in (((2, 2, 2), 2), ((1, 3, 1, 3), 1), ((0, 2, 2, 4), 2), ((0, 3, 3), 3)):
+        with pytest.raises(SingularMatrixError, match=f"^singular matrix: selection index {first} repeats$"):
+            dual_basis(bernstein_embedding(len(sel) - 1, 4), SelectionMap(len(sel) - 1, 4, sel))
 
 
 def test_closed_form_dual_rejects_what_gauss_jordan_rejects():

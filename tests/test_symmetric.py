@@ -11,15 +11,21 @@ import math
 from fractions import Fraction as F
 from itertools import product
 
+import numpy as np
 import pytest
 from oracle import is_row_affine, mat_mul, mat_sub, row_select
 from reference_tables import REFERENCE_TABLES, mat_from_table
 
+from dualbern import symmetric
 from dualbern.bernstein import (
+    UNIT_INTERVAL,
+    _colloc_inv,
     _collocation_int_rows,
+    bform_eval,
     bernstein_value,
     collocation_matrix,
     elevation_matrix,
+    uniform_grid,
 )
 from dualbern.ratmat import Mat, inf_norm
 from dualbern.symmetric import (
@@ -185,6 +191,36 @@ def test_convergence_table_m2_closed_form():
         assert abs(rec.scaled_mat_dist - rec.k / (2 * rec.k - 1)) <= 1e-12
     sups = [rec.sup_dist for rec in table]
     assert sups == sorted(sups, reverse=True)
+
+
+def _per_k_convergence_table(m, ks, samples):
+    """One bform_eval call per k: the table without groups."""
+    lagrange = np.array([[float(x) for x in row] for row in _colloc_inv(m).to_lists()])
+    grid = uniform_grid(UNIT_INTERVAL, samples)
+    out = []
+    for k in ks:
+        diff = np.array([[float(x) for x in row] for row in symmetric_dual_matrix(m, k).to_lists()])
+        sup = float(np.max(np.abs(bform_eval(diff - lagrange, UNIT_INTERVAL, grid))))
+        scaled = float(_scaled_elevation_distance(*_collocation_int_rows(m), k))
+        out.append(ConvergenceRecord(k=k, sup_dist=sup, scaled_mat_dist=scaled))
+    return out
+
+
+def test_convergence_table_groups_match_the_per_k_evaluation():
+    # groups of k share one bform_eval call; the records are those of one call
+    # per k, bit for bit, also where the k list spans several groups
+    for m, ks, samples in ((12, range(1, 41), 401), (3, range(1, 41), 401), (6, range(1, 7), 201),
+                           (2, [5, 1, 3, 3], 11)):
+        group = max(1, symmetric._GROUP_VALUES // (m * (m + 1) * samples))
+        assert (len(ks) > group) == (m in (12, 3))
+        want = _per_k_convergence_table(m, ks, samples)
+        got = convergence_table(m, list(ks), samples)
+        assert [(r.k, r.sup_dist.hex(), r.scaled_mat_dist) for r in got] == \
+            [(r.k, r.sup_dist.hex(), r.scaled_mat_dist) for r in want]
+    # any iterable works as the k list, a generator included
+    want = convergence_table(3, [1, 2, 3, 4])
+    assert convergence_table(3, range(1, 5)) == want
+    assert convergence_table(3, (k for k in (1, 2, 3, 4))) == want
 
 
 def test_convergence_table_rejects_empty():

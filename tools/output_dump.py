@@ -12,7 +12,10 @@ order, a line holds the workload, the case key and a ``repr``:
 After the catalogue come ``extra`` lines: operator reports and operator
 coefficients on inputs the catalogue does not hold (a mixed Fraction/float
 interval, exact data at n = 40, and data that is int at some nodes and float
-at others).
+at others); convergence tables at m = 8 and 12 and one whose k list spans
+several evaluation groups; and dual bases with their duality check on
+non-uniform symmetric selections (m odd and even) and on a symmetric
+selection in reversed order.
 
 Run it in two checkouts and compare the files::
 
@@ -59,6 +62,11 @@ def _extras():
             report = db.bernstein_like_report(m, n, s, f, kind, iv, d1=d1)
             p = db.bernstein_like(m, n, s, f, iv)
         yield name, (report, p.coeffs)
+    for m, ks, samples in ((8, range(1, 13), 201), (12, range(1, 13), 201), (3, range(1, 41), 401)):
+        yield f"conv:{m}:{ks.stop - 1}:{samples}", db.convergence_table(m, ks, samples)
+    for m, n, s in ((3, 17, (0, 5, 12, 17)), (4, 20, (1, 4, 10, 16, 19)), (5, 30, (30, 27, 18, 12, 3, 0))):
+        basis = db.dual_basis(db.bernstein_embedding(m, n), db.make_selection(m, n, s))
+        yield f"dual:{m}:{n}:{','.join(map(str, s))}", (wl.mat_digest(basis.A), db.verify_duality(basis))
 
 
 def main() -> None:
