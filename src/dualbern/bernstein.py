@@ -30,10 +30,13 @@ C(n, j)^{-1} B_j^n.  Building it is O(n^2) integer arithmetic.
 Exactness convention: whenever inputs are ints or Fractions, results are
 exact Fractions; float inputs flow through as floats.  All matrices returned
 here are exact (:class:`dualbern.ratmat.Mat`).  The one float layer is
-:func:`uniform_grid` with :func:`bform_eval`: every float sample grid and
-every grid evaluation of a B-form polynomial in the package goes through it.
-It is the only part of this module that uses numpy, and it imports numpy
-when first called, so the exact layer loads without it.
+:func:`uniform_grid` with :func:`bform_eval` and :func:`_basis_sum_eval` (the
+scalar basis sum, which the basis plot reads): every float sample grid and
+every grid evaluation of a B-form polynomial in the package goes through it,
+and each reads the interval's endpoints as floats once per interval
+(``Interval._float_aw``).  It is the only part of this module that uses
+numpy, and it imports numpy when first called, so the exact layer loads
+without it.
 """
 
 from __future__ import annotations
@@ -55,6 +58,23 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+class _memo:
+    """A method read as an attribute and computed once per instance: the
+    first read stores the value in the instance ``__dict__``, which shadows
+    this non-data descriptor from then on.  functools.cached_property does the
+    same, but takes a lock on every first read up to Python 3.11, which costs
+    more than the float conversions it would save on a float interval."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Interval:
     """A nondegenerate interval [a, b], a < b.
@@ -72,6 +92,13 @@ class Interval:
     @property
     def width(self):
         return self.b - self.a
+
+    @_memo
+    def _float_aw(self) -> tuple[float, float]:
+        """(float(a), float(width)), the two floats every grid formula reads;
+        computed on first read and kept on the instance (it is not a field,
+        so equality, hashing and ``repr`` do not see it)."""
+        return float(self.a), float(self.width)
 
     def is_exact(self) -> bool:
         return _is_exact(self.a) and _is_exact(self.b)
@@ -192,7 +219,7 @@ def uniform_grid(iv: Interval, samples: int) -> np.ndarray:
 
     if samples < 2:
         raise ValueError(f"a grid needs samples >= 2, got {samples}")
-    a, w = float(iv.a), float(iv.width)
+    a, w = iv._float_aw
     if not math.isfinite(w * (samples - 1)):
         raise OverflowError(f"grid of {samples} points on [{iv.a}, {iv.b}] overflows")
     grid = a + w * np.arange(samples) / (samples - 1)
@@ -217,7 +244,8 @@ def bform_eval(coeffs, iv: Interval, ts) -> np.ndarray:
     """
     import numpy as np
 
-    u = (np.asarray(ts, dtype=float).ravel() - float(iv.a)) / float(iv.width)
+    a, width = iv._float_aw
+    u = (np.asarray(ts, dtype=float).ravel() - a) / width
     b = np.array(coeffs, dtype=float)[..., np.newaxis]
     w = 1.0 - u
     # like the scalar sweep, overflow and inf * 0 give inf/nan without a warning
@@ -229,6 +257,31 @@ def bform_eval(coeffs, iv: Interval, ts) -> np.ndarray:
             x[:top] *= w
             x[:top] += scratch[:top]
     return x[0].T
+
+
+def _basis_sum_eval(coeffs, iv: Interval, ts) -> np.ndarray:
+    """sum_j B_j^m(t) coeffs[j] on a float grid, as the scalar basis sum forms it.
+
+    ``coeffs`` is an (m+1) x k array whose columns are k polynomials; the
+    result is (len(ts), k).  Each value equals ``sum(bernstein_value(m, j, t,
+    iv) * coeffs[j][i] for j in range(m + 1))`` bit for bit (the sum of
+    :func:`~dualbern.subspace.dual_basis_eval` when the columns are its
+    float A): u is the float :meth:`Interval.to_local` computes, the powers
+    are Python's ``**`` per point (``pow`` over each column of u and 1 - u),
+    and the sum runs over j from 0.0 with elementwise * and +."""
+    import numpy as np
+
+    a, width = iv._float_aw
+    u = (np.asarray(ts, dtype=float).ravel() - a) / width
+    us, vs = u.tolist(), (1.0 - u).tolist()
+    c = np.array(coeffs, dtype=float)
+    m = len(c) - 1
+    acc = np.zeros((len(us), c.shape[1]))
+    for j, row in enumerate(c):
+        vp = np.fromiter(map(pow, vs, repeat(m - j)), float, len(vs))
+        up = np.fromiter(map(pow, us, repeat(j)), float, len(us))
+        acc = acc + (float(math.comb(m, j)) * vp * up)[:, np.newaxis] * row
+    return acc
 
 
 def collocation_matrix(n: int) -> Mat:

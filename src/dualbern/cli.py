@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .bernstein import Interval, bernstein_value, bform_eval, elevation_matrix, uniform_grid
+from .bernstein import Interval, _basis_sum_eval, bform_eval, elevation_matrix, uniform_grid
 from .ratmat import SingularMatrixError, _float_rows, mat_to_json_obj
 from .subspace import (
     SelectionMap,
@@ -117,10 +117,8 @@ class RegistryFn:
 
 
 FN_REGISTRY = {
-    "sin": RegistryFn("sin", lambda t: math.sin(t), _sup_abs_cos, _sup_abs_sin),
-    "exp": RegistryFn(
-        "exp", lambda t: math.exp(t), lambda a, b: math.exp(b), lambda a, b: math.exp(b)
-    ),
+    "sin": RegistryFn("sin", math.sin, _sup_abs_cos, _sup_abs_sin),
+    "exp": RegistryFn("exp", math.exp, lambda a, b: math.exp(b), lambda a, b: math.exp(b)),
     "sq": RegistryFn(
         "sq", lambda t: t * t, lambda a, b: 2.0 * max(abs(a), abs(b)), lambda a, b: 2.0
     ),
@@ -366,13 +364,9 @@ def _cmd_plot(args) -> int:
     ts = uniform_grid(iv, samples).tolist()
 
     if args.kind == "basis":
-        # dual_basis_eval's sum, with B_j^m(t) formed once per point and A
-        # converted to float once: Fraction * float already goes through float()
-        a = _float_rows(db.A)
-        values = []
-        for t in ts:
-            b = [bernstein_value(args.m, j, t, iv) for j in range(args.m + 1)]
-            values.append([sum(bj * row[i] for bj, row in zip(b, a)) for i in range(args.m + 1)])
+        # dual_basis_eval's sum on A converted to float once: Fraction * float
+        # already goes through float()
+        values = _basis_sum_eval(_float_rows(db.A), iv, ts).tolist()
         curves = [
             ([(t, row[i]) for t, row in zip(ts, values)], False) for i in range(args.m + 1)
         ]

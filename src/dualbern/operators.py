@@ -17,9 +17,14 @@ certified: where it takes sup|f| or omega(f, w) from a grid it is an
 estimate (see :class:`OperatorReport`).
 
 Per call, a report builds the dual basis of its selection and the norm of
-its A, and samples f: at the nodes the operator reads (n+1 for Q_s, m+1 for
-D_m), on the report grid, and on the least-squares grid (Q_s) or the
-modulus grid (the C0 bound).  Once per degree it builds M_n^{-1} (the cache
+its A, and samples f once per point, each grid in one C-level loop: at the
+nodes the operator reads (n+1 for Q_s, m+1 for D_m), on the report grid, and
+on the least-squares grid (Q_s) or the modulus grid (the C0 bound).  At the
+default 201 samples the report grid of Q_s is every other point of its
+401-point least-squares grid, so Q_s samples n+1+401 points (n+1+samples+401
+otherwise); D_m samples m+1+samples, plus 1025 for the C0 bound, whose
+omega(f, b - a) is max - min over the whole modulus grid (one window).
+Once per degree it builds M_n^{-1} (the cache
 of :func:`~dualbern.bernstein._colloc_inv`) and its exact norm, which
 :func:`~dualbern.ratmat.inf_norm` keeps on that cached matrix, so clearing
 the cache drops both.  Both operators turn data into coefficients in one
@@ -138,15 +143,26 @@ def quasi_interpolant(
 
 
 def _sample(f: SampledFunction, ts: np.ndarray) -> np.ndarray:
-    """float(f(t)) on the grid; f sees Python floats, never numpy scalars."""
-    return np.array([float(f(t)) for t in ts.tolist()])
+    """float(f(t)) on the grid, in one C-level loop; f sees Python floats,
+    never numpy scalars.  ``float`` is applied before numpy sees a value, so
+    an f that returns None or a complex raises TypeError, as float() does."""
+    return np.fromiter(map(float, map(f, ts.tolist())), float, len(ts))
 
 
-def _sampled_error(f: SampledFunction, p: BPoly, samples: int) -> tuple[np.ndarray, float]:
-    """f on the report grid, and the grid sup of |f - p|."""
-    ts = uniform_grid(p.interval, samples)
-    fs = _sample(f, ts)
-    return fs, float(np.max(np.abs(fs - bform_eval(p.coeffs, p.interval, ts))))
+def _grid_error(fs: np.ndarray, ts: np.ndarray, p: BPoly) -> float:
+    """The grid sup of |f - p|, from the samples fs of f at ts."""
+    return float(np.max(np.abs(fs - bform_eval(p.coeffs, p.interval, ts))))
+
+
+_LSTSQ_SAMPLES = 401
+
+
+def _lstsq_residual(ts: np.ndarray, vals: np.ndarray, m: int, iv: Interval) -> float:
+    """Max residual of the least-squares fit of vals at ts by degree m."""
+    a, width = iv._float_aw
+    vand = np.vander((ts - a) / width, m + 1, increasing=True)
+    coef, *_ = np.linalg.lstsq(vand, vals, rcond=None)
+    return float(np.max(np.abs(vals - vand @ coef)))
 
 
 def distance_to_subspace(f: SampledFunction, m: int, iv: Interval = UNIT_INTERVAL) -> float:
@@ -156,13 +172,8 @@ def distance_to_subspace(f: SampledFunction, m: int, iv: Interval = UNIT_INTERVA
     a uniform grid of 401 points.  The returned max residual is an
     upper bound on the minimax distance over that grid; it is not a
     certified bound on the true sup-distance over [a, b]."""
-    ts = uniform_grid(iv, 401)
-    us = (ts - float(iv.a)) / float(iv.width)
-    vals = _sample(f, ts)
-    vand = np.vander(us, m + 1, increasing=True)
-    coef, *_ = np.linalg.lstsq(vand, vals, rcond=None)
-    fit = vand @ coef
-    return float(np.max(np.abs(vals - fit)))
+    ts = uniform_grid(iv, _LSTSQ_SAMPLES)
+    return _lstsq_residual(ts, _sample(f, ts), m, iv)
 
 
 def quasi_interpolant_report(
@@ -175,14 +186,28 @@ def quasi_interpolant_report(
 ) -> OperatorReport:
     """Report for Q_s: grid sup-error |f - Q_s f|, the operator-norm bound
     inf_norm(A) * inf_norm(M_n^{-1}) * sup|f| (which dominates ||Q_s f||),
-    and the near-best bound (1 + that operator norm) * d(f, degree-m)."""
+    and the near-best bound (1 + that operator norm) * d(f, degree-m).
+
+    At the default 201 samples the report grid is every other point of the
+    401-point least-squares grid, bit for bit (w*(2q)/400 rounds as w*q/200),
+    so f is sampled once per point and the report reads the even samples."""
     db = _dual(m, n, s, iv)
-    fs, sup_err = _sampled_error(f, _quasi(db, f), samples)
+    p = _quasi(db, f)
+    ts = uniform_grid(iv, samples)
+    if 2 * (samples - 1) == _LSTSQ_SAMPLES - 1:
+        lsq_ts = uniform_grid(iv, _LSTSQ_SAMPLES)
+        lsq_vals = _sample(f, lsq_ts)
+        fs = lsq_vals[::2]
+    else:
+        fs = _sample(f, ts)
+        lsq_ts = uniform_grid(iv, _LSTSQ_SAMPLES)
+        lsq_vals = _sample(f, lsq_ts)
+    sup_err = _grid_error(fs, ts, p)
     norm_a = inf_norm(db.A)
     norm_minv = inf_norm(_colloc_inv(n))
     sup_f = float(np.max(np.abs(fs)))
     op_norm = float(norm_a * norm_minv)
-    dist = distance_to_subspace(f, m, iv)
+    dist = _lstsq_residual(lsq_ts, lsq_vals, m, iv)
     return OperatorReport(
         sup_error=sup_err,
         bound=op_norm * sup_f,
@@ -216,16 +241,18 @@ def modulus_of_continuity(f: SampledFunction, h, iv: Interval = UNIT_INTERVAL) -
     modulus.  Below one grid step no two samples are within h, and the grid
     value is 0.
     """
-    width = float(iv.width)
+    _, width = iv._float_aw
     if not 0 < h <= width:
         raise ValueError(f"need 0 < h <= b - a = {width}, got h={h}")
     span = int(float(h) / width * 1024 + 1e-9)  # indices within distance h, at most 1024
     if span == 0:
         return 0.0
     vals = _sample(f, uniform_grid(iv, 1025))
-    windows = sliding_window_view(vals, span + 1)
     # like bform_eval, overflow and inf - inf give inf/nan without a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        if span == 1024:  # one window, the whole grid (h = b - a, the reports' h)
+            return float(vals.max() - vals.min())
+        windows = sliding_window_view(vals, span + 1)
         return float(np.max(windows.max(axis=1) - windows.min(axis=1)))
 
 
@@ -265,9 +292,11 @@ def bernstein_like_report(
         raise ValueError(f"smoothness must be one of c0|c1|c2, got {smoothness!r}")
     norm_minv = _subspace_minv_norm(m)
     db = _dual(m, n, s, iv)
-    _, sup_err = _sampled_error(f, _bernop(db, f), samples)
+    p = _bernop(db, f)
+    ts = uniform_grid(iv, samples)
+    sup_err = _grid_error(_sample(f, ts), ts, p)
     norm_a = inf_norm(db.A)
-    w = float(iv.width)
+    _, w = iv._float_aw
     if kind == "C0-modulus":
         bound = float(norm_a) * modulus_of_continuity(f, w, iv)
     elif kind == "C1":

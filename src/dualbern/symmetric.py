@@ -15,6 +15,7 @@ C, and convergence diagnostics.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,14 +33,24 @@ from .subspace import SelectionMap, _bernstein_dual_matrix, bernstein_embedding,
 
 @dataclass(frozen=True)
 class SymmetricConfig:
-    """m, refinement k >= 1; ambient degree n = m*k; selection s(i) = i*k."""
+    """m, refinement k >= 1; ambient degree n = m*k; selection s(i) = i*k.
+
+    m and k go through ``operator.index`` and are kept as ints, so a bool or
+    a numpy integer is taken and a float is refused; every refusal is one
+    ValueError."""
 
     m: int
     k: int
 
     def __post_init__(self):
-        if self.m < 1 or self.k < 1:
-            raise ValueError("need m >= 1 and k >= 1")
+        try:
+            m, k = operator.index(self.m), operator.index(self.k)
+        except TypeError:
+            m = k = 0
+        if m < 1 or k < 1:
+            raise ValueError(f"need integers m >= 1 and k >= 1, got m={self.m!r}, k={self.k!r}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:
@@ -70,8 +81,8 @@ def selected_elevation_rows(m: int, k: int) -> Mat:
 def symmetric_dual_matrix(m: int, k: int) -> Mat:
     """A_{m,k} = E(s,:)^{-1}, exact; the identity when k = 1.  The kernel
     builds half its columns, as for every symmetric selection."""
-    SymmetricConfig(m, k)
-    return _bernstein_dual_matrix(m, m * k, tuple(range(0, m * k + 1, k)))
+    cfg = SymmetricConfig(m, k)
+    return _bernstein_dual_matrix(cfg.m, cfg.n, tuple(range(0, cfg.n + 1, cfg.k)))
 
 
 def rate_constant(m: int) -> RateConstant:
@@ -138,15 +149,17 @@ def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRec
     of k sit side by side in one block for one :func:`bform_eval` call, and
     each k takes the maximum of its own columns (exact, so no bit moves); a
     group's sweep array holds at most ``_GROUP_VALUES`` values, or one k.
-    ``k_list`` may be any iterable.
+    ``k_list`` may be any iterable; m and every k are checked as
+    :class:`SymmetricConfig` checks them before any work.
     """
     import numpy as np
 
     if m < 1:
         raise ValueError("m must be >= 1")
-    k_list = list(k_list)
-    if not k_list:
+    configs = [SymmetricConfig(m, k) for k in k_list]
+    if not configs:
         raise ValueError("k_list must be nonempty")
+    m, k_list = configs[0].m, [cfg.k for cfg in configs]
     lagrange = np.array(_float_rows(_colloc_inv(m)))
     grid = uniform_grid(UNIT_INTERVAL, samples)
     colloc = _collocation_int_rows(m)

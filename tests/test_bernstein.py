@@ -17,6 +17,7 @@ from dualbern.bernstein import (
     BPoly,
     Interval,
     NodeVector,
+    _basis_sum_eval,
     _forward_differences,
     _int_pascal_sum,
     _power_diagonal,
@@ -135,6 +136,46 @@ def test_uniform_grid_rejects_repeated_points():
     # spacing 2 (the float spacing itself) and 2 samples still work
     assert uniform_grid(Interval(1e16, 10**16 + 400), 201)[1] == 1e16 + 2
     assert uniform_grid(Interval(1e16, 10**16 + 2), 2).tolist() == [1e16, 1e16 + 2]
+
+
+def test_uniform_grid_at_401_points_holds_the_201_point_grid_bit_for_bit():
+    # w*(2q)/400 rounds as w*q/200 (doubling is exact), so the quasi report's
+    # 201-point grid is every other point of its 401-point least-squares grid
+    ivs = [UNIT_INTERVAL, Interval(F(1, 3), F(5, 2)), Interval(1.0, 3.0), Interval(F(1, 3), 2.5),
+           Interval(-0.1, F(7, 3)), Interval(-5e5, 5e5), Interval(1e6, 2e6 + 0.3),
+           Interval(0.7, 0.7 + 1e-6), Interval(F(1, 10**6), F(2, 10**6))]
+    rng = random.Random(401)
+    for _ in range(200):
+        a = rng.uniform(-1e6, 1e6)
+        ivs.append(Interval(a, a + rng.choice((1e-6, 1e-3, 1.0, 1e3, 1e6)) * rng.random() + 1e-6))
+    for iv in ivs:
+        assert uniform_grid(iv, 401)[::2].tobytes() == uniform_grid(iv, 201).tobytes(), iv
+
+
+def test_interval_float_endpoints_are_read_once_and_are_no_field():
+    for iv in (Interval(F(1, 3), F(5, 2)), Interval(1.0, 3.0), Interval(F(1, 3), 2.5)):
+        assert iv._float_aw == (float(iv.a), float(iv.width))
+        assert iv._float_aw is iv._float_aw
+        assert iv == dataclasses.replace(iv) and hash(iv) == hash(Interval(iv.a, iv.b))
+        assert repr(iv) == f"Interval(a={iv.a!r}, b={iv.b!r})"
+
+
+def test_basis_sum_eval_keeps_the_float_bits_of_the_scalar_sum():
+    # the basis plot's routine against sum_j bernstein_value * c_j, summed from 0
+    rng = random.Random(22)
+    ivs = (UNIT_INTERVAL, Interval(F(1, 3), F(5, 2)), Interval(-1.5, 2.25), Interval(1, 3.0))
+    for iv in ivs:
+        ts = uniform_grid(iv, 53).tolist()
+        for m in (0, 1, 2, 5, 12):
+            # the last column is signed zeros: the sum starts from 0, so it is +0.0
+            cols = [[rng.uniform(-40, 40), rng.uniform(-1, 1), rng.choice((-0.0, 0.0))]
+                    for _ in range(m + 1)]
+            got = _basis_sum_eval(cols, iv, ts)
+            assert got.shape == (len(ts), 3)
+            for t, row in zip(ts, got.tolist()):
+                want = [sum(bernstein_value(m, j, t, iv) * cols[j][i] for j in range(m + 1))
+                        for i in range(3)]
+                assert [x.hex() for x in row] == [float(x).hex() for x in want], (iv, m, t)
 
 
 def test_uniform_grid_overflow():

@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from oracle import is_row_affine, mat_inv, mat_mul
 
 from dualbern.bernstein import (
@@ -136,6 +138,45 @@ def test_operators_sample_f_only_at_the_nodes_they_read():
             quasi_interpolant(m, n, s, g, iv)
             assert seen == nodes and len(seen) == n + 1
             assert list(map(type, seen)) == list(map(type, nodes))
+            # and the reports once per grid point: the quasi report's default
+            # 201-point grid is every other point of its 401-point least-squares
+            # grid; at 2001 samples the grids do not nest and both are sampled
+            for samples, grid_calls in ((201, 401), (2001, 2001 + 401)):
+                g, seen = _recording(math.sin)
+                quasi_interpolant_report(m, n, s, g, iv, samples=samples)
+                assert len(seen) == n + 1 + grid_calls
+                assert seen[-401:] == bernstein.uniform_grid(iv, 401).tolist()
+            for kind, grid_calls in (("c0", 201 + 1025), ("c1", 201), ("c2", 201)):
+                g, seen = _recording(math.sin)
+                bernstein_like_report(m, n, s, g, kind, iv, d1=1.0, d2=1.0)
+                assert len(seen) == m + 1 + grid_calls, kind
+                assert all(type(t) is float for t in seen[m + 1:])
+
+
+def _float_error(v):
+    try:
+        float(v)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+def test_sample_is_float_of_f_at_every_point():
+    ts = bernstein.uniform_grid(IV13, 5)
+    values = (0.1, F(1, 3), 7, -(10**30), True, False, np.float32(0.1), np.float64(2.5),
+              np.int64(-3), np.bool_(True), -0.0, math.inf, -math.inf, math.nan)
+    for v in values:
+        got = operators._sample(lambda t: v, ts)
+        assert got.dtype == np.float64 and len(got) == len(ts)
+        assert [x.hex() for x in got.tolist()] == [float(v).hex()] * len(ts), v
+    seen = []
+    got = operators._sample(lambda t: seen.append(t) or F(1, 3) * t, ts)
+    assert seen == ts.tolist() and all(type(t) is float for t in seen)
+    assert [x.hex() for x in got.tolist()] == [float(F(1, 3) * t).hex() for t in seen]
+    # the values float() refuses raise as float() does, nan is not made up
+    for v in (None, 1 + 2j, 10**400, "x"):
+        with pytest.raises(_float_error(v)):
+            operators._sample(lambda t: v, ts)
 
 
 def test_tilde_lambda_duality():
@@ -272,6 +313,31 @@ def test_modulus_of_continuity():
         modulus_of_continuity(lambda t: t, 0.0)
     with pytest.raises(ValueError):
         modulus_of_continuity(lambda t: t, 1.5)
+
+
+def _sliding_modulus(f, h, iv):
+    """The sliding-window formula for the grid modulus, window by window."""
+    vals = np.array([float(f(t)) for t in bernstein.uniform_grid(iv, 1025).tolist()])
+    span = int(float(h) / float(iv.width) * 1024 + 1e-9)
+    windows = sliding_window_view(vals, span + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(windows.max(axis=1) - windows.min(axis=1)))
+
+
+def test_modulus_over_the_whole_interval_is_the_sliding_window_formula():
+    # at h = b - a the one window is the whole grid: max - min, nan and inf included
+    def spiked(values):
+        return lambda t: values.get(round(float(t) * 1024), math.sin(t))
+
+    fns = [math.sin, lambda t: t * t, spiked({3: math.inf}), spiked({3: -math.inf}),
+           spiked({3: math.inf, 700: -math.inf}), spiked({5: math.nan}),
+           spiked({0: math.nan, 9: math.inf}), lambda t: math.inf, lambda t: -math.inf,
+           spiked({1024: 1e308, 0: -1e308})]
+    for f in fns:
+        for iv, h in ((UNIT_INTERVAL, 1.0), (UNIT_INTERVAL, 1.0 - 1e-13), (UNIT_INTERVAL, 1 / 3),
+                      (Interval(0, 1.0), 0.5)):
+            got, want = modulus_of_continuity(f, h, iv), _sliding_modulus(f, h, iv)
+            assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)), (h, got, want)
 
 
 def test_modulus_off_unit_interval():

@@ -51,6 +51,24 @@ def test_symmetric_config():
         SymmetricConfig(2, 0)
 
 
+def test_every_symmetric_caller_refuses_a_non_integral_m_or_k_alike():
+    # it used to be TypeError from range() in two callers, SelectionError in the third
+    callers = (symmetric_dual_matrix, lambda m, k: convergence_table(m, [k]),
+               lambda m, k: SymmetricConfig(m, k).selection())
+    for call in callers:
+        for m, k in ((3, 2.5), (3, 2.0), (2.5, 2), (3, "2"), (3, F(2))):
+            with pytest.raises(ValueError, match="^need integers m >= 1 and k >= 1"):
+                call(m, k)
+    # a bool and a numpy integer are integers, and are kept as ints
+    cfg = SymmetricConfig(np.int64(3), True)
+    assert (cfg.m, cfg.k, cfg.n) == (3, 1, 3) and type(cfg.k) is int and type(cfg.m) is int
+    assert tuple(SymmetricConfig(3, np.int32(2)).selection()) == (0, 2, 4, 6)
+    assert symmetric_dual_matrix(np.int64(3), np.int64(2)) == symmetric_dual_matrix(3, 2)
+    assert symmetric_dual_matrix(3, True) == symmetric_dual_matrix(3, 1)
+    got = convergence_table(np.int64(2), [np.int64(3), True])
+    assert got == convergence_table(2, [3, 1]) and [type(r.k) for r in got] == [int, int]
+
+
 @pytest.mark.parametrize(
     "m,k,den,rows", REFERENCE_TABLES, ids=[f"m{m}k{k}" for m, k, _, _ in REFERENCE_TABLES]
 )

@@ -13,9 +13,13 @@ After the catalogue come ``extra`` lines: operator reports and operator
 coefficients on inputs the catalogue does not hold (a mixed Fraction/float
 interval, exact data at n = 40, and data that is int at some nodes and float
 at others); convergence tables at m = 8 and 12 and one whose k list spans
-several evaluation groups; and dual bases with their duality check on
+several evaluation groups; dual bases with their duality check on
 non-uniform symmetric selections (m odd and even) and on a symmetric
-selection in reversed order.
+selection in reversed order; quasi reports at 101 and 2001 samples (report
+grids that are not every other point of the least-squares grid); the grid
+modulus of continuity at h = (b - a)/3 (a sliding window, not the whole
+grid); reports of a Fraction-valued f on an exact interval; and basis plots
+(exit code, stderr and a sha256 of each written file) at m = 12 and m = 5.
 
 Run it in two checkouts and compare the files::
 
@@ -25,6 +29,7 @@ Run it in two checkouts and compare the files::
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 import tempfile
@@ -41,8 +46,13 @@ def _int_at_integers(t):
     return int(t) if t == int(t) else math.sin(t)
 
 
-def _extras():
-    """(key, output) of each extra line, in order."""
+def _third_plus_sq(t):
+    """t/3 + t^2: a Fraction at the exact nodes of an exact interval."""
+    return t / 3 + t * t
+
+
+def _extras(scratch: Path):
+    """(key, output) of each extra line, in order; plots write into scratch."""
     db = wl.dualbern
     reg = db.cli.FN_REGISTRY
     mixed = db.Interval(Fraction(1, 3), 2.5)
@@ -67,6 +77,27 @@ def _extras():
     for m, n, s in ((3, 17, (0, 5, 12, 17)), (4, 20, (1, 4, 10, 16, 19)), (5, 30, (30, 27, 18, 12, 3, 0))):
         basis = db.dual_basis(db.bernstein_embedding(m, n), db.make_selection(m, n, s))
         yield f"dual:{m}:{n}:{','.join(map(str, s))}", (wl.mat_digest(basis.A), db.verify_duality(basis))
+    for samples in (101, 2001):
+        for iv in (db.Interval(0, 1), mixed):
+            s = db.make_selection(4, 16, wl._spread(4, 16))
+            report = db.quasi_interpolant_report(4, 16, s, reg["abs32"].fn, iv, samples=samples)
+            yield f"quasi:4:16:abs32:{iv.a}:{iv.b}:samples={samples}", report
+    for name, f in (("sin", reg["sin"].fn), ("abs32", reg["abs32"].fn)):
+        for iv in (db.Interval(0, 1), mixed, db.Interval(1.0, 3.0)):
+            h = float(iv.width) / 3
+            yield f"modulus:{name}:{iv.a}:{iv.b}:h=w/3", db.modulus_of_continuity(f, h, iv)
+    exact = db.Interval(Fraction(1, 2), 2)
+    s = db.make_selection(3, 12, wl._spread(3, 12))
+    yield "quasi:3:12:third-plus-sq:1/2:2", db.quasi_interpolant_report(3, 12, s, _third_plus_sq, exact)
+    for kind in ("c0", "c1"):
+        report = db.bernstein_like_report(3, 12, s, _third_plus_sq, kind, exact, d1=13 / 3)
+        yield f"{kind}:3:12:third-plus-sq:1/2:2", report
+    for m, k, grid, a, b in ((12, 2, 1001, "1", "3"), (5, 4, 2001, "1/3", "5/2")):
+        argv = ("plot", "--kind", "basis", "--m", str(m), "--symmetric", "--k", str(k),
+                "--grid", str(grid), f"--a={a}", f"--b={b}", "--out", "{out}/p.svg")
+        res = wl.run_cli_inprocess(wl.Case("extra", "cli", argv), scratch)
+        digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in res.files.items()}
+        yield f"plot:basis:{m}:{k}:{grid}:{a}:{b}", (res.exit, res.stdout, res.stderr, digests)
 
 
 def main() -> None:
@@ -80,8 +111,8 @@ def main() -> None:
                 else:
                     out = wl.summarize(workload, case, wl.run_inprocess(workload, case))
                 print(workload, case.key, repr(out))
-    for key, out in _extras():
-        print("extra", key, repr(out))
+        for key, out in _extras(scratch):
+            print("extra", key, repr(out))
 
 
 if __name__ == "__main__":
