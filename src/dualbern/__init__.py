@@ -13,6 +13,7 @@ its names, so the exact layers load without numpy.
 """
 
 import importlib
+import sys
 
 from .bernstein import (
     BPoly,
@@ -84,13 +85,18 @@ _OPERATORS_NAMES = frozenset({
 })
 
 
+_OPERATORS_MODULE = __name__ + ".operators"
+
+
 def __getattr__(name):
     # PEP 562.  Nothing is cached here: every access reads the operators
     # module, so a wrapper set on it (a tracer's) is seen and then undone.
-    # importlib, not ``from . import``, which would look the name up on this
-    # package again and recurse.
+    # Once imported, the module is read from sys.modules, which is what
+    # import_module would return, at a fraction of its cost.  importlib, not
+    # ``from . import``, which would look the name up on this package again
+    # and recurse.
     if name == "operators" or name in _OPERATORS_NAMES:
-        operators = importlib.import_module(".operators", __name__)
+        operators = sys.modules.get(_OPERATORS_MODULE) or importlib.import_module(_OPERATORS_MODULE)
         return operators if name == "operators" else getattr(operators, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -315,8 +315,13 @@ def _colloc_inv(n: int) -> Mat:
     so M_n^{-1}(j, i) = P_j^(i) / (C(n, j) (-1)^(n-i) i! (n-i)!).  The full
     product over k = 0..n is formed once; each P^(i) is its exact integer
     quotient by the i-th factor.  O(n^2) integer work, equal to Gauss–Jordan
-    on :func:`collocation_matrix`.  The Mat gets signed integers over
-    n! lcm_j C(n, j) and builds no Fraction until an entry is read.
+    on :func:`collocation_matrix`.  The nodes are symmetric, k/n <-> 1 - k/n,
+    so L_{n-i}(u) = L_i(1-u) and M_n^{-1} is centrosymmetric,
+    M_n^{-1}(j, n-i) = M_n^{-1}(n-j, i): columns 0..floor(n/2) are built and
+    reversed for the rest, as :func:`~dualbern.subspace.dual_basis` does for a
+    symmetric selection.  The Mat gets signed integers over n! lcm_j C(n, j),
+    unreduced (it is reduced only if compared or hashed), and builds no
+    Fraction until an entry is read.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -328,7 +333,7 @@ def _colloc_inv(n: int) -> Mat:
     lcm = math.lcm(*(math.comb(n, j) for j in range(n + 1)))
     scale = [lcm // math.comb(n, j) for j in range(n + 1)]
     cols = []
-    for i in range(n + 1):
+    for i in range(n // 2 + 1):
         # full = ((n-i)u - i(1-u)) * P, so full[j] = (n-i) P[j-1] - i P[j]
         if i:
             p, prev = [], 0
@@ -339,6 +344,7 @@ def _colloc_inv(n: int) -> Mat:
             p = [q // n for q in full[1:]]
         c = (-1) ** (n - i) * math.comb(n, i)
         cols.append([c * x * w for x, w in zip(p, scale)])
+    cols += [col[::-1] for col in reversed(cols[:n + 1 - len(cols)])]
     return _from_common_denominator(zip(*cols), math.factorial(n) * lcm)
 
 

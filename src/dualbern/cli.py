@@ -141,6 +141,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Options whose value may be negative.  argparse reads a token such as
+# "-1e5" or "-7/3" after them as an option string (it takes only plain
+# "-digits[.digits]" for a number), so run() joins such a pair into one
+# "--a=-1e5" token before parsing.
+_SIGNED_OPTIONS = frozenset({"--a", "--b", "--coeffs"})
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """argv with each of _SIGNED_OPTIONS followed by a token that starts with
+    a single "-" written as one "--opt=value" token.  An option with no token
+    after it, or with a "--" token after it, is left as it is, so argparse
+    still reports its value missing."""
+    out, i = [], 0
+    while i < len(argv):
+        arg = argv[i]
+        if (arg in _SIGNED_OPTIONS and i + 1 < len(argv) and argv[i + 1].startswith("-")
+                and not argv[i + 1].startswith("--")):
+            out.append(f"{arg}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
+
 def _number(text: str):
     """Parse a CLI number: integers and p/q fractions stay exact, the rest is a float."""
     for parse in (Fraction if "/" in text else int, float):
@@ -163,9 +188,8 @@ def _build_parser() -> _Parser:
             sp.add_argument("--selection", default=None, help="comma-separated indices, e.g. 0,2,4")
             sp.add_argument("--symmetric", action="store_true", help="use s(i) = i*k with n = m*k")
             sp.add_argument("--a", default="0", help="interval left endpoint: an integer, p/q or "
-                            "decimal (default 0); write a negative one as --a=-1e3")
-            sp.add_argument("--b", default="1", help="interval right endpoint (default 1); "
-                            "write a negative one as --b=-1/2")
+                            "decimal (default 0)")
+            sp.add_argument("--b", default="1", help="interval right endpoint (default 1)")
         if grid:
             sp.add_argument("--grid", type=int, default=DEFAULT_GRID, help="sample grid size")
         if fmt:
@@ -458,7 +482,7 @@ def run(argv=None) -> int:
     """Parse and dispatch; returns the process exit code (0, 2 or 3)."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
         return _COMMANDS[args.command](args)
     except SingularMatrixError as exc:
         sys.stdout.write(

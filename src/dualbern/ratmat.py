@@ -10,16 +10,20 @@ sampled.
 The scalar type is :class:`fractions.Fraction`: it already guarantees the
 canonical form we need — positive denominator, fully reduced, arbitrary
 precision.  A :class:`Mat` also holds its entries as integer rows over one
-denominator, the form the closed forms compute: they hand over their
-integers (:func:`_from_common_denominator`), and a Fraction is built only
-when an entry is read.  Equality, hashing, :func:`inf_norm`,
-:func:`is_inverse`, the float view :func:`_float_rows` and :func:`_apply_rows`
-(rows of a matrix times float or exact data) read the integers; ``entries``,
-``row``, ``col``, ``to_lists``, indexing, ``repr`` and the JSON writer read
-Fractions.  This module holds the :class:`Mat` container, the
-exact inf-norm, the exact inverse test, the common-denominator helpers and
-the JSON writer the CLI uses.  No library path eliminates: every inverse
-the package needs has a closed form.
+positive common denominator, the form the closed forms compute: they hand
+over their integers (:func:`_from_common_denominator`), which are kept as
+they are, and a Fraction is built only when an entry is read.  The value
+readers — :func:`inf_norm`, :func:`is_inverse`, the float view
+:func:`_float_rows` and :func:`_apply_rows` (rows of a matrix times float or
+exact data) — read those integers over whatever common denominator they were
+handed; each result is reduced on its own (a Fraction reduces itself, and
+x / den is correctly rounded for any den).  Only equality and hashing need
+the canonical form, so a matrix is reduced the first time it is compared or
+hashed, and at most once.  ``entries``, ``row``, ``col``, ``to_lists``,
+indexing, ``repr`` and the JSON writer read Fractions.  This module holds the
+:class:`Mat` container, the exact inf-norm, the exact inverse test, the
+common-denominator helpers and the JSON writer the CLI uses.  No library path
+eliminates: every inverse the package needs has a closed form.
 """
 
 from __future__ import annotations
@@ -72,51 +76,66 @@ class Mat:
     ``entries`` (this is also the JSON wire order).
 
     A matrix has two views of one value, each a memo filled on first use:
-    ``_rows``, the entries as Fractions, and ``_nums`` over ``_den``, integer
-    rows over one positive denominator in canonical form (no prime divides
-    ``_den`` and every numerator, so ``_den`` is the lcm of the reduced
-    denominators).  The closed forms build a matrix from its integer view by
-    :func:`_from_common_denominator`; its Fractions are built when an entry
-    is first read.  Equality and hashing read the integer view; ``_inf_norm``
-    is the memo of :func:`inf_norm`.
+    ``_rows``, the entries as Fractions, and ``_pair``, integer rows over one
+    positive common denominator, ``(nums, den)`` in one slot.  The closed
+    forms build a matrix from its integer view by
+    :func:`_from_common_denominator`, which keeps the pair it is handed; a
+    matrix built from Fractions gets the canonical pair (``den`` the lcm of
+    the reduced denominators).  Its Fractions are built when an entry is
+    first read.  ``_canon`` is the canonical pair (no prime divides ``den``
+    and every numerator), built once by :meth:`_ints` for equality and
+    hashing; the value readers read ``_pair``.  ``_inf_norm`` is the memo of
+    :func:`inf_norm`.
     """
 
-    __slots__ = ("_rows", "_nums", "_den", "_inf_norm")
+    __slots__ = ("_rows", "_pair", "_canon", "_inf_norm")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         data = tuple(tuple(_coerce(x) for x in row) for row in rows)
         _check_shape(data)
         object.__setattr__(self, "_rows", data)
-        object.__setattr__(self, "_nums", None)
-        object.__setattr__(self, "_den", None)
+        object.__setattr__(self, "_pair", None)
+        object.__setattr__(self, "_canon", None)
         object.__setattr__(self, "_inf_norm", None)
 
     def _fractions(self) -> tuple[tuple[Fraction, ...], ...]:
         if self._rows is None:
-            den = self._den
+            nums, den = self._pair
             object.__setattr__(self, "_rows", tuple(tuple(Fraction(x, den) for x in row)
-                                                    for row in self._nums))
+                                                    for row in nums))
         return self._rows
 
-    def _ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(integer rows, denominator) in canonical form."""
-        if self._nums is None:
+    def _over_den(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(integer rows, positive denominator): the pair as handed over, or
+        for a matrix built from Fractions the canonical pair."""
+        if self._pair is None:
             rows = self._rows
             den = math.lcm(*(x.denominator for row in rows for x in row))
-            object.__setattr__(self, "_nums", tuple(tuple(x.numerator * (den // x.denominator)
-                                                          for x in row) for row in rows))
-            object.__setattr__(self, "_den", den)
-        return self._nums, self._den
+            nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+            object.__setattr__(self, "_pair", (nums, den))
+            object.__setattr__(self, "_canon", self._pair)
+        return self._pair
+
+    def _ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(integer rows, denominator) in canonical form: one gcd over the
+        denominator and every numerator of :meth:`_over_den`, on first use."""
+        if self._canon is None:
+            nums, den = self._over_den()
+            g = math.gcd(den, *chain.from_iterable(nums))
+            if g != 1:
+                nums = tuple(tuple(map(g.__rfloordiv__, row)) for row in nums)  # x // g
+            object.__setattr__(self, "_canon", (nums, den // g))
+        return self._canon
 
     # -- basic shape/access ------------------------------------------------
 
     @property
     def rows(self) -> int:
-        return len(self._nums if self._rows is None else self._rows)
+        return len(self._pair[0] if self._rows is None else self._rows)
 
     @property
     def cols(self) -> int:
-        return len((self._nums if self._rows is None else self._rows)[0])
+        return len((self._pair[0] if self._rows is None else self._rows)[0])
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
@@ -169,21 +188,19 @@ def _check_shape(data):
 
 def _from_common_denominator(rows, den: int) -> Mat:
     """The Mat with entries rows[i][j] / den, rows integers and den a nonzero
-    integer: its integer view is set directly, put in canonical form by one
-    gcd over den and every numerator, and no Fraction is built."""
+    integer: its integer view is the pair as handed over (signs flipped when
+    den < 0), with no gcd pass; :meth:`Mat._ints` reduces it if the matrix is
+    ever compared or hashed, and no Fraction is built."""
     if den == 0:
         raise ZeroDivisionError("matrix denominator is zero")
     nums = tuple(map(tuple, rows))
     _check_shape(nums)
-    g = math.gcd(den, *chain.from_iterable(nums))
     if den < 0:
-        g = -g
-    if g != 1:
-        nums = tuple(tuple(map(g.__rfloordiv__, row)) for row in nums)  # x // g
+        nums, den = tuple(tuple(map(operator.neg, row)) for row in nums), -den
     a = Mat.__new__(Mat)
     object.__setattr__(a, "_rows", None)
-    object.__setattr__(a, "_nums", nums)
-    object.__setattr__(a, "_den", den // g)
+    object.__setattr__(a, "_pair", (nums, den))
+    object.__setattr__(a, "_canon", None)
     object.__setattr__(a, "_inf_norm", None)
     return a
 
@@ -192,19 +209,20 @@ def is_inverse(a: Mat, b: Mat) -> bool:
     """True iff a . b is exactly the identity; a and b must both be n x n.
 
     The Mat front end of :func:`_is_inverse_over`, on a's integer view."""
-    return _is_inverse_over(*a._ints(), b)
+    return _is_inverse_over(*a._over_den(), b)
 
 
 def _is_inverse_over(rows, den: int, b: Mat) -> bool:
     """True iff (rows / den) . b is exactly the identity, rows integer rows
     (the numerators of a over a common denominator den).
 
-    b is read in its integer view and its rows are packed into integers
-    (Kronecker substitution), P_j = sum_c b(j, c) 2^(cB), so row i of a times
-    the P_j is sum_c (a . b)(i, c) 2^(cB), compared with one 2^(iB) for
-    one = den * bden.  With B = max(bits(max|a|) + bits(max|b|) + bits(n),
-    bits(one)) + 1, every slot d of a . b - one I has
-    |d| <= n max|a| max|b| + |one| < 2^B, and such base-2^B digits are unique
+    b is read in its integer view, over whichever common denominator it
+    holds, and its rows are packed into integers (Kronecker substitution),
+    P_j = sum_c b(j, c) 2^(cB), so row i of a times the P_j is
+    sum_c (a . b)(i, c) 2^(cB), compared with one 2^(iB) for one = den * bden.
+    With B = max(bits(max|a|) + bits(max|b|) + bits(n), bits(one)) + 1, every
+    slot d of a . b - one I has |d| <= n max|a| max|b| + |one| < 2^B (for any
+    common denominators of a and b), and such base-2^B digits are unique
     (the lowest nonzero d_c of a zero sum would be a multiple of 2^B), so the
     packed equality holds exactly when every entry does.  That is n^2 integer
     products; no product matrix and no Fraction is built.  ValueError unless
@@ -212,7 +230,7 @@ def _is_inverse_over(rows, den: int, b: Mat) -> bool:
     n = len(rows)
     if not len(rows[0]) == b.rows == b.cols == n:
         raise ValueError(f"is_inverse needs n x n matrices: {n}x{len(rows[0])}, {b.rows}x{b.cols}")
-    bnums, bden = b._ints()
+    bnums, bden = b._over_den()
     one = den * bden
     width = 1 + max(_max_abs(rows).bit_length() + _max_abs(bnums).bit_length() + n.bit_length(),
                     abs(one).bit_length())
@@ -234,7 +252,7 @@ def inf_norm(a: Mat) -> Fraction:
     it: a cached matrix such as the collocation inverse pays for its norm
     once per cache entry."""
     if a._inf_norm is None:
-        object.__setattr__(a, "_inf_norm", _max_abs_row_sum(*a._ints()))
+        object.__setattr__(a, "_inf_norm", _max_abs_row_sum(*a._over_den()))
     return a._inf_norm
 
 
@@ -244,8 +262,9 @@ def _max_abs_row_sum(nums, den: int) -> Fraction:
 
 def _float_rows(a: Mat) -> list[list[float]]:
     """The entries of a as floats, read off the integer view: x / den is
-    correctly rounded int division, so each float equals float(entry)."""
-    nums, den = a._ints()
+    correctly rounded int division for any common denominator, so each float
+    equals float(entry)."""
+    nums, den = a._over_den()
     return [[x / den for x in row] for row in nums]
 
 
@@ -258,10 +277,10 @@ def _apply_rows(a: Mat, rows, v) -> list:
     and Fractions) v goes over one denominator and each row is one integer
     dot product and one Fraction.  Mixed v keeps the Fraction-row loop."""
     if all(isinstance(y, float) for y in v):
-        nums, den = a._ints()
+        nums, den = a._over_den()
         return [sum(map(operator.mul, map(den.__rtruediv__, nums[r]), v)) for r in rows]
     if all(isinstance(y, (int, Fraction)) for y in v):
-        nums, den = a._ints()
+        nums, den = a._over_den()
         vn, vd = _over_common_denominator(v)
         return [Fraction(sum(map(operator.mul, nums[r], vn)), den * vd) for r in rows]
     return [sum(c * y for c, y in zip(a.row(r), v)) for r in rows]

@@ -18,6 +18,7 @@ from dualbern.bernstein import (
     Interval,
     NodeVector,
     _basis_sum_eval,
+    _colloc_inv,
     _forward_differences,
     _int_pascal_sum,
     _power_diagonal,
@@ -25,6 +26,7 @@ from dualbern.bernstein import (
     bernstein_value,
     bform_eval,
     bform_to_power,
+    collocation_matrix,
     de_casteljau_eval,
     dual_functional_apply,
     elevation_matrix,
@@ -33,7 +35,7 @@ from dualbern.bernstein import (
     uniform_grid,
     xi_nodes,
 )
-from dualbern.ratmat import Mat
+from dualbern.ratmat import Mat, is_inverse
 
 fracs01 = st.fractions(min_value=0, max_value=1, max_denominator=12)
 coeff_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -257,6 +259,22 @@ def test_bform_eval_keeps_the_float_bits_of_the_scalar_sweep():
             got = bform_eval(col, UNIT_INTERVAL, ts)
         p = BPoly(len(col) - 1, UNIT_INTERVAL, col)
         assert hexes(got) == hexes(de_casteljau_eval(p, t) for t in ts.tolist())
+
+
+def test_colloc_inv_is_the_centrosymmetric_inverse():
+    # columns ceil(n/2)..n are the first ones reversed (L_{n-i}(u) = L_i(1-u)):
+    # the cold inverse reads as Gauss–Jordan's to n = 24, and is an exact
+    # inverse with A(j, n-i) = A(n-j, i) to n = 60
+    _colloc_inv.cache_clear()
+    try:
+        for n in range(1, 61):
+            a, m = _colloc_inv(n), collocation_matrix(n)
+            if n <= 24:
+                assert a.entries == mat_inv(m).entries, n
+            assert a.entries == a.entries[::-1], n
+            assert is_inverse(m, a), n  # square, so a . m = I as well
+    finally:
+        _colloc_inv.cache_clear()
 
 
 def test_elevation_goldens():

@@ -84,16 +84,29 @@ def test_rational_endpoints_are_exact(capsys):
     assert json.loads(out)["sup_error"] <= json.loads(out)["bound"]
 
 
-def test_negative_endpoint_needs_the_equals_form(capsys):
+def test_negative_values_parse_with_or_without_equals(capsys, tmp_path):
     rc, out, _ = invoke(capsys, "operator", "--which", "bernop", "--m", "2", "--symmetric",
                         "--k", "2", "--fn", "sin", "--a=-1e3", "--b=-1/2")
     assert rc == 0
     assert json.loads(out)["bound_kind"] == "C0-modulus"
-    # without "=", argparse reads "-1e3" as an option, which is a usage error
-    rc, _, err = invoke(capsys, "dual-basis", "--m", "2", "--symmetric", "--k", "2",
-                        "--a", "-1e3")
-    assert rc == 2
-    assert err.startswith("error: argument --a")
+    # a value after a space that argparse alone would read as an option
+    dual = ("dual-basis", "--m", "2", "--symmetric", "--k", "2")
+    for a, b in (("-1e5", "1e-3"), ("-7/3", "1e3"), ("-1", "-1/2"), ("-1.5", "-1e-3")):
+        joined = invoke(capsys, *dual, f"--a={a}", f"--b={b}")
+        assert joined[0] == 0, (a, b)
+        assert invoke(capsys, *dual, "--a", a, "--b", b) == joined, (a, b)
+    plot = ("plot", "--kind", "polygon", "--m", "2", "--symmetric", "--k", "2")
+    files = []
+    for coeffs in (["--coeffs=-1,2,0"], ["--coeffs", "-1,2,0"]):
+        out = tmp_path / f"p{len(files)}.svg"
+        assert invoke(capsys, *plot, *coeffs, "--out", str(out)) == (0, "", "")
+        files.append((out.read_text(), out.with_suffix(".csv").read_text()))
+    assert files[0] == files[1]
+    # a value that is truly missing is still a usage error
+    for tail, option in ((("--a",), "--a"), (("--a", "--b", "1"), "--a"), (("--b", "--"), "--b"),
+                         (("--a", "0", "--b"), "--b")):
+        rc, out, err = invoke(capsys, *dual, *tail)
+        assert (rc, out, err) == (2, "", f"error: argument {option}: expected one argument\n"), tail
 
 
 @pytest.mark.parametrize("text", ["1/0", "nan/1", "1e3/2"])
@@ -407,10 +420,9 @@ def test_grid_flag(tmp_path, capsys):
 
 
 # Endpoints and control ordinates at the edges of the number line; "1/3" is
-# an exact rational endpoint.  The "--a=-2" form keeps argparse from reading
-# a negative value as an option.  Left ends are drawn mostly below right
-# ends, and half the draws keep the default [0, 1], so most get past the
-# interval checks.
+# an exact rational endpoint.  Endpoints are written as "--a=-2" or as
+# "--a -2".  Left ends are drawn mostly below right ends, and half the draws
+# keep the default [0, 1], so most get past the interval checks.
 _LEFT = ("0", "-2", "0.5", "1/3", "709", "1e308", "nan", "-inf")
 _RIGHT = ("1", "709", "1e308", "1.7e308", "-2", "nan", "inf")
 _COEFFS = ("0", "1", "-2.5", "1e308", "-1e308", "nan")
@@ -437,14 +449,15 @@ def _argv(draw):
     pair = st.tuples(st.sampled_from(_LEFT), st.sampled_from(_RIGHT))
     ends = draw(st.one_of(st.just(None), pair))
     if ends:
-        argv += [f"--a={ends[0]}", f"--b={ends[1]}"]
+        argv += draw(st.sampled_from([[f"--a={ends[0]}", f"--b={ends[1]}"],
+                                      ["--a", ends[0], "--b", ends[1]]]))
     if command == "dual-basis":
         return argv + draw(st.sampled_from([[], ["--basis", "power"]]))
     if command == "plot":
         kind = draw(st.sampled_from(["basis", "polygon"]))
         coeffs = draw(st.lists(st.sampled_from(_COEFFS), min_size=m + 1, max_size=m + 1))
         argv += ["--kind", kind, *grid, "--out", "{out}/p.svg"]
-        return argv + ([f"--coeffs={','.join(coeffs)}"] if kind == "polygon" else [])
+        return argv + (["--coeffs", ",".join(coeffs)] if kind == "polygon" else [])
     return argv + [
         "--which", draw(st.sampled_from(["quasi", "bernop"])),
         "--fn", draw(st.sampled_from(["sin", "exp", "sq", "abs32"])),

@@ -24,6 +24,7 @@ from dualbern.ratmat import (
     Mat,
     SingularMatrixError,
     _apply_rows,
+    _float_rows,
     _from_common_denominator,
     binomial,
     inf_norm,
@@ -205,6 +206,64 @@ def test_integer_and_fraction_views_agree():
         _from_common_denominator([[1]], 0)
     with pytest.raises(ValueError):
         _from_common_denominator([[1, 2], [3]], 1)
+
+
+def test_value_readers_read_the_pair_as_handed_over():
+    # a pair with a common factor g on den and every numerator against its
+    # canonical twin (built from Fractions): construction keeps the pair, and
+    # every value reader gives the twin's result bit for bit, both before and
+    # after == and hash have reduced the matrix (once)
+    rng = random.Random(20261020)
+
+    def floats(c):
+        return [rng.choice(_FLOATS) if rng.random() < 0.4 else rng.uniform(-1e3, 1e3) for _ in range(c)]
+
+    def hexes(xs):
+        return [float.hex(x) for x in xs]
+
+    for nums, den in _integer_cases(rng):
+        g = rng.choice([2, -3, 10**20, -(2**61 - 1)])
+        wide, wide_den = [[g * x for x in row] for row in nums], g * den
+        sign = 1 if wide_den > 0 else -1
+        twin = Mat([[F(x, den) for x in row] for row in nums])
+        r, c = len(nums), len(nums[0])
+        rows = rng.sample(range(r), rng.randint(1, r))
+        vf = floats(c)
+        vx = [F(rng.randint(-99, 99), rng.randint(1, 10**9)) for _ in range(c)]
+        vm = vx[:-1] + [0.25]
+        partners = []  # is_inverse partners of a square matrix: a random one and its inverse
+        if r == c:
+            partners.append(Mat([[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(r)]
+                                 for _ in range(r)]))
+            try:
+                partners.append(mat_inv(twin))
+            except SingularMatrixError:
+                pass
+        with np.errstate(all="ignore"):  # numpy scalars warn on inf - inf, in both
+            want = (hexes(x for row in _float_rows(twin) for x in row),
+                    hexes(_apply_rows(twin, rows, vf)),
+                    _apply_rows(twin, rows, vx), _apply_rows(twin, rows, vm))
+        handed = (tuple(tuple(sign * x for x in row) for row in wide), abs(wide_den))
+        for reduced in (False, True):
+            a = _from_common_denominator(wide, wide_den)
+            assert a._over_den() == handed and a._canon is None  # no gcd pass at construction
+            if reduced:
+                assert a == twin and hash(a) == hash(twin)
+                canon = a._canon
+                assert canon == twin._ints() and a._ints() is canon  # reduced once
+            with np.errstate(all="ignore"):
+                got = (hexes(x for row in _float_rows(a) for x in row),
+                       hexes(_apply_rows(a, rows, vf)),
+                       _apply_rows(a, rows, vx), _apply_rows(a, rows, vm))
+            assert got == want and [type(x) for x in got[2]] == [type(x) for x in want[2]]
+            got_norm = inf_norm(a)
+            assert got_norm == inf_norm(twin) and type(got_norm) is F
+            for b in partners:
+                assert is_inverse(a, b) == is_inverse(twin, b), (nums, den, g)
+                assert is_inverse(b, a) == is_inverse(b, twin), (nums, den, g)
+            assert a.entries == twin.entries and repr(a) == repr(twin)
+            assert mat_to_json_obj(a) == mat_to_json_obj(twin)
+            assert a._over_den() == handed and (a._canon is not None) == reduced
 
 
 def _row_loop(a, rows, v):

@@ -18,8 +18,10 @@ non-uniform symmetric selections (m odd and even) and on a symmetric
 selection in reversed order; quasi reports at 101 and 2001 samples (report
 grids that are not every other point of the least-squares grid); the grid
 modulus of continuity at h = (b - a)/3 (a sliding window, not the whole
-grid); reports of a Fraction-valued f on an exact interval; and basis plots
-(exit code, stderr and a sha256 of each written file) at m = 12 and m = 5.
+grid); reports of a Fraction-valued f on an exact interval; basis plots
+(exit code, stderr and a sha256 of each written file) at m = 12 and m = 5;
+and the digest and exact norm of a cold collocation inverse M_n^{-1} for
+n = 1..60 (the catalogue's operator reports reach n = 40).
 
 Run it in two checkouts and compare the files::
 
@@ -98,6 +100,12 @@ def _extras(scratch: Path):
         res = wl.run_cli_inprocess(wl.Case("extra", "cli", argv), scratch)
         digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in res.files.items()}
         yield f"plot:basis:{m}:{k}:{grid}:{a}:{b}", (res.exit, res.stdout, res.stderr, digests)
+    colloc_inv = db.bernstein._colloc_inv
+    for n in range(1, 61):
+        colloc_inv.cache_clear()
+        a = colloc_inv(n)
+        yield f"colloc_inv:{n}", (db.inf_norm(a), wl.mat_digest(a))
+    colloc_inv.cache_clear()
 
 
 def main() -> None:
