@@ -58,23 +58,6 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-class _memo:
-    """A method read as an attribute and computed once per instance: the
-    first read stores the value in the instance ``__dict__``, which shadows
-    this non-data descriptor from then on.  functools.cached_property does the
-    same, but takes a lock on every first read up to Python 3.11, which costs
-    more than the float conversions it would save on a float interval."""
-
-    def __init__(self, fn):
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class Interval:
     """A nondegenerate interval [a, b], a < b.
@@ -93,7 +76,7 @@ class Interval:
     def width(self):
         return self.b - self.a
 
-    @_memo
+    @functools.cached_property
     def _float_aw(self) -> tuple[float, float]:
         """(float(a), float(width)), the two floats every grid formula reads;
         computed on first read and kept on the instance (it is not a field,

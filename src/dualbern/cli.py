@@ -137,6 +137,11 @@ FN_REGISTRY = {
 
 
 class _Parser(argparse.ArgumentParser):
+    # no abbreviations: _join_signed_values matches option names in full, and
+    # the subparsers are built from this class too
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message):  # keep exit-code handling in run()
         raise UsageError(message)
 

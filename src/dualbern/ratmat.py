@@ -9,19 +9,19 @@ sampled.
 
 The scalar type is :class:`fractions.Fraction`: it already guarantees the
 canonical form we need — positive denominator, fully reduced, arbitrary
-precision.  A :class:`Mat` also holds its entries as integer rows over one
-positive common denominator, the form the closed forms compute: they hand
-over their integers (:func:`_from_common_denominator`), which are kept as
-they are, and a Fraction is built only when an entry is read.  The value
-readers — :func:`inf_norm`, :func:`is_inverse`, the float view
-:func:`_float_rows` and :func:`_apply_rows` (rows of a matrix times float or
-exact data) — read those integers over whatever common denominator they were
-handed; each result is reduced on its own (a Fraction reduces itself, and
-x / den is correctly rounded for any den).  Only equality and hashing need
-the canonical form, so a matrix is reduced the first time it is compared or
-hashed, and at most once.  ``entries``, ``row``, ``col``, ``to_lists``,
-indexing, ``repr`` and the JSON writer read Fractions.  This module holds the
-:class:`Mat` container, the exact inf-norm, the exact inverse test, the
+precision.  A :class:`Mat` holds one value, set when it is built: integer
+rows over one positive common denominator, the form the closed forms
+compute.  They hand over their integers (:func:`_from_common_denominator`),
+which are kept as they are, with no gcd pass.  The value readers —
+:func:`inf_norm`, :func:`is_inverse`, the float view :func:`_float_rows`,
+:func:`_apply_rows` (rows of a matrix times float or exact data) and the
+Fraction view — read those integers over whatever common denominator they
+were handed; each result is reduced on its own (a Fraction reduces itself,
+and x / den is correctly rounded for any den).  ``==`` cross-multiplies two
+pairs and ``hash`` reads the Fractions, so no canonical form is ever built.
+``entries``, ``row``, ``col``, ``to_lists``, indexing, ``repr`` and the JSON
+writer read Fractions, built when an entry is first read.  This module holds
+the :class:`Mat` container, the exact inf-norm, the exact inverse test, the
 common-denominator helpers and the JSON writer the CLI uses.  No library path
 eliminates: every inverse the package needs has a closed form.
 """
@@ -75,67 +75,41 @@ class Mat:
     strings like ``"3/4"``.  Row-major flat access is available through
     ``entries`` (this is also the JSON wire order).
 
-    A matrix has two views of one value, each a memo filled on first use:
-    ``_rows``, the entries as Fractions, and ``_pair``, integer rows over one
-    positive common denominator, ``(nums, den)`` in one slot.  The closed
-    forms build a matrix from its integer view by
-    :func:`_from_common_denominator`, which keeps the pair it is handed; a
-    matrix built from Fractions gets the canonical pair (``den`` the lcm of
-    the reduced denominators).  Its Fractions are built when an entry is
-    first read.  ``_canon`` is the canonical pair (no prime divides ``den``
-    and every numerator), built once by :meth:`_ints` for equality and
-    hashing; the value readers read ``_pair``.  ``_inf_norm`` is the memo of
-    :func:`inf_norm`.
+    A matrix holds one value, ``_pair = (nums, den)``: integer rows over one
+    positive common denominator, set when it is built.  The closed forms
+    build a matrix by :func:`_from_common_denominator`, which keeps the pair
+    it is handed; ``Mat(rows)`` computes the canonical pair (``den`` the lcm
+    of the reduced denominators).  Two memos sit beside it: ``_rows``, the
+    entries as Fractions, built when an entry is first read, and
+    ``_inf_norm``, the memo of :func:`inf_norm`.  Equality cross-multiplies
+    the two pairs and hashing reads the Fractions, so no canonical form is
+    ever built.
     """
 
-    __slots__ = ("_rows", "_pair", "_canon", "_inf_norm")
+    __slots__ = ("_pair", "_rows", "_inf_norm")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         data = tuple(tuple(_coerce(x) for x in row) for row in rows)
         _check_shape(data)
-        object.__setattr__(self, "_rows", data)
-        object.__setattr__(self, "_pair", None)
-        object.__setattr__(self, "_canon", None)
-        object.__setattr__(self, "_inf_norm", None)
+        den = math.lcm(*(x.denominator for row in data for x in row))
+        nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
+        self._pair, self._rows, self._inf_norm = (nums, den), data, None
 
     def _fractions(self) -> tuple[tuple[Fraction, ...], ...]:
         if self._rows is None:
             nums, den = self._pair
-            object.__setattr__(self, "_rows", tuple(tuple(Fraction(x, den) for x in row)
-                                                    for row in nums))
+            self._rows = tuple(tuple(Fraction(x, den) for x in row) for row in nums)
         return self._rows
-
-    def _over_den(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(integer rows, positive denominator): the pair as handed over, or
-        for a matrix built from Fractions the canonical pair."""
-        if self._pair is None:
-            rows = self._rows
-            den = math.lcm(*(x.denominator for row in rows for x in row))
-            nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
-            object.__setattr__(self, "_pair", (nums, den))
-            object.__setattr__(self, "_canon", self._pair)
-        return self._pair
-
-    def _ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(integer rows, denominator) in canonical form: one gcd over the
-        denominator and every numerator of :meth:`_over_den`, on first use."""
-        if self._canon is None:
-            nums, den = self._over_den()
-            g = math.gcd(den, *chain.from_iterable(nums))
-            if g != 1:
-                nums = tuple(tuple(map(g.__rfloordiv__, row)) for row in nums)  # x // g
-            object.__setattr__(self, "_canon", (nums, den // g))
-        return self._canon
 
     # -- basic shape/access ------------------------------------------------
 
     @property
     def rows(self) -> int:
-        return len(self._pair[0] if self._rows is None else self._rows)
+        return len(self._pair[0])
 
     @property
     def cols(self) -> int:
-        return len((self._pair[0] if self._rows is None else self._rows)[0])
+        return len(self._pair[0][0])
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
@@ -158,10 +132,16 @@ class Mat:
     # -- equality / repr ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mat) and self._ints() == other._ints()
+        """Same shape and x / aden == y / bden entry by entry, checked as
+        x * bden == y * aden on the two pairs."""
+        if not isinstance(other, Mat):
+            return False
+        (a, aden), (b, bden) = self._pair, other._pair
+        return (len(a) == len(b) and len(a[0]) == len(b[0])
+                and all(x * bden == y * aden for ra, rb in zip(a, b) for x, y in zip(ra, rb)))
 
     def __hash__(self) -> int:
-        return hash(self._ints())
+        return hash(self._fractions())  # a Fraction hashes by value
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._fractions())
@@ -188,9 +168,8 @@ def _check_shape(data):
 
 def _from_common_denominator(rows, den: int) -> Mat:
     """The Mat with entries rows[i][j] / den, rows integers and den a nonzero
-    integer: its integer view is the pair as handed over (signs flipped when
-    den < 0), with no gcd pass; :meth:`Mat._ints` reduces it if the matrix is
-    ever compared or hashed, and no Fraction is built."""
+    integer: its pair is the one handed over (signs flipped when den < 0),
+    with no gcd pass and no Fraction built."""
     if den == 0:
         raise ZeroDivisionError("matrix denominator is zero")
     nums = tuple(map(tuple, rows))
@@ -198,26 +177,23 @@ def _from_common_denominator(rows, den: int) -> Mat:
     if den < 0:
         nums, den = tuple(tuple(map(operator.neg, row)) for row in nums), -den
     a = Mat.__new__(Mat)
-    object.__setattr__(a, "_rows", None)
-    object.__setattr__(a, "_pair", (nums, den))
-    object.__setattr__(a, "_canon", None)
-    object.__setattr__(a, "_inf_norm", None)
+    a._pair, a._rows, a._inf_norm = (nums, den), None, None
     return a
 
 
 def is_inverse(a: Mat, b: Mat) -> bool:
     """True iff a . b is exactly the identity; a and b must both be n x n.
 
-    The Mat front end of :func:`_is_inverse_over`, on a's integer view."""
-    return _is_inverse_over(*a._over_den(), b)
+    The Mat front end of :func:`_is_inverse_over`, on a's pair."""
+    return _is_inverse_over(*a._pair, b)
 
 
 def _is_inverse_over(rows, den: int, b: Mat) -> bool:
     """True iff (rows / den) . b is exactly the identity, rows integer rows
     (the numerators of a over a common denominator den).
 
-    b is read in its integer view, over whichever common denominator it
-    holds, and its rows are packed into integers (Kronecker substitution),
+    b is read in its pair, over whichever common denominator it holds, and
+    its rows are packed into integers (Kronecker substitution),
     P_j = sum_c b(j, c) 2^(cB), so row i of a times the P_j is
     sum_c (a . b)(i, c) 2^(cB), compared with one 2^(iB) for one = den * bden.
     With B = max(bits(max|a|) + bits(max|b|) + bits(n), bits(one)) + 1, every
@@ -230,7 +206,7 @@ def _is_inverse_over(rows, den: int, b: Mat) -> bool:
     n = len(rows)
     if not len(rows[0]) == b.rows == b.cols == n:
         raise ValueError(f"is_inverse needs n x n matrices: {n}x{len(rows[0])}, {b.rows}x{b.cols}")
-    bnums, bden = b._over_den()
+    bnums, bden = b._pair
     one = den * bden
     width = 1 + max(_max_abs(rows).bit_length() + _max_abs(bnums).bit_length() + n.bit_length(),
                     abs(one).bit_length())
@@ -252,7 +228,7 @@ def inf_norm(a: Mat) -> Fraction:
     it: a cached matrix such as the collocation inverse pays for its norm
     once per cache entry."""
     if a._inf_norm is None:
-        object.__setattr__(a, "_inf_norm", _max_abs_row_sum(*a._over_den()))
+        a._inf_norm = _max_abs_row_sum(*a._pair)
     return a._inf_norm
 
 
@@ -264,7 +240,7 @@ def _float_rows(a: Mat) -> list[list[float]]:
     """The entries of a as floats, read off the integer view: x / den is
     correctly rounded int division for any common denominator, so each float
     equals float(entry)."""
-    nums, den = a._over_den()
+    nums, den = a._pair
     return [[x / den for x in row] for row in nums]
 
 
@@ -276,11 +252,10 @@ def _apply_rows(a: Mat, rows, v) -> list:
     Fraction * float computes it, summed from 0 like the loop.  On exact v (ints
     and Fractions) v goes over one denominator and each row is one integer
     dot product and one Fraction.  Mixed v keeps the Fraction-row loop."""
+    nums, den = a._pair
     if all(isinstance(y, float) for y in v):
-        nums, den = a._over_den()
         return [sum(map(operator.mul, map(den.__rtruediv__, nums[r]), v)) for r in rows]
     if all(isinstance(y, (int, Fraction)) for y in v):
-        nums, den = a._over_den()
         vn, vd = _over_common_denominator(v)
         return [Fraction(sum(map(operator.mul, nums[r], vn)), den * vd) for r in rows]
     return [sum(c * y for c, y in zip(a.row(r), v)) for r in rows]

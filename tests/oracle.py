@@ -5,10 +5,10 @@ No library path calls these: the library builds its dual bases, collocation
 inverses and duality checks in closed form, and applies the dual functionals
 as rows of the elevation matrix.  The tests compare those closed forms with
 the generic routines here (Gauss–Jordan inversion, products, row selection,
-the Pascal matrix, the left- and right-endpoint readings of lambda_k^n on
-power coefficients computed here), so the two must never share code beyond
-the :class:`~dualbern.ratmat.Mat` container and
-:func:`~dualbern.ratmat.binomial`.
+the lowest-terms integer form of a matrix, the Pascal matrix, the left- and
+right-endpoint readings of lambda_k^n on power coefficients computed here),
+so the two must never share code beyond the :class:`~dualbern.ratmat.Mat`
+container and :func:`~dualbern.ratmat.binomial`.
 """
 
 from __future__ import annotations
@@ -85,6 +85,15 @@ def row_select(a: Mat, indices: Iterable[int]) -> Mat:
 def is_row_affine(a: Mat) -> bool:
     """True iff every row sums exactly to 1."""
     return all(sum(a.row(i)) == 1 for i in range(a.rows))
+
+
+def canonical_pair(a: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(integer rows, den) with a[i, j] == rows[i][j] / den in lowest terms:
+    den is the lcm of the reduced denominators of the entries, so no prime
+    divides den and every numerator."""
+    den = math.lcm(*(x.denominator for x in a.entries))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in a.row(i))
+                 for i in range(a.rows)), den
 
 
 def mat_from_json_obj(obj: dict) -> Mat:

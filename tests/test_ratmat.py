@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
+    canonical_pair,
     is_row_affine,
     mat_from_json_obj,
     mat_inv,
@@ -146,7 +147,8 @@ def _integer_cases(rng):
 
 def _views(nums, den):
     """Makers of one value: built from the integers or from Fractions, each
-    fresh or after its other view has been read."""
+    fresh or after a memo has been filled (the Fraction view of the one, the
+    norm of the other, whose Fractions are its input)."""
     def from_ints():
         return _from_common_denominator(nums, den)
 
@@ -160,7 +162,7 @@ def _views(nums, den):
 
     def fractions_read():
         a = from_fractions()
-        a._ints()
+        inf_norm(a)
         return a
 
     return from_ints, ints_read, from_fractions, fractions_read
@@ -194,9 +196,12 @@ def test_integer_and_fraction_views_agree():
                     x, y = make_x(), make_y()
                     assert observe(x, y), (name, make_x.__name__, make_y.__name__, nums, den)
         a = _from_common_denominator(nums, den)
-        numer, canon = a._ints()
+        sign = 1 if den > 0 else -1
+        assert a._pair == (tuple(tuple(sign * x for x in row) for row in nums), abs(den))
+        numer, canon = canonical_pair(a)
         assert canon > 0 and math.gcd(canon, *(x for row in numer for x in row)) == 1
         assert canon == math.lcm(*(x.denominator for x in want))  # the lcm of the reduced ones
+        assert Mat([[F(x, den) for x in row] for row in nums])._pair == (numer, canon)
         assert a.entries == tuple(want) and (a.rows, a.cols) == (len(nums), len(nums[0]))
         if not square:
             for x in _views(nums, den):
@@ -212,7 +217,7 @@ def test_value_readers_read_the_pair_as_handed_over():
     # a pair with a common factor g on den and every numerator against its
     # canonical twin (built from Fractions): construction keeps the pair, and
     # every value reader gives the twin's result bit for bit, both before and
-    # after == and hash have reduced the matrix (once)
+    # after == and hash have read the matrix, which leave the pair as it was
     rng = random.Random(20261020)
 
     def floats(c):
@@ -244,13 +249,12 @@ def test_value_readers_read_the_pair_as_handed_over():
                     hexes(_apply_rows(twin, rows, vf)),
                     _apply_rows(twin, rows, vx), _apply_rows(twin, rows, vm))
         handed = (tuple(tuple(sign * x for x in row) for row in wide), abs(wide_den))
-        for reduced in (False, True):
+        for compared in (False, True):
             a = _from_common_denominator(wide, wide_den)
-            assert a._over_den() == handed and a._canon is None  # no gcd pass at construction
-            if reduced:
+            assert a._pair == handed  # no gcd pass at construction
+            if compared:
                 assert a == twin and hash(a) == hash(twin)
-                canon = a._canon
-                assert canon == twin._ints() and a._ints() is canon  # reduced once
+                assert canonical_pair(a) == canonical_pair(twin) == twin._pair
             with np.errstate(all="ignore"):
                 got = (hexes(x for row in _float_rows(a) for x in row),
                        hexes(_apply_rows(a, rows, vf)),
@@ -263,7 +267,7 @@ def test_value_readers_read_the_pair_as_handed_over():
                 assert is_inverse(b, a) == is_inverse(b, twin), (nums, den, g)
             assert a.entries == twin.entries and repr(a) == repr(twin)
             assert mat_to_json_obj(a) == mat_to_json_obj(twin)
-            assert a._over_den() == handed and (a._canon is not None) == reduced
+            assert a._pair == handed
 
 
 def _row_loop(a, rows, v):
@@ -344,7 +348,8 @@ def test_is_inverse_is_the_product_check():
     # near misses of the packed product: every entry of a true inverse's integer
     # view moved by +-1, one at a time, on dual matrices and on entries of 2^200
     # and more (a determinant -1 matrix times 3 / 2^250 and its inverse, and a
-    # unimodular pair with 2^300 entries)
+    # unimodular pair with 2^300 entries); the integer view is the pair the
+    # matrix holds and, where that differs, its lowest-terms form
     big = 1 << 200
     pairs = [(selected_elevation_rows(m, k), symmetric_dual_matrix(m, k)) for m, k in ((3, 4), (6, 8))]
     pairs.append((_from_common_denominator([[3 * big + 3, 3 * big], [3 * big, 3 * big - 3]], 1 << 250),
@@ -354,12 +359,12 @@ def test_is_inverse_is_the_product_check():
     pairs.append((u, mat_inv(u)))
     for a, b in pairs:
         assert check(a, b) and check(b, a)
-        nums, den = b._ints()
-        for i, j in product(range(b.rows), range(b.cols)):
-            for step in (1, -1):
-                moved = [list(row) for row in nums]
-                moved[i][j] += step
-                assert not check(a, _from_common_denominator(moved, den)), (i, j, step)
+        for nums, den in {b._pair, canonical_pair(b)}:
+            for i, j in product(range(b.rows), range(b.cols)):
+                for step in (1, -1):
+                    moved = [list(row) for row in nums]
+                    moved[i][j] += step
+                    assert not check(a, _from_common_denominator(moved, den)), (i, j, step)
 
     # a . b = [[one - K, 1, 0], [0, one, 0], [0, 0, one]] with K = 2^(B - 1): the
     # error -K in slot 0 of row 0 is cancelled by the +1 in slot 1 when the slots
@@ -371,11 +376,11 @@ def test_is_inverse_is_the_product_check():
     one = 9328034414577398084
     b = _from_common_denominator([[14, 31, 31], [31, 16, -30], [29, -30, 15]], 1)
     narrow = 57 + 5 + 2
-    packed = [sum(x << (c * narrow) for c, x in enumerate(row)) for row in b._ints()[0]]
+    packed = [sum(x << (c * narrow) for c, x in enumerate(row)) for row in b._pair[0]]
     assert all(sum(x * y for x, y in zip(row, packed)) == one << (i * narrow)
                for i, row in enumerate(a_rows))
     a = _from_common_denominator(a_rows, one)
-    assert a._ints() == (tuple(map(tuple, a_rows)), one)
+    assert a._pair == canonical_pair(a) == (tuple(map(tuple, a_rows)), one)
     assert not check(a, b)
     for (r1, c1), (r2, c2) in [((2, 3), (3, 2)), ((3, 2), (2, 3)), ((2, 2), (3, 3)),
                                ((2, 2), (2, 3)), ((3, 3), (3, 2))]:
@@ -449,3 +454,44 @@ def test_sub_and_transpose_consistency(ab):
     assert mat_sub(a, a) == Mat.zero(a.rows, a.cols)
     assert transpose(transpose(a)) == a
     assert transpose(mat_mul(a, b)) == mat_mul(transpose(b), transpose(a))
+
+
+int_rows = st.integers(1, 4).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-10**6, 10**6), min_size=c, max_size=c),
+                       min_size=1, max_size=4))
+nonzero = st.integers(-10**6, 10**6).filter(bool)
+
+
+@given(int_rows, nonzero, st.integers(-10**4, 10**4).filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_eq_and_hash_are_by_value(nums, den, g):
+    # one value as its pair, the pair scaled by g (a negative g flips every
+    # sign) and the Fraction-built twin; any numerator moved by +-1 is another
+    # value, and a different shape is another matrix
+    pairs = [(nums, den), ([[g * x for x in row] for row in nums], g * den)]
+    mats = [_from_common_denominator(*p) for p in pairs]
+    mats.append(Mat([[F(x, den) for x in row] for row in nums]))
+    for x in mats:
+        for y in mats:
+            assert x == y and not x != y and hash(x) == hash(y)
+    for p, i, j, step in product(pairs, range(len(nums)), range(len(nums[0])), (1, -1)):
+        moved = [list(row) for row in p[0]]
+        moved[i][j] += step
+        other = _from_common_denominator(moved, p[1])
+        for x in mats:
+            assert x != other and other != x and not x == other, (p, i, j, step)
+    wider = _from_common_denominator([row + [0] for row in nums], den)
+    taller = _from_common_denominator(nums + [[0] * len(nums[0])], den)
+    assert all(x != y and y != x for x in mats for y in (wider, taller))
+    assert mats[0] != nums and mats[0] != (tuple(map(tuple, nums)), den)
+
+
+@given(st.lists(st.integers(-50, 50), min_size=4, max_size=4), nonzero)
+@settings(max_examples=40, deadline=None)
+def test_eq_tells_shapes_apart(xs, den):
+    shapes = [_from_common_denominator([xs], den),
+              _from_common_denominator([xs[:2], xs[2:]], den),
+              _from_common_denominator([[x] for x in xs], den)]
+    assert [x.entries for x in shapes] == [shapes[0].entries] * 3
+    for i, j in product(range(3), repeat=2):
+        assert (shapes[i] == shapes[j]) == (i == j), (i, j)
