@@ -71,22 +71,6 @@ from .symmetric import (
 
 __version__ = "0.1.0"
 
-_OPERATORS_NAMES = frozenset({
-    "OperatorReport",
-    "StabilityReport",
-    "bernstein_like",
-    "bernstein_like_report",
-    "distance_to_subspace",
-    "modulus_of_continuity",
-    "quasi_interpolant",
-    "quasi_interpolant_report",
-    "stability_report",
-    "tilde_lambda_apply",
-})
-
-
-_OPERATORS_MODULE = __name__ + ".operators"
-
 
 def __getattr__(name):
     # PEP 562.  Nothing is cached here: every access reads the operators
@@ -95,14 +79,15 @@ def __getattr__(name):
     # import_module would return, at a fraction of its cost.  importlib, not
     # ``from . import``, which would look the name up on this package again
     # and recurse.
-    if name == "operators" or name in _OPERATORS_NAMES:
-        operators = sys.modules.get(_OPERATORS_MODULE) or importlib.import_module(_OPERATORS_MODULE)
+    if name == "operators" or name in _LAZY_NAMES:
+        module = __name__ + ".operators"
+        operators = sys.modules.get(module) or importlib.import_module(module)
         return operators if name == "operators" else getattr(operators, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | _OPERATORS_NAMES)
+    return sorted(set(globals()) | _LAZY_NAMES)
 
 
 __all__ = [
@@ -162,3 +147,6 @@ __all__ = [
     "verify_duality",
     "xi_nodes",
 ]
+
+# the public names not imported above: those of dualbern.operators
+_LAZY_NAMES = frozenset(__all__).difference(globals())

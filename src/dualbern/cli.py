@@ -78,13 +78,12 @@ def _json_text(obj, indent: int = 0) -> str:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """Write text, which ends with a newline, to the --out file or stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +316,24 @@ def _cmd_convergence(args) -> int:
 # -- SVG helpers -------------------------------------------------------------
 
 
-def _svg_document(curves, points_groups, x_range, y_range) -> str:
+def _svg_document(curves, points_groups, x_range) -> str:
     """Self-contained 800x600 SVG: framed plot area, polyline curves, and
-    optional marker groups (list of (pts, dashed)).  ValueError when a curve
-    value is not finite or the padded y range has no finite positive width."""
+    optional marker groups (list of (pts, dashed)).  The y range spans the
+    curves' values; ValueError when one is not finite or the padded range
+    has no finite positive width."""
     if not all(math.isfinite(v) for pts, _ in curves for pt in pts for v in pt):
         raise ValueError("plot values are not finite")
     width, height = 800, 600
     left, right, top, bottom = 60, 20, 20, 40
     x0, x1 = x_range
-    y0, y1 = y_range
+    ys = [y for pts, _ in curves for _, y in pts]
+    y0, y1 = min(ys), max(ys)
     if y1 - y0 < 1e-12:
         y0, y1 = y0 - 1.0, y1 + 1.0
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
     if not 0 < y1 - y0 < math.inf:
-        raise ValueError(f"cannot scale the plot's y range [{y_range[0]}, {y_range[1]}]")
+        raise ValueError(f"cannot scale the plot's y range [{min(ys)}, {max(ys)}]")
 
     def sx(x):
         return left + (x - x0) / (x1 - x0) * (width - left - right)
@@ -399,9 +400,7 @@ def _cmd_plot(args) -> int:
         curves = [
             ([(t, row[i]) for t, row in zip(ts, values)], False) for i in range(args.m + 1)
         ]
-        ymin = min(min(row) for row in values)
-        ymax = max(max(row) for row in values)
-        svg = _svg_document(curves, [], (ts[0], ts[-1]), (ymin, ymax))
+        svg = _svg_document(curves, [], (ts[0], ts[-1]))
         header = "t," + ",".join(f"D{i}" for i in range(args.m + 1))
         rows = [
             ",".join([_fmt_float(t)] + [_fmt_float(v) for v in row])
@@ -424,12 +423,10 @@ def _cmd_plot(args) -> int:
         curve_pts = list(zip(ts, bform_eval(transformed, iv, ts).tolist()))
         original = list(zip(xs, alpha))
         moved = list(zip(xs, transformed))
-        ys = alpha + transformed + [y for _, y in curve_pts]
         svg = _svg_document(
             [(original, False), (moved, True), (curve_pts, False)],
             [(original, False), (moved, True)],
             (ts[0], ts[-1]),
-            (min(ys), max(ys)),
         )
         lines = ["kind,x,y"]
         lines += [f"original,{_fmt_float(x)},{_fmt_float(y)}" for x, y in original]

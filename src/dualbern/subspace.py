@@ -127,6 +127,10 @@ class Embedding:
     m: int
     n: int
 
+    def __post_init__(self):
+        if self.kind not in ("bernstein", "power"):
+            raise ValueError(f"embedding kind must be 'bernstein' or 'power', got {self.kind!r}")
+
     def rows(self, s) -> Mat:
         """E(s,:): row s(i) of E as row i; IndexError for an index outside 0..n."""
         return _from_common_denominator(*self._int_rows(s))
@@ -292,7 +296,7 @@ def verify_duality(db: DualBasis) -> bool:
     independent of that closed form; A is read in its integer view, and the
     integer dot products are compared with the identity (the routine behind
     :func:`~dualbern.ratmat.is_inverse`).
-    Raises ValueError unless A is (m+1) x (m+1).
+    Raises ValueError unless A is (m+1) x (m+1) and the kind is bernstein or power.
     """
     return _is_inverse_over(*Embedding(db.kind, db.m, db.n)._int_rows(db.s), db.A)
 

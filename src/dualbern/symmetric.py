@@ -186,13 +186,13 @@ def rate_bound(m: int, k: int) -> float:
     exact scaled distance k * inf_norm(M_m - E(s,:)) exceeds inf_norm(C) for
     every m = 2..9 and k = 1..64, so no finite-k argument covers it.  It has
     exceeded the grid sup-distance in every case measured (9x at m = 2,
-    630x at m = 5, 2.5e5x at m = 9)."""
+    630x at m = 5, 2.5e5x at m = 9).  m < 1 raises its own ValueError;
+    otherwise m and k are checked as :class:`SymmetricConfig` checks them."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    norm_al = inf_norm(_colloc_inv(m))
-    return float(norm_al * norm_al * inf_norm(rate_constant(m).C) / k)
+    cfg = SymmetricConfig(m, k)
+    norm_al = inf_norm(_colloc_inv(cfg.m))
+    return float(norm_al * norm_al * inf_norm(rate_constant(cfg.m).C) / cfg.k)
 
 
 def convergence_csv(records) -> str:

@@ -149,6 +149,43 @@ def test_dual_basis_bad_selection_indices(capsys):
     assert rc == 2
 
 
+_POLYGON = ("plot", "--kind", "polygon", "--m", "2", "--symmetric", "--k", "2", "--out", "{out}/p.svg")
+USAGE_ERRORS = [
+    (("dual-basis", "--m", "0", "--symmetric", "--k", "2"), "--m must be >= 1"),
+    (("dual-basis", "--m", "2", "--symmetric", "--k", "2", "--n", "4", "--selection", "0,2,4"),
+     "--symmetric and --selection are mutually exclusive"),
+    (("dual-basis", "--m", "2", "--n", "4"), "need --selection i0,i1,... or --symmetric --k K"),
+    (("dual-basis", "--m", "2", "--selection", "0,2,4"), "--selection needs --n"),
+    (("dual-basis", "--m", "2", "--n", "4", "--selection", "0,x,4"), "bad --selection '0,x,4'"),
+    (("elevate", "--m", "2", "--n", "-1"), "degrees must be nonnegative"),
+    (("convergence", "--m", "0", "--k", "3"), "--m must be >= 1"),
+    (_POLYGON, "plot --kind polygon needs --coeffs c0,c1,...,cm"),
+    ((*_POLYGON, "--coeffs", "1,x,2"), "bad --coeffs '1,x,2'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS, ids=[m for _, m in USAGE_ERRORS])
+def test_usage_errors_name_the_argument(capsys, tmp_path, argv, message):
+    argv = [a.replace("{out}", str(tmp_path)) for a in argv]
+    assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []  # no SVG, no CSV sidecar
+
+
+@pytest.mark.parametrize("argv", [
+    ("elevate", "--m", "2", "--n", "5"),
+    ("elevate", "--m", "2", "--n", "5", "--format", "csv"),
+    ("dual-basis", "--m", "2", "--symmetric", "--k", "3"),
+    ("convergence", "--m", "2", "--k", "3"),
+    ("operator", "--which", "quasi", "--m", "2", "--symmetric", "--k", "2", "--fn", "sin"),
+], ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+def test_out_file_holds_the_bytes_stdout_gets(capsys, tmp_path, argv):
+    rc, printed, err = invoke(capsys, *argv)
+    assert (rc, err) == (0, "") and printed.endswith("\n")
+    out = tmp_path / "out.txt"
+    assert invoke(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_bytes() == printed.encode()
+
+
 def test_convergence_csv(capsys):
     rc, out, _ = invoke(capsys, "convergence", "--m", "2", "--k", "4", "--format", "csv")
     assert rc == 0

@@ -1,10 +1,12 @@
 """The import contract: numpy is loaded only by the code that samples floats.
 
 The exact commands (``elevate``, ``dual-basis``, the singular power probe)
-and ``import dualbern`` itself must not import numpy, and ``import
-dualbern.cli`` must not import ``csv``; the ``operators`` names
-stay reachable from the package through its module ``__getattr__``.  Each
-check runs in a fresh interpreter, since this test process has numpy loaded.
+and ``import dualbern`` itself must not import numpy or
+``dualbern.operators``, and ``import dualbern.cli`` must not import
+``csv``.  The ``operators`` names stay reachable from the package through
+its module ``__getattr__``, and they are exactly the public functions and
+classes that module defines.  Each check runs in a fresh interpreter, since
+this test process has numpy loaded.
 """
 
 import os
@@ -38,10 +40,13 @@ for argv, code in [
     with contextlib.redirect_stdout(io.StringIO()):
         assert dualbern.cli.run(argv) == code, argv
     no_numpy(argv)
+# the operators module is what pulls numpy in, so it stays unloaded as well
+assert "dualbern.operators" not in sys.modules, "exact commands"
 print("ok")
 """
 
 LAZY_NAMES = r"""
+import inspect
 import dualbern
 # the submodule by attribute first, before any name has imported it
 assert dualbern.operators._colloc_inv is dualbern.bernstein._colloc_inv
@@ -51,6 +56,13 @@ missing = [name for name in dualbern.__all__ if name not in ns]
 assert not missing, missing
 assert dualbern.quasi_interpolant_report is dualbern.operators.quasi_interpolant_report
 assert set(dualbern.__all__) <= set(dir(dualbern))
+# the lazy names are the public functions and classes of dualbern.operators,
+# so one added there without an __all__ entry fails here
+ops = dualbern.operators
+public = {name for name, obj in vars(ops).items() if not name.startswith("_")
+          and (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == ops.__name__}
+lazy = {name for name in dualbern.__all__ if name not in vars(dualbern)}
+assert lazy == public, (lazy ^ public)
 try:
     dualbern.no_such_name
 except AttributeError as exc:

@@ -12,6 +12,8 @@ from oracle import is_row_affine, left_functionals, mat_inv, mat_mul, right_func
 from dualbern.bernstein import Interval, bernstein_value, elevation_matrix
 from dualbern.ratmat import Mat, SingularMatrixError
 from dualbern.subspace import (
+    DualBasis,
+    Embedding,
     IndexOutOfRangeError,
     NotInjectiveError,
     SelectionError,
@@ -232,6 +234,30 @@ def test_is_complete():
     assert is_complete(bernstein_embedding(2, 13))
     assert is_complete(bernstein_embedding(20, 400))
     assert not is_complete(power_embedding(20, 400))
+
+
+def test_embedding_kind_is_bernstein_or_power():
+    # only these two kinds have a row formula; any other is refused, not read
+    # as the power basis
+    for kind in ("Bernstein", "", "Power"):
+        msg = f"embedding kind must be 'bernstein' or 'power', got {kind!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            Embedding(kind, 2, 4)
+    # verify_duality rebuilds the embedding from the basis's kind
+    sel = make_selection(2, 4, (0, 1, 2))
+    db = dual_basis(power_embedding(2, 4), sel)
+    with pytest.raises(ValueError, match="got 'Power'$"):
+        verify_duality(DualBasis(db.m, db.n, db.s, db.A, db.interval, kind="Power"))
+    # the two real kinds are unchanged
+    for kind, factory, complete in [("bernstein", bernstein_embedding, True),
+                                    ("power", power_embedding, False)]:
+        emb = Embedding(kind, 2, 4)
+        assert emb == factory(2, 4) and is_complete(emb) is complete
+        assert emb.rows(sel) == row_select(emb.E, sel)
+        db = dual_basis(emb, sel)
+        assert db.kind == kind and verify_duality(db)
+    assert Embedding("bernstein", 2, 4).rows(sel) == row_select(elevation_matrix(2, 4), sel)
+    assert Embedding("power", 2, 4).rows(sel) == Mat.identity(3)
 
 
 def _det(rows):

@@ -8,6 +8,7 @@ construction (invert the selected rows of the degree-elevation matrix).
 import csv
 import io
 import math
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -283,6 +284,17 @@ def test_rate_bound_names_m_when_m_is_below_one():
     for m in (0, -1):
         with pytest.raises(ValueError, match="^m must be >= 1$"):
             rate_bound(m, 3)
+
+
+def test_rate_bound_refuses_k_as_symmetric_dual_matrix_does():
+    # k goes through SymmetricConfig, so a non-integral k is refused, not divided by
+    for k in (0, -1, 2.5, 2.0, "3", F(2), None):
+        with pytest.raises(ValueError) as want:
+            symmetric_dual_matrix(2, k)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            rate_bound(2, k)
+    assert rate_bound(np.int64(2), np.int64(2)) == rate_bound(2, 2)
+    assert rate_bound(3, True) == rate_bound(3, 1)
 
 
 def test_sup_distance_within_rate_bound():
