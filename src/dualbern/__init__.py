@@ -18,7 +18,6 @@ import sys
 from .bernstein import (
     BPoly,
     Interval,
-    NodeVector,
     UNIT_INTERVAL,
     bernstein_value,
     bform_eval,
@@ -35,7 +34,6 @@ from .bernstein import (
 from .ratmat import (
     Mat,
     SingularMatrixError,
-    binomial,
     inf_norm,
     is_inverse,
     mat_to_json_obj,
@@ -59,11 +57,9 @@ from .subspace import (
 )
 from .symmetric import (
     ConvergenceRecord,
-    RateConstant,
     SymmetricConfig,
     convergence_csv,
     convergence_table,
-    rate_bound,
     rate_constant,
     selected_elevation_rows,
     symmetric_dual_matrix,
@@ -98,10 +94,8 @@ __all__ = [
     "IndexOutOfRangeError",
     "Interval",
     "Mat",
-    "NodeVector",
     "NotInjectiveError",
     "OperatorReport",
-    "RateConstant",
     "SelectionError",
     "SelectionMap",
     "SingularMatrixError",
@@ -115,7 +109,6 @@ __all__ = [
     "bernstein_value",
     "bform_eval",
     "bform_to_power",
-    "binomial",
     "collocation_matrix",
     "convergence_csv",
     "convergence_table",
@@ -137,7 +130,6 @@ __all__ = [
     "power_to_bform",
     "quasi_interpolant",
     "quasi_interpolant_report",
-    "rate_bound",
     "rate_constant",
     "selected_elevation_rows",
     "stability_report",

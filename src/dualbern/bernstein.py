@@ -10,7 +10,7 @@ formula, which also builds any chosen rows E(s,:) alone), the collocation
 matrix (likewise one integer row formula) and its cached inverse,
 power-basis conversion, the dual functionals lambda_k^n (row k of the
 elevation matrix applied to the B-form coefficients) and their real-index
-generalization, and uniform node vectors.  On exact input the two
+generalization, and the uniform nodes.  On exact input the two
 power-basis conversions work on integer numerators over one common
 denominator; B-form to power runs one forward-difference routine for exact
 and float input alike and builds one Fraction per output coefficient.  The
@@ -48,7 +48,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from typing import TYPE_CHECKING, Sequence
 
-from .ratmat import Mat, _from_common_denominator, _over_common_denominator, binomial
+from .ratmat import Mat, _from_common_denominator, _over_common_denominator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -141,28 +141,6 @@ class BPoly:
 
     def __call__(self, t):
         return de_casteljau_eval(self, t)
-
-
-@dataclass(frozen=True)
-class NodeVector:
-    """Uniform nodes xi_i = a + (i/n)(b - a), i = 0..n (strictly increasing)."""
-
-    n: int
-    interval: Interval
-    nodes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        if len(self.nodes) != self.n + 1:
-            raise ValueError("node count must be n+1")
-        if any(x >= y for x, y in zip(self.nodes, self.nodes[1:])):
-            raise ValueError("nodes must be strictly increasing")
-
-    def __iter__(self):
-        return iter(self.nodes)
-
-    def __getitem__(self, i):
-        return self.nodes[i]
 
 
 def bernstein_value(m: int, i: int, t, iv: Interval = UNIT_INTERVAL):
@@ -387,7 +365,7 @@ def power_to_bform(power_coeffs: Sequence, n: int, iv: Interval = UNIT_INTERVAL)
         return p
     support = [j for j, v in enumerate(c) if v != 0]  # zero terms add nothing
     alpha = [
-        sum(((binomial(i, j) / binomial(n, j)) * c[j] for j in support if j <= i), 0.0)
+        sum((Fraction(math.comb(i, j), math.comb(n, j)) * c[j] for j in support if j <= i), 0.0)
         for i in range(n + 1)
     ]
     return BPoly(n, iv, tuple(alpha))
@@ -428,7 +406,10 @@ def _power_diagonal(p: BPoly) -> tuple:
         diffs = _forward_differences(nums)
         out = tuple(Fraction(math.comb(n, j) * d, den) for j, d in enumerate(diffs))
     else:
-        out = tuple(binomial(n, j) * d for j, d in enumerate(_forward_differences(list(p.coeffs))))
+        # a Fraction factor: an int difference, which mixed int and float
+        # coefficients can give, comes out a Fraction
+        diffs = _forward_differences(list(p.coeffs))
+        out = tuple(Fraction(math.comb(n, j)) * d for j, d in enumerate(diffs))
     return out or (p.coeffs[0] * 0,)  # 0 or 0.0, matching the coefficient arithmetic
 
 
@@ -541,11 +522,12 @@ def generalized_dual_apply(n: int, x, p: BPoly):
     return out
 
 
-def xi_nodes(n: int, iv: Interval = UNIT_INTERVAL) -> NodeVector:
-    """Uniform node vector xi_i = a + (i/n)(b-a); exact for exact intervals."""
+def xi_nodes(n: int, iv: Interval = UNIT_INTERVAL) -> tuple:
+    """Uniform nodes xi_i = a + (i/n)(b-a), i = 0..n, as a tuple; exact for
+    exact intervals."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return NodeVector(n, iv, tuple(_uniform_nodes(n, iv, range(n + 1))))
+    return tuple(_uniform_nodes(n, iv, range(n + 1)))
 
 
 def _uniform_nodes(n: int, iv: Interval, ks) -> list:

@@ -194,14 +194,9 @@ def quasi_interpolant_report(
     db = _dual(m, n, s, iv)
     p = _quasi(db, f)
     ts = uniform_grid(iv, samples)
-    if 2 * (samples - 1) == _LSTSQ_SAMPLES - 1:
-        lsq_ts = uniform_grid(iv, _LSTSQ_SAMPLES)
-        lsq_vals = _sample(f, lsq_ts)
-        fs = lsq_vals[::2]
-    else:
-        fs = _sample(f, ts)
-        lsq_ts = uniform_grid(iv, _LSTSQ_SAMPLES)
-        lsq_vals = _sample(f, lsq_ts)
+    lsq_ts = uniform_grid(iv, _LSTSQ_SAMPLES)
+    lsq_vals = _sample(f, lsq_ts)
+    fs = lsq_vals[::2] if 2 * (samples - 1) == _LSTSQ_SAMPLES - 1 else _sample(f, ts)
     sup_err = _grid_error(fs, ts, p)
     norm_a = inf_norm(db.A)
     norm_minv = inf_norm(_colloc_inv(n))

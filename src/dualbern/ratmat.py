@@ -48,18 +48,6 @@ class SingularMatrixError(ValueError):
     """
 
 
-def binomial(n: int, k: int) -> Fraction:
-    """Exact binomial coefficient C(n, k); 0 when k < 0 or k > n.
-
-    n must be nonnegative.
-    """
-    if n < 0:
-        raise ValueError(f"binomial: n must be >= 0, got {n}")
-    if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(math.comb(n, k))
-
-
 def _coerce(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
         return x

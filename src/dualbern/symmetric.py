@@ -27,7 +27,7 @@ from .bernstein import (
     bform_eval,
     uniform_grid,
 )
-from .ratmat import Mat, _float_rows, _from_common_denominator, inf_norm
+from .ratmat import Mat, _float_rows, _from_common_denominator
 from .subspace import SelectionMap, _bernstein_dual_matrix, bernstein_embedding, make_selection
 
 
@@ -60,15 +60,6 @@ class SymmetricConfig:
         return make_selection(self.m, self.n, tuple(i * self.k for i in range(self.m + 1)))
 
 
-@dataclass(frozen=True)
-class RateConstant:
-    """The (m+1) x (m+1) first-order limit matrix C; boundary rows are zero
-    and every row sums to zero (difference of two row-affine matrices)."""
-
-    m: int
-    C: Mat
-
-
 def selected_elevation_rows(m: int, k: int) -> Mat:
     """E(s,:) for the symmetric selection — this is exactly A_{m,k}^{-1}.
 
@@ -85,8 +76,10 @@ def symmetric_dual_matrix(m: int, k: int) -> Mat:
     return _bernstein_dual_matrix(cfg.m, cfg.n, tuple(range(0, cfg.n + 1, cfg.k)))
 
 
-def rate_constant(m: int) -> RateConstant:
-    """Exact first-order constant C for the symmetric configuration.
+def rate_constant(m: int) -> Mat:
+    """Exact first-order constant C for the symmetric configuration, the
+    (m+1) x (m+1) limit matrix below; m is checked as :class:`SymmetricConfig`
+    checks it.
 
     With n = mk, E(ik, j) = C(m, j) ((m-i)k)_{m-j} (ik)_j / (mk)_m, and each
     falling factorial expands as (xk)_r = (xk)^r (1 - r(r-1)/(2xk) + O(1/k^2)).
@@ -96,10 +89,10 @@ def rate_constant(m: int) -> RateConstant:
         C(i, j) = M_m(i, j)/2 * [ j(j-1)/i + (m-j)(m-j-1)/(m-i) - (m-1) ],
 
     the last term from the denominator (mk)_m.  The boundary rows i in {0, m}
-    are zero: there E(ik, :) and M_m(i, :) are the same unit row.
+    are zero: there E(ik, :) and M_m(i, :) are the same unit row.  Every row
+    sums to zero, as C is the difference of two row-affine matrices.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = SymmetricConfig(m, 1).m
     rows, den = _collocation_int_rows(m)
     # i (m-i) times the bracket is an integer; every row goes over 2 den lcm_i i (m-i)
     lcm = math.lcm(*(i * (m - i) for i in range(1, m)))
@@ -109,7 +102,7 @@ def rate_constant(m: int) -> RateConstant:
         for j in range(m + 1):
             bracket = j * (j - 1) * (m - i) + (m - j) * (m - j - 1) * i - (m - 1) * i * (m - i)
             C[i][j] = rows[i][j] * bracket * w
-    return RateConstant(m, _from_common_denominator(C, 2 * den * lcm))
+    return _from_common_denominator(C, 2 * den * lcm)
 
 
 @dataclass(frozen=True)
@@ -154,8 +147,6 @@ def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRec
     """
     import numpy as np
 
-    if m < 1:
-        raise ValueError("m must be >= 1")
     configs = [SymmetricConfig(m, k) for k in k_list]
     if not configs:
         raise ValueError("k_list must be nonempty")
@@ -175,24 +166,6 @@ def convergence_table(m: int, k_list, samples: int = 201) -> list[ConvergenceRec
             scaled = float(_scaled_elevation_distance(*colloc, k))
             out.append(ConvergenceRecord(k=k, sup_dist=float(sup), scaled_mat_dist=scaled))
     return out
-
-
-def rate_bound(m: int, k: int) -> float:
-    """The leading-order estimate  inf_norm(A_L)^2 * inf_norm(C) / k  of the
-    sup-distance between D^{m,k} and the Lagrange basis, where
-    A_L = collocation_matrix(m)^{-1}.
-
-    It is not a bound: it keeps only the 1/k term of A_k - A_L, and the
-    exact scaled distance k * inf_norm(M_m - E(s,:)) exceeds inf_norm(C) for
-    every m = 2..9 and k = 1..64, so no finite-k argument covers it.  It has
-    exceeded the grid sup-distance in every case measured (9x at m = 2,
-    630x at m = 5, 2.5e5x at m = 9).  m < 1 raises its own ValueError;
-    otherwise m and k are checked as :class:`SymmetricConfig` checks them."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    cfg = SymmetricConfig(m, k)
-    norm_al = inf_norm(_colloc_inv(cfg.m))
-    return float(norm_al * norm_al * inf_norm(rate_constant(cfg.m).C) / cfg.k)
 
 
 def convergence_csv(records) -> str:

@@ -8,7 +8,7 @@ the generic routines here (Gauss–Jordan inversion, products, row selection,
 the lowest-terms integer form of a matrix, the Pascal matrix, the left- and
 right-endpoint readings of lambda_k^n on power coefficients computed here),
 so the two must never share code beyond the :class:`~dualbern.ratmat.Mat`
-container and :func:`~dualbern.ratmat.binomial`.
+container; binomial coefficients come from :func:`math.comb`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from dualbern.ratmat import Mat, SingularMatrixError, binomial
+from dualbern.ratmat import Mat, SingularMatrixError
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -109,7 +109,7 @@ def pascal_matrix(n: int) -> Mat:
     """Lower-triangular Pascal matrix T(i, j) = C(i, j), size (n+1) x (n+1)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Mat([[binomial(i, j) for j in range(n + 1)] for i in range(n + 1)])
+    return Mat([[math.comb(i, j) for j in range(n + 1)] for i in range(n + 1)])
 
 
 def power_coefficients(alpha: Sequence) -> list:

@@ -174,7 +174,7 @@ def test_acceptance_5_rate_constant_law():
 
     def check():
         for m in (2, 3, 4):
-            c = rate_constant(m).C
+            c = rate_constant(m)
             for k in (2, 3, 5, 16, 64, 128):
                 x = scaled(m, k)
                 assert all(v == 0 for v in x.row(0))
@@ -190,7 +190,7 @@ def test_acceptance_5_rate_constant_law():
                         assert abs(float(got)) <= 1e-3
                         assert abs(float(got)) <= 0.65 * abs(float(x64[i, j]))
         # closed form at m = 2: the single interior row of C
-        assert rate_constant(2).C.row(1) == (F(1, 8), F(-1, 4), F(1, 8))
+        assert rate_constant(2).row(1) == (F(1, 8), F(-1, 4), F(1, 8))
 
     _verdict(5, "scaled Lagrange distance converges to the rate constant", check)
 

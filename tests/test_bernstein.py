@@ -16,7 +16,6 @@ from dualbern.bernstein import (
     UNIT_INTERVAL,
     BPoly,
     Interval,
-    NodeVector,
     _basis_sum_eval,
     _colloc_inv,
     _forward_differences,
@@ -736,7 +735,7 @@ def test_generalized_first_order_term_is_the_voronovskaya_constant():
 
 
 def test_xi_nodes():
-    assert xi_nodes(2) == NodeVector(2, UNIT_INTERVAL, (F(0), F(1, 2), F(1)))
+    assert xi_nodes(2) == (F(0), F(1, 2), F(1))
     iv = Interval(F(0), F(2))
     assert tuple(xi_nodes(4, iv)) == (F(0), F(1, 2), F(1), F(3, 2), F(2))
 
@@ -780,10 +779,3 @@ def test_functionals_are_interval_invariant():
     for k in range(4):
         assert dual_functional_apply(3, k, p1) == dual_functional_apply(3, k, p2)
     assert generalized_dual_apply(3, F(1, 3), p1) == generalized_dual_apply(3, F(1, 3), p2)
-
-
-def test_node_vector_validation():
-    with pytest.raises(ValueError):
-        NodeVector(2, UNIT_INTERVAL, (F(0), F(0), F(1)))
-    with pytest.raises(ValueError):
-        NodeVector(2, UNIT_INTERVAL, (F(0), F(1)))

@@ -259,6 +259,23 @@ def test_plot_polygon(tmp_path, capsys):
     assert kinds == {"original", "transformed", "curve"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("--kind", "basis", "--m", "3", "--symmetric", "--k", "2", "--grid", "101"),
+    ("--kind", "polygon", "--m", "4", "--symmetric", "--k", "3", "--coeffs", "0,1,0,2,1"),
+])
+def test_plot_y_range_spans_every_curve(tmp_path, capsys, argv):
+    # the data y range of all curves together fills the frame less a 5% pad at
+    # each end (rows 20..560 of the 600-pixel image), whichever curve holds
+    # the extremes
+    out = tmp_path / "plot.svg"
+    rc, _, _ = invoke(capsys, "plot", *argv, "--out", str(out))
+    assert rc == 0
+    ys = [float(pt.split(",")[1])
+          for points in re.findall(r'<polyline [^>]*points="([^"]*)"', out.read_text())
+          for pt in points.split()]
+    assert (min(ys), max(ys)) == (44.545, 535.455)
+
+
 def test_plot_needs_out(capsys):
     rc, _, err = invoke(capsys, "plot", "--kind", "basis", "--m", "2", "--symmetric", "--k", "2")
     assert rc == 2

@@ -27,24 +27,10 @@ from dualbern.ratmat import (
     _apply_rows,
     _float_rows,
     _from_common_denominator,
-    binomial,
     inf_norm,
     is_inverse,
     mat_to_json_obj,
 )
-
-
-def test_binomial_values():
-    assert binomial(4, 2) == 6
-    assert binomial(5, 0) == 1
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-    assert isinstance(binomial(4, 2), F)
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_mat_construction_and_access():

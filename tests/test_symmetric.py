@@ -36,7 +36,6 @@ from dualbern.symmetric import (
     convergence_csv,
     convergence_table,
     rate_constant,
-    rate_bound,
     selected_elevation_rows,
     symmetric_dual_matrix,
 )
@@ -57,9 +56,16 @@ def test_every_symmetric_caller_refuses_a_non_integral_m_or_k_alike():
     callers = (symmetric_dual_matrix, lambda m, k: convergence_table(m, [k]),
                lambda m, k: SymmetricConfig(m, k).selection())
     for call in callers:
-        for m, k in ((3, 2.5), (3, 2.0), (2.5, 2), (3, "2"), (3, F(2))):
+        for m, k in ((3, 2.5), (3, 2.0), (2.5, 2), ("3", 2), (3, "2"), (3, F(2))):
             with pytest.raises(ValueError, match="^need integers m >= 1 and k >= 1"):
                 call(m, k)
+    # rate_constant takes m alone, through the same check
+    for m in (2.5, 2.0, "3", F(2), None):
+        want = re.escape(f"need integers m >= 1 and k >= 1, got m={m!r}, k=1")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            rate_constant(m)
+    assert rate_constant(np.int64(3)) == rate_constant(3)
+    assert rate_constant(True) == rate_constant(1)
     # a bool and a numpy integer are integers, and are kept as ints
     cfg = SymmetricConfig(np.int64(3), True)
     assert (cfg.m, cfg.k, cfg.n) == (3, 1, 3) and type(cfg.k) is int and type(cfg.m) is int
@@ -109,16 +115,16 @@ def test_lagrange_collocation_goldens():
 
 
 def test_rate_constant_golden_m2():
-    rc = rate_constant(2)
-    assert rc.m == 2
-    assert rc.C.row(0) == (F(0), F(0), F(0))
-    assert rc.C.row(1) == (F(1, 8), F(-1, 4), F(1, 8))
-    assert rc.C.row(2) == (F(0), F(0), F(0))
+    c = rate_constant(2)
+    assert isinstance(c, Mat) and (c.rows, c.cols) == (3, 3)
+    assert c.row(0) == (F(0), F(0), F(0))
+    assert c.row(1) == (F(1, 8), F(-1, 4), F(1, 8))
+    assert c.row(2) == (F(0), F(0), F(0))
 
 
 def test_rate_constant_structure():
     for m in range(2, 6):
-        c = rate_constant(m).C
+        c = rate_constant(m)
         # endpoint rows vanish and every row sums to zero
         assert all(x == 0 for x in c.row(0))
         assert all(x == 0 for x in c.row(m))
@@ -147,13 +153,13 @@ def _transcribed_rate_constant(m: int) -> Mat:
 
 def test_rate_constant_equals_the_transcribed_formula():
     for m in range(1, 17):
-        assert rate_constant(m).C == _transcribed_rate_constant(m), m
+        assert rate_constant(m) == _transcribed_rate_constant(m), m
 
 
 def test_rate_constant_matches_matrix_limit():
     # k * (collocation - selected elevation rows) must approach C
     for m in (2, 3):
-        c = rate_constant(m).C
+        c = rate_constant(m)
         k = 512
         scaled = mat_sub(collocation_matrix(m), selected_elevation_rows(m, k))
         diff = mat_sub(Mat([[k * x for x in scaled.row(i)] for i in range(m + 1)]), c)
@@ -174,7 +180,7 @@ def test_rate_constant_is_the_exact_one_over_k_term_of_the_elevation_entries():
     # E(ik, j) = M + (N_{m-1} - M D_{m-1}) / D_m / k + O(1/k^2),  M = N_m / D_m:
     # M is the collocation entry B_j^m(i/m), and k (M - E(ik, j)) -> C(i, j)
     for m in range(1, 10):
-        c = rate_constant(m).C
+        c = rate_constant(m)
         d = _linear_product([(m, -t) for t in range(m)])
         for i in range(m + 1):
             for j in range(m + 1):
@@ -248,10 +254,14 @@ def test_convergence_table_rejects_empty():
 
 
 def test_convergence_table_names_m_when_m_is_below_one():
-    # the message used to come from the collocation inverse and name an n
+    # the message used to come from the collocation inverse and name an n;
+    # rate_constant, which takes no k, names m in the same words
     for m in (0, -1):
-        with pytest.raises(ValueError, match="^m must be >= 1$"):
+        want = f"^need integers m >= 1 and k >= 1, got m={m}, k=1$"
+        with pytest.raises(ValueError, match=want):
             convergence_table(m, [1, 2])
+        with pytest.raises(ValueError, match=want):
+            rate_constant(m)
 
 
 def test_convergence_table_rejects_a_one_point_grid():
@@ -269,38 +279,6 @@ def test_scaled_elevation_distance_is_the_matrix_expression():
         for k in range(1, 7):
             want = k * inf_norm(mat_sub(colloc, selected_elevation_rows(m, k)))
             assert _scaled_elevation_distance(*rows, k) == want, (m, k)
-
-
-def test_rate_bound():
-    assert rate_bound(1, 5) == 0
-    assert rate_bound(2, 2) == pytest.approx(2.25)
-    assert rate_bound(2, 9) == pytest.approx(0.5)
-    for m in (2, 3, 4):
-        bounds = [rate_bound(m, k) for k in (1, 2, 4, 8, 16)]
-        assert bounds == sorted(bounds, reverse=True)
-
-
-def test_rate_bound_names_m_when_m_is_below_one():
-    for m in (0, -1):
-        with pytest.raises(ValueError, match="^m must be >= 1$"):
-            rate_bound(m, 3)
-
-
-def test_rate_bound_refuses_k_as_symmetric_dual_matrix_does():
-    # k goes through SymmetricConfig, so a non-integral k is refused, not divided by
-    for k in (0, -1, 2.5, 2.0, "3", F(2), None):
-        with pytest.raises(ValueError) as want:
-            symmetric_dual_matrix(2, k)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-            rate_bound(2, k)
-    assert rate_bound(np.int64(2), np.int64(2)) == rate_bound(2, 2)
-    assert rate_bound(3, True) == rate_bound(3, 1)
-
-
-def test_sup_distance_within_rate_bound():
-    for m in (2, 3):
-        for rec in convergence_table(m, [2, 4, 8]):
-            assert rec.sup_dist <= rate_bound(m, rec.k) + 1e-12
 
 
 def _csv_writer_convergence_csv(records) -> str:
