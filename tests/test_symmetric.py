@@ -254,14 +254,11 @@ def test_convergence_table_rejects_empty():
 
 
 def test_convergence_table_names_m_when_m_is_below_one():
-    # the message used to come from the collocation inverse and name an n;
-    # rate_constant, which takes no k, names m in the same words
+    # the message used to come from the collocation inverse and name an n
     for m in (0, -1):
         want = f"^need integers m >= 1 and k >= 1, got m={m}, k=1$"
         with pytest.raises(ValueError, match=want):
             convergence_table(m, [1, 2])
-        with pytest.raises(ValueError, match=want):
-            rate_constant(m)
 
 
 def test_convergence_table_rejects_a_one_point_grid():
@@ -279,6 +276,25 @@ def test_scaled_elevation_distance_is_the_matrix_expression():
         for k in range(1, 7):
             want = k * inf_norm(mat_sub(colloc, selected_elevation_rows(m, k)))
             assert _scaled_elevation_distance(*rows, k) == want, (m, k)
+
+
+def test_rate_bound_names_m_when_m_is_below_one():
+    # the rate's constant C takes no k; it names m in the words of SymmetricConfig
+    for m in (0, -1):
+        with pytest.raises(ValueError, match=f"^need integers m >= 1 and k >= 1, got m={m}, k=1$"):
+            rate_constant(m)
+
+
+def test_rate_bound_refuses_k_as_symmetric_dual_matrix_does():
+    # the measured rate in k goes through SymmetricConfig, so a non-integral k
+    # is refused with symmetric_dual_matrix's own message, not divided by
+    for k in (0, -1, 2.5, 2.0, "3", F(2), None):
+        with pytest.raises(ValueError) as want:
+            symmetric_dual_matrix(2, k)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            convergence_table(2, [k])
+    assert convergence_table(np.int64(2), [np.int64(2)]) == convergence_table(2, [2])
+    assert convergence_table(3, [True]) == convergence_table(3, [1])
 
 
 def _csv_writer_convergence_csv(records) -> str:
