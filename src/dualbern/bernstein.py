@@ -15,10 +15,11 @@ power-basis conversions work on integer numerators over one common
 denominator; B-form to power runs one forward-difference routine for exact
 and float input alike and builds one Fraction per output coefficient.  The
 exact :func:`power_to_bform` leaves on the BPoly it builds the power
-coefficients it was given and the integer B-form numerators over their
-denominator, so a polynomial built from its power form is never converted
-back, the dual functionals sum its integers, and its Fraction coefficients
-are built only when read.  The matrices are handed to
+coefficients it was given and the Pascal diagonal w_j = c_j / C(n, j) as
+integers over one denominator, so a polynomial built from its power form is
+never converted back, each dual functional sums the Pascal rows of its band
+straight off that diagonal (d+1 integer terms), and the n+1 B-form
+coefficients are built only when read.  The matrices are handed to
 :class:`~dualbern.ratmat.Mat` as integer rows over one denominator.
 
 The collocation inverse has a closed form rather than a generic elimination:
@@ -106,10 +107,11 @@ class BPoly:
     p(t) = sum_i coeffs[i] * B_i^m(t) with the basis taken over `interval`.
 
     When the exact :func:`power_to_bform` built the polynomial, ``_power``
-    holds the result of :func:`_power_diagonal` and ``_ints`` the pair
-    (nums, den) with coeffs[i] == nums[i] / den; both are None otherwise.
-    Such a polynomial is built without its ``coeffs`` field, which
-    ``__getattr__`` fills from ``_ints`` on first read.  The two are class
+    holds the result of :func:`_power_diagonal` and ``_diag`` the pair
+    (w, den) with coeffs[i] == sum_j C(i, j) w[j] / den, w the d+1 integers
+    of the Pascal diagonal; both are None otherwise.  Such a polynomial is
+    built without its ``coeffs`` field, which ``__getattr__`` fills by the
+    Pascal sum of ``_diag`` on first read.  The two are class
     attributes, not fields, so equality, hashing, ``repr``,
     ``dataclasses.asdict`` and ``dataclasses.replace`` read the three fields
     only.
@@ -119,7 +121,7 @@ class BPoly:
     interval: Interval
     coeffs: tuple
     _power = None
-    _ints = None
+    _diag = None
 
     def __post_init__(self):
         if self.degree < 0:
@@ -132,10 +134,10 @@ class BPoly:
             )
 
     def __getattr__(self, name):
-        if name != "coeffs" or self._ints is None:
+        if name != "coeffs" or self._diag is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        nums, den = self._ints
-        coeffs = tuple(Fraction(x, den) for x in nums)
+        w, den = self._diag
+        coeffs = tuple(Fraction(x, den) for x in _int_pascal_sum(w, self.degree + 1))
         object.__setattr__(self, "coeffs", coeffs)
         return coeffs
 
@@ -345,14 +347,15 @@ def power_to_bform(power_coeffs: Sequence, n: int, iv: Interval = UNIT_INTERVAL)
 
     Exact input (ints and Fractions) gives exact output in integers: the
     w_j = c_j / C(n, j) up to the degree d of p are put over one common
-    denominator and the Pascal sum runs on their integer numerators as a
-    difference table read forwards from its diagonal (O(n d) additions).
-    The result keeps those numerators and their denominator (``_ints``) and
-    builds its Fraction coeffs on first read; its power-form memo is set to
-    c_0..c_d as Fractions, which is what :func:`_power_diagonal` would compute
-    from the alphas.  Any float coefficient keeps the loop of Fraction ratios
-    times coefficients, each sum started at 0.0, so every alpha_i is a float
-    with the bits of that loop, and sets no memo.
+    denominator, and the result keeps their d+1 integer numerators and that
+    denominator (``_diag``) in O(d) work.  The Pascal sum, a difference table
+    read forwards from this diagonal (O(n d) additions), runs only when the
+    Fraction coeffs are first read; the dual functionals read the diagonal
+    itself.  The power-form memo is set to c_0..c_d as Fractions, which is
+    what :func:`_power_diagonal` would compute from the alphas.  Any float
+    coefficient keeps the loop of Fraction ratios times coefficients, each
+    sum started at 0.0, so every alpha_i is a float with the bits of that
+    loop, and sets no memo.
     """
     c = list(power_coeffs) or [0]
     if len(c) > n + 1:
@@ -360,8 +363,8 @@ def power_to_bform(power_coeffs: Sequence, n: int, iv: Interval = UNIT_INTERVAL)
     if all(_is_exact(x) for x in c):
         c = [Fraction(x) for x in c[: _support_degree(c) + 1]]
         w, den = _over_common_denominator([x / math.comb(n, j) for j, x in enumerate(c)])
-        p = object.__new__(BPoly)  # coeffs is filled from _ints on first read
-        vars(p).update(degree=n, interval=iv, _power=tuple(c), _ints=(_int_pascal_sum(w, n + 1), den))
+        p = object.__new__(BPoly)  # coeffs is filled from _diag on first read
+        vars(p).update(degree=n, interval=iv, _power=tuple(c), _diag=(w, den))
         return p
     support = [j for j, v in enumerate(c) if v != 0]  # zero terms add nothing
     alpha = [
@@ -384,11 +387,12 @@ def bform_to_power(p: BPoly) -> tuple:
     Exact coefficients are put over one common denominator, the difference
     table runs on the integer numerators, and each c_j is one Fraction.  Any
     float coefficient runs the same difference table on the coefficients
-    themselves, so float results keep their bits.
+    themselves and makes every c_j a float, the padding zeros included, so
+    float results keep their bits.
     """
     c = _power_diagonal(p)
-    # the zero of the coefficient arithmetic; c[0] is a Fraction when coeffs is unbuilt
-    zero = (c[0] if p._ints is not None else p.coeffs[0]) * 0
+    # the zero of the coefficient arithmetic, read off c when c is floats or the memo
+    zero = (c[0] if p._diag is not None or isinstance(c[0], float) else p.coeffs[0]) * 0
     return c + (zero,) * (p.degree + 1 - len(c))
 
 
@@ -405,12 +409,11 @@ def _power_diagonal(p: BPoly) -> tuple:
         nums, den = _over_common_denominator(p.coeffs)
         diffs = _forward_differences(nums)
         out = tuple(Fraction(math.comb(n, j) * d, den) for j, d in enumerate(diffs))
-    else:
-        # a Fraction factor: an int difference, which mixed int and float
-        # coefficients can give, comes out a Fraction
-        diffs = _forward_differences(list(p.coeffs))
-        out = tuple(Fraction(math.comb(n, j)) * d for j, d in enumerate(diffs))
-    return out or (p.coeffs[0] * 0,)  # 0 or 0.0, matching the coefficient arithmetic
+        return out or (p.coeffs[0] * 0,)  # 0 or Fraction(0), as coeffs[0] is
+    # any float coefficient makes every c_j a float: an exact difference (mixed
+    # input can give one) is rounded once, and a float one keeps its bits
+    out = tuple(float(math.comb(n, j) * d) for j, d in enumerate(_forward_differences(list(p.coeffs))))
+    return out or (float(p.coeffs[0] * 0),)
 
 
 def _forward_differences(row) -> list:
@@ -468,20 +471,27 @@ def dual_functional_apply(n: int, k: int, p: BPoly):
     alpha a convex combination of correctly rounded weights, summed left to
     right, within gamma_{d+2} max|alpha_j| of its exact value
     (gamma_m = m u / (1 - m u), u = 2^-53).  A polynomial that keeps its
-    integer coefficients (``p._ints``) is summed on those, into one Fraction.
+    Pascal diagonal (``p._diag``, alpha_j = sum_i C(j, i) w_i / den) never
+    builds its coefficients: the band's Pascal rows, weighted by row k of E,
+    sum to sum_i C(k, i) C(n-i, d-i) w_i (Chu–Vandermonde), one integer term
+    per diagonal entry.  The weights start at C(n, d), and each is the last
+    times (k-i+1)(d-i+1) / (i (n-i+1)), an exact integer quotient.  The value
+    is one Fraction.
     """
     if not 0 <= k <= n:
         raise ValueError(f"functional index {k} out of range 0..{n}")
     _check_degree(n, p)
     d = p.degree
     den = math.comb(n, d)
-    band = range(max(0, d - (n - k)), min(k, d) + 1)
-    if p._ints is not None:
-        nums, pden = p._ints
-        return Fraction(sum(math.comb(n - k, d - j) * math.comb(k, j) * nums[j] for j in band),
-                        den * pden)
+    if p._diag is not None:
+        w, pden = p._diag
+        num, t = den * w[0], den
+        for i in range(1, len(w)):
+            t = t * (k - i + 1) * (d - i + 1) // (i * (n - i + 1))
+            num += t * w[i]
+        return Fraction(num, den * pden)
     out = 0
-    for j in band:
+    for j in range(max(0, d - (n - k)), min(k, d) + 1):
         out = out + Fraction(math.comb(n - k, d - j) * math.comb(k, j), den) * p.coeffs[j]
     return out
 

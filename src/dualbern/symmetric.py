@@ -118,9 +118,11 @@ def _scaled_elevation_distance(colloc: list[list[int]], mm: int, k: int) -> Frac
     ``colloc, mm`` is ``_collocation_int_rows(m)``, which depends on m only,
     so a table over many k builds it once.  Both matrices come as integer
     rows over a common denominator (m^m and C(mk, m)), so each row's abs-sum
-    is an integer over m^m C(mk, m) and the norm is one Fraction."""
+    is an integer over m^m C(mk, m) and the norm is one Fraction.  Both are
+    centrosymmetric, entry (m-i, m-j) equal to (i, j), so row m-i of the
+    difference has the abs-sum of row i: only rows 0..floor(m/2) are read."""
     m = len(colloc) - 1
-    elev, cnm = _elevation_int_rows(m, m * k, range(0, m * k + 1, k))
+    elev, cnm = _elevation_int_rows(m, m * k, range(0, m // 2 * k + 1, k))
     top = max(sum(abs(x * cnm - y * mm) for x, y in zip(cr, er)) for cr, er in zip(colloc, elev))
     return Fraction(k * top, mm * cnm)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -393,7 +394,7 @@ def test_power_conversions_match_the_fraction_loops_on_exact_input():
 
 
 def test_power_memo_is_invisible_to_the_dataclass():
-    # the exact conversion keeps integer coefficients and builds its coeffs
+    # the exact conversion keeps the integer Pascal diagonal and builds its coeffs
     # field on first read; every face of the dataclass agrees with an eagerly
     # built B-form, before and after that read
     c, iv = [F(1, 3), 0, -2], Interval(F(1, 2), 2)
@@ -405,7 +406,7 @@ def test_power_memo_is_invisible_to_the_dataclass():
         "fields": lambda p: [f.name for f in dataclasses.fields(p)] == ["degree", "interval", "coeffs"],
         "asdict": lambda p: dataclasses.asdict(p) == dataclasses.asdict(q),
         "replace": lambda p: (dataclasses.replace(p) == q and dataclasses.replace(p)._power is None
-                              and dataclasses.replace(p)._ints is None
+                              and dataclasses.replace(p)._diag is None
                               and dataclasses.replace(p, interval=UNIT_INTERVAL)
                               == BPoly(5, UNIT_INTERVAL, q.coeffs)),
         "coeffs": lambda p: repr(p.coeffs) == repr(q.coeffs) and p.coeffs is p.coeffs,
@@ -413,17 +414,49 @@ def test_power_memo_is_invisible_to_the_dataclass():
     for name, face in faces.items():
         for read_first in (False, True):
             p = power_to_bform(c, 5, iv)
-            assert "coeffs" not in vars(p) and p._ints is not None, name  # not built yet
+            assert "coeffs" not in vars(p) and p._diag is not None, name  # not built yet
             if read_first:
                 p.coeffs
             assert face(p), (name, read_first)
             assert "coeffs" in vars(p) or name == "fields", name
-    assert q._power is None and q._ints is None
+    assert q._power is None and q._diag is None
     assert _power_diagonal(q) == p._power and q._power is None  # reading leaves q as it was
     with pytest.raises(AttributeError):
         q.nothing
     with pytest.raises(AttributeError):
         p._nothing
+
+
+def _falling_ratio_sum(c, n, k):
+    # sum_j c_j (k)_j / (n)_j, the left-endpoint form of lambda_k^n on the
+    # power coefficients c, with (x)_j the falling factorial
+    out, ratio = F(0), F(1)
+    for j, x in enumerate(c):
+        out += ratio * x
+        ratio *= F(k - j, n - j)
+    return out
+
+
+def test_functionals_of_a_power_built_polynomial_build_no_table():
+    # at n = 10**6 the functionals read the d+1 integers of the Pascal
+    # diagonal: the coefficients are never built, nothing of length n + 1 is
+    # kept, and building p and the calls allocate far less than one
+    # (n+1)-entry table would
+    n = 10**6
+    c = [F(1, 3), -2, 0, F(5, 7)]
+    for d in (3, 12, n):  # d < n: the band has several entries
+        tracemalloc.start()
+        p = power_to_bform(c, d, Interval(F(1, 2), 2))
+        got = {k: dual_functional_apply(n, k, p) for k in (0, 1, 2, n // 3, n // 2, n - 1, n)}
+        for x in (F(1, 3), F(1, 2), F(7, 10)):
+            got[x * n] = generalized_dual_apply(n, x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 10**5, (d, peak)
+        assert set(vars(p)) == {"degree", "interval", "_power", "_diag"}, d
+        assert len(p._power) == len(p._diag[0]) == len(c), d
+        for k, v in got.items():
+            assert type(v) is F and v == _falling_ratio_sum(c, n, k), (d, k)
 
 
 def test_power_to_bform_memo_is_the_fresh_conversion():
@@ -461,16 +494,42 @@ def test_power_to_bform_memo_is_the_fresh_conversion():
 
 def test_bform_to_power_pads_without_building_coeffs():
     # the padding zero of a lazily built exact B-form comes from its power
-    # memo; every padding keeps the value and type of coeffs[0] * 0
+    # memo; an exact padding keeps the value and type of coeffs[0] * 0, and a
+    # B-form with any float coefficient pads with float(coeffs[0]) * 0, which
+    # is coeffs[0] * 0 when coeffs[0] is a float
     p = power_to_bform([1, 2], 2000)
     c = bform_to_power(p)
     assert "coeffs" not in vars(p)
     eager = BPoly(2000, UNIT_INTERVAL, power_to_bform([1, 2], 2000).coeffs)
     assert repr(c) == repr(bform_to_power(eager)) and type(c[-1]) is F
-    for coeffs in [(1, 1, 1, 1), (-0.0, -0.0, -0.0), (0.0, 0.5, 1.0), (F(1, 3),) * 3, (2, 2.0)]:
+    for coeffs, zero in [((1, 1, 1, 1), 0), ((-0.0, -0.0, -0.0), -0.0), ((0.0, 0.5, 1.0), 0.0),
+                         ((F(1, 3),) * 3, F(0)), ((2, 2.0), 0.0), ((-1.5, -1.5), -0.0),
+                         ((-2, -2.0), -0.0), ((F(-1, 2), F(-1, 2), -0.5), -0.0)]:
         q = BPoly(len(coeffs) - 1, UNIT_INTERVAL, coeffs)
-        zero = coeffs[0] * 0
         assert repr(bform_to_power(q)[-1]) == repr(zero) and type(bform_to_power(q)[-1]) is type(zero)
+
+
+def test_a_float_coefficient_makes_every_power_coefficient_a_float():
+    # a B-form mixing exact and float coefficients converts like a float one:
+    # each power coefficient is C(n, j) times its forward difference, rounded
+    # to a float once, so an exact difference does not come out a Fraction
+    assert repr(bform_to_power(BPoly(2, UNIT_INTERVAL, (1, 2, 0.5)))) == repr((1.0, 2.0, -2.5))
+    assert repr(bform_to_power(BPoly(2, UNIT_INTERVAL, (1.0, 2, 0.5)))) == repr((1.0, 2.0, -2.5))
+    got = generalized_dual_apply(10, 0.33, BPoly(1, UNIT_INTERVAL, (2, 2.0)))
+    assert type(got) is float and got == 2.0
+    rng = random.Random(20261020)
+    for n in (1, 2, 5, 12):
+        for _ in range(20):
+            coeffs = [rng.choice([rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 9)),
+                                  rng.uniform(-3, 3), 0, 0.0]) for _ in range(n + 1)]
+            coeffs[rng.randrange(n + 1)] = rng.uniform(-3, 3)  # at least one float
+            q = BPoly(n, UNIT_INTERVAL, coeffs)
+            got = bform_to_power(q)
+            assert all(type(x) is float for x in got), coeffs
+            assert got == tuple(map(float, _difference_loop(coeffs))), coeffs
+            # at a non-integral xn the running ratio reads these floats
+            x = rng.choice([0.3, 0.71])
+            assert x * n != math.floor(x * n) and type(generalized_dual_apply(n, x, q)) is float
 
 
 def _naive_pascal_sum(w, count):

@@ -278,6 +278,19 @@ def test_scaled_elevation_distance_is_the_matrix_expression():
             assert _scaled_elevation_distance(*rows, k) == want, (m, k)
 
 
+def test_scaled_elevation_distance_reads_half_the_rows():
+    # M_m and E(s,:) are centrosymmetric, so row m-i of their difference has
+    # the abs-sum of row i and the norm is the largest of rows 0..floor(m/2)
+    for m in range(1, 13):
+        rows = _collocation_int_rows(m)
+        colloc = collocation_matrix(m)
+        for k in range(1, 25):
+            diff = mat_sub(colloc, selected_elevation_rows(m, k))
+            sums = [sum(abs(x) for x in diff.row(i)) for i in range(m + 1)]
+            assert sums == sums[::-1], (m, k)
+            assert _scaled_elevation_distance(*rows, k) == k * max(sums[: m // 2 + 1]), (m, k)
+
+
 def test_rate_bound_names_m_when_m_is_below_one():
     # the rate's constant C takes no k; it names m in the words of SymmetricConfig
     for m in (0, -1):

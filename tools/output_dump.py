@@ -20,8 +20,11 @@ grids that are not every other point of the least-squares grid); the grid
 modulus of continuity at h = (b - a)/3 (a sliding window, not the whole
 grid); reports of a Fraction-valued f on an exact interval; basis plots
 (exit code, stderr and a sha256 of each written file) at m = 12 and m = 5;
-and the digest and exact norm of a cold collocation inverse M_n^{-1} for
-n = 1..60 (the catalogue's operator reports reach n = 40).
+the digest and exact norm of a cold collocation inverse M_n^{-1} for
+n = 1..60 (the catalogue's operator reports reach n = 40); and the dual
+functionals at k = 0, n/3 and n, and the real-index ones at x = 1/3 and 1/2,
+of exact power-built polynomials of degree d read nine degrees up (the
+catalogue reads them at their own degree, a one-entry band).
 
 Run it in two checkouts and compare the files::
 
@@ -106,6 +109,13 @@ def _extras(scratch: Path):
         a = colloc_inv(n)
         yield f"colloc_inv:{n}", (db.inf_norm(a), wl.mat_digest(a))
     colloc_inv.cache_clear()
+    polys = ((0, 1, 1), (1, -2, 0, 3), (Fraction(1, 3), 0, -1, 0, Fraction(5, 2)))
+    for d in (4, 40, 250, 2000):
+        for pi, c in enumerate(polys):
+            p, n = db.power_to_bform(c, d), d + 9
+            values = [db.dual_functional_apply(n, k, p) for k in (0, n // 3, n)]
+            values += [db.generalized_dual_apply(n, x, p) for x in (Fraction(1, 3), Fraction(1, 2))]
+            yield f"functionals:{d}+9:{pi}", values
 
 
 def main() -> None:
