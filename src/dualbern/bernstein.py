@@ -30,14 +30,16 @@ C(n, j)^{-1} B_j^n.  Building it is O(n^2) integer arithmetic.
 
 Exactness convention: whenever inputs are ints or Fractions, results are
 exact Fractions; float inputs flow through as floats.  All matrices returned
-here are exact (:class:`dualbern.ratmat.Mat`).  The one float layer is
-:func:`uniform_grid` with :func:`bform_eval` and :func:`_basis_sum_eval` (the
-scalar basis sum, which the basis plot reads): every float sample grid and
-every grid evaluation of a B-form polynomial in the package goes through it,
-and each reads the interval's endpoints as floats once per interval
-(``Interval._float_aw``).  It is the only part of this module that uses
-numpy, and it imports numpy when first called, so the exact layer loads
-without it.
+here are exact (:class:`dualbern.ratmat.Mat`).  A B-form holds exact
+coefficients or floats, never both: one float coefficient makes them all
+floats.  Every value of a B-form, the dual basis functions D_i^m included, is
+computed by de Casteljau's algorithm, the stable one for the Bernstein form.
+The one float layer is :func:`uniform_grid` with :func:`bform_eval`, its
+vectorised sweep: every float sample grid and every grid evaluation of a
+B-form polynomial in the package goes through it, and each reads the
+interval's endpoints as floats once per interval (``Interval._float_aw``).
+It is the only part of this module that uses numpy, and it imports numpy
+when first called, so the exact layer loads without it.
 """
 
 from __future__ import annotations
@@ -105,6 +107,8 @@ class BPoly:
     """A polynomial in B-form: degree, interval, and m+1 coefficients.
 
     p(t) = sum_i coeffs[i] * B_i^m(t) with the basis taken over `interval`.
+    The coefficients are all exact (ints and Fractions) or all floats: when
+    any is a float, every one is converted to float.
 
     When the exact :func:`power_to_bform` built the polynomial, ``_power``
     holds the result of :func:`_power_diagonal` and ``_diag`` the pair
@@ -126,7 +130,10 @@ class BPoly:
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        coeffs = tuple(self.coeffs)
+        if any(isinstance(x, float) for x in coeffs):
+            coeffs = tuple(map(float, coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
         if len(self.coeffs) != self.degree + 1:
             raise ValueError(
                 f"need {self.degree + 1} coefficients for degree {self.degree}, "
@@ -158,10 +165,12 @@ def de_casteljau_eval(p: BPoly, t):
 
     Works in the local parameter u = (t-a)/(b-a); each sweep replaces
     b_i <- (1-u) b_i + u b_{i+1}.  Numerically stable for u in [0,1] (convex
-    combinations) and exact on exact inputs.
+    combinations) and exact on exact inputs.  At a float u the coefficients
+    are converted to float first, as Fraction * float does, so the value is a
+    float at every degree, 0 included.
     """
     u = p.interval.to_local(t)
-    b = list(p.coeffs)
+    b = list(map(float, p.coeffs)) if isinstance(u, float) else list(p.coeffs)
     w = 1 - u
     for sweep in range(1, len(b)):
         for i in range(len(b) - sweep):
@@ -220,31 +229,6 @@ def bform_eval(coeffs, iv: Interval, ts) -> np.ndarray:
             x[:top] *= w
             x[:top] += scratch[:top]
     return x[0].T
-
-
-def _basis_sum_eval(coeffs, iv: Interval, ts) -> np.ndarray:
-    """sum_j B_j^m(t) coeffs[j] on a float grid, as the scalar basis sum forms it.
-
-    ``coeffs`` is an (m+1) x k array whose columns are k polynomials; the
-    result is (len(ts), k).  Each value equals ``sum(bernstein_value(m, j, t,
-    iv) * coeffs[j][i] for j in range(m + 1))`` bit for bit (the sum of
-    :func:`~dualbern.subspace.dual_basis_eval` when the columns are its
-    float A): u is the float :meth:`Interval.to_local` computes, the powers
-    are Python's ``**`` per point (``pow`` over each column of u and 1 - u),
-    and the sum runs over j from 0.0 with elementwise * and +."""
-    import numpy as np
-
-    a, width = iv._float_aw
-    u = (np.asarray(ts, dtype=float).ravel() - a) / width
-    us, vs = u.tolist(), (1.0 - u).tolist()
-    c = np.array(coeffs, dtype=float)
-    m = len(c) - 1
-    acc = np.zeros((len(us), c.shape[1]))
-    for j, row in enumerate(c):
-        vp = np.fromiter(map(pow, vs, repeat(m - j)), float, len(vs))
-        up = np.fromiter(map(pow, us, repeat(j)), float, len(us))
-        acc = acc + (float(math.comb(m, j)) * vp * up)[:, np.newaxis] * row
-    return acc
 
 
 def collocation_matrix(n: int) -> Mat:
@@ -391,8 +375,8 @@ def bform_to_power(p: BPoly) -> tuple:
     float results keep their bits.
     """
     c = _power_diagonal(p)
-    # the zero of the coefficient arithmetic, read off c when c is floats or the memo
-    zero = (c[0] if p._diag is not None or isinstance(c[0], float) else p.coeffs[0]) * 0
+    # the zero of the coefficient arithmetic, read off the memo when p keeps one
+    zero = (c[0] if p._diag is not None else p.coeffs[0]) * 0
     return c + (zero,) * (p.degree + 1 - len(c))
 
 
@@ -405,15 +389,12 @@ def _power_diagonal(p: BPoly) -> tuple:
     if p._power is not None:
         return p._power
     n = p.degree
-    if all(_is_exact(x) for x in p.coeffs):
+    if _is_exact(p.coeffs[0]):  # then every coefficient is (see BPoly)
         nums, den = _over_common_denominator(p.coeffs)
-        diffs = _forward_differences(nums)
-        out = tuple(Fraction(math.comb(n, j) * d, den) for j, d in enumerate(diffs))
-        return out or (p.coeffs[0] * 0,)  # 0 or Fraction(0), as coeffs[0] is
-    # any float coefficient makes every c_j a float: an exact difference (mixed
-    # input can give one) is rounded once, and a float one keeps its bits
-    out = tuple(float(math.comb(n, j) * d) for j, d in enumerate(_forward_differences(list(p.coeffs))))
-    return out or (float(p.coeffs[0] * 0),)
+        out = tuple(Fraction(math.comb(n, j) * d, den) for j, d in enumerate(_forward_differences(nums)))
+    else:
+        out = tuple(math.comb(n, j) * d for j, d in enumerate(_forward_differences(list(p.coeffs))))
+    return out or (p.coeffs[0] * 0,)  # 0, Fraction(0) or a float zero, as coeffs[0] is
 
 
 def _forward_differences(row) -> list:
@@ -526,7 +507,7 @@ def generalized_dual_apply(n: int, x, p: BPoly):
     c = _power_diagonal(p)
     out = c[0]
     ratio = 1
-    for j in range(1, min(k, _support_degree(c)) + 1):
+    for j in range(1, min(k, len(c) - 1) + 1):
         ratio = ratio * (xn - (j - 1)) / (n - (j - 1))
         out = out + ratio * c[j]
     return out

@@ -47,7 +47,7 @@ from .bernstein import (
     _check_degrees,
     _elevation_int_rows,
     _int_pascal_sum,
-    bernstein_value,
+    de_casteljau_eval,
     xi_nodes,
 )
 from .ratmat import Mat, SingularMatrixError, _apply_rows, _from_common_denominator, _is_inverse_over
@@ -120,7 +120,7 @@ class Embedding:
     formula per kind (:meth:`_int_rows`); the full (n+1) x (m+1) matrix E is
     those rows for s = 0..n, built on first read and kept.  The dual bases
     and the duality check never read E, so an embedding costs nothing until
-    something asks for it.
+    something asks for it.  Construction checks the kind and 0 <= m <= n.
     """
 
     kind: str  # "bernstein" | "power"
@@ -130,6 +130,7 @@ class Embedding:
     def __post_init__(self):
         if self.kind not in ("bernstein", "power"):
             raise ValueError(f"embedding kind must be 'bernstein' or 'power', got {self.kind!r}")
+        _check_degrees(self.m, self.n, "elevation" if self.kind == "bernstein" else "embedding")
 
     def rows(self, s) -> Mat:
         """E(s,:): row s(i) of E as row i; IndexError for an index outside 0..n."""
@@ -158,13 +159,11 @@ def _check_row_indices(s, n: int):
 
 
 def bernstein_embedding(m: int, n: int) -> Embedding:
-    _check_degrees(m, n)
     return Embedding("bernstein", m, n)
 
 
 def power_embedding(m: int, n: int) -> Embedding:
     """Power-basis embedding: E = I(:, 0:m), an (n+1) x (m+1) identity block."""
-    _check_degrees(m, n, "embedding")
     return Embedding("power", m, n)
 
 
@@ -275,12 +274,17 @@ def _power_dual_matrix(emb: Embedding, s: tuple) -> Mat:
 
 
 def dual_basis_eval(db: DualBasis, i: int, t):
-    """D_i^m(t) = sum_j B_j^m(t) A(j, i).  (B-form evaluation; Bernstein kind.)"""
+    """D_i^m(t) = sum_j B_j^m(t) A(j, i), Bernstein kind only.
+
+    D_i^m is the B-form with coefficients A(:, i), evaluated by
+    :func:`~dualbern.bernstein.de_casteljau_eval`: exact at exact t, and at a
+    float t equal bit for bit to :func:`~dualbern.bernstein.bform_eval` on the
+    float A, which is what the basis plot draws."""
     if db.kind != "bernstein":
         raise ValueError("dual_basis_eval evaluates Bernstein-embedding bases only")
     if not 0 <= i <= db.m:
         raise IndexError(f"dual basis index {i} out of range 0..{db.m}")
-    return sum(bernstein_value(db.m, j, t, db.interval) * db.A[j, i] for j in range(db.m + 1))
+    return de_casteljau_eval(BPoly(db.m, db.interval, db.A.col(i)), t)
 
 
 def verify_duality(db: DualBasis) -> bool:

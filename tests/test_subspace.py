@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from oracle import is_row_affine, left_functionals, mat_inv, mat_mul, right_functionals, row_select
 
-from dualbern.bernstein import Interval, bernstein_value, elevation_matrix
-from dualbern.ratmat import Mat, SingularMatrixError
+from dualbern.bernstein import Interval, bernstein_value, bform_eval, elevation_matrix, uniform_grid
+from dualbern.ratmat import Mat, SingularMatrixError, _float_rows
 from dualbern.subspace import (
     DualBasis,
     Embedding,
@@ -181,6 +181,29 @@ def test_dual_basis_eval():
         assert abs(total - 1.0) <= 1e-12
 
 
+def test_dual_basis_eval_is_the_one_b_form_evaluator():
+    # at a float point D_i^m(t) is de Casteljau on column i of A, bit for bit the
+    # grid sweep the basis plot runs; at an exact point it is the exact basis sum
+    rng = random.Random(28)
+    ivs = (Interval(0, 1), Interval(F(1, 3), F(5, 2)), Interval(-1.5, 2.25), Interval(1, 3.0))
+    for m in range(13):
+        n = m + 3
+        db0 = dual_basis(bernstein_embedding(m, n), make_selection(m, n, rng.sample(range(n + 1), m + 1)))
+        for iv in ivs:
+            db = dataclasses.replace(db0, interval=iv)
+            ts = uniform_grid(iv, 17).tolist()
+            grid = bform_eval(_float_rows(db.A), iv, ts).tolist()
+            for t, row in zip(ts, grid):
+                got = [dual_basis_eval(db, i, t) for i in range(m + 1)]
+                assert [x.hex() for x in got] == [x.hex() for x in row], (m, iv, t)
+            if iv.is_exact():
+                for t in (iv.a, iv.a + iv.width * F(2, 7), iv.b):
+                    for i in range(m + 1):
+                        want = sum(bernstein_value(m, j, t, iv) * db.A[j, i] for j in range(m + 1))
+                        got = dual_basis_eval(db, i, t)
+                        assert type(got) is F and got == want, (m, iv, t, i)
+
+
 def test_dual_basis_eval_degenerate_is_bernstein():
     emb = bernstein_embedding(2, 2)
     db = dual_basis(emb, make_selection(2, 2, (0, 1, 2)))
@@ -234,6 +257,20 @@ def test_is_complete():
     assert is_complete(bernstein_embedding(2, 13))
     assert is_complete(bernstein_embedding(20, 400))
     assert not is_complete(power_embedding(20, 400))
+
+
+def test_embedding_checks_its_degrees_on_construction():
+    # the constructor checks what the factories check, so neither E nor
+    # is_complete ever sees m > n or a negative degree
+    for make, msg in [
+        (lambda: Embedding("bernstein", 5, 3).E, "elevation needs m <= n, got m=5 n=3"),
+        (lambda: is_complete(Embedding("bernstein", 5, 3)), "elevation needs m <= n, got m=5 n=3"),
+        (lambda: Embedding("power", 5, 3).E, "embedding needs m <= n, got m=5 n=3"),
+        (lambda: Embedding("bernstein", -1, 3), "degrees must be nonnegative"),
+        (lambda: Embedding("power", -1, 3), "degrees must be nonnegative"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            make()
 
 
 def test_embedding_kind_is_bernstein_or_power():

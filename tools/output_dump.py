@@ -24,7 +24,9 @@ the digest and exact norm of a cold collocation inverse M_n^{-1} for
 n = 1..60 (the catalogue's operator reports reach n = 40); and the dual
 functionals at k = 0, n/3 and n, and the real-index ones at x = 1/3 and 1/2,
 of exact power-built polynomials of degree d read nine degrees up (the
-catalogue reads them at their own degree, a one-entry band).
+catalogue reads them at their own degree, a one-entry band); and
+``functionals:mixed``, the functionals and power form of B-forms given both
+exact and float coefficients (a B-form converts them all to floats).
 
 Run it in two checkouts and compare the files::
 
@@ -116,6 +118,12 @@ def _extras(scratch: Path):
             values = [db.dual_functional_apply(n, k, p) for k in (0, n // 3, n)]
             values += [db.generalized_dual_apply(n, x, p) for x in (Fraction(1, 3), Fraction(1, 2))]
             yield f"functionals:{d}+9:{pi}", values
+    unit = db.Interval(0, 1)
+    yield "functionals:mixed", (
+        [db.dual_functional_apply(10, k, db.BPoly(1, unit, (2, 2.0))) for k in (0, 5)],
+        db.generalized_dual_apply(2, 0.5, db.BPoly(2, unit, (Fraction(-1, 3), Fraction(-8), 1.5))),
+        db.bform_to_power(db.BPoly(2, unit, (1, 2, 0.5))),
+    )
 
 
 def main() -> None:
