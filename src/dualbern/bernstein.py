@@ -30,16 +30,14 @@ C(n, j)^{-1} B_j^n.  Building it is O(n^2) integer arithmetic.
 
 Exactness convention: whenever inputs are ints or Fractions, results are
 exact Fractions; float inputs flow through as floats.  All matrices returned
-here are exact (:class:`dualbern.ratmat.Mat`).  A B-form holds exact
-coefficients or floats, never both: one float coefficient makes them all
-floats.  Every value of a B-form, the dual basis functions D_i^m included, is
-computed by de Casteljau's algorithm, the stable one for the Bernstein form.
-The one float layer is :func:`uniform_grid` with :func:`bform_eval`, its
-vectorised sweep: every float sample grid and every grid evaluation of a
-B-form polynomial in the package goes through it, and each reads the
-interval's endpoints as floats once per interval (``Interval._float_aw``).
-It is the only part of this module that uses numpy, and it imports numpy
-when first called, so the exact layer loads without it.
+here are exact (:class:`dualbern.ratmat.Mat`).  The one float layer is
+:func:`uniform_grid` with :func:`bform_eval` and :func:`_basis_sum_eval` (the
+scalar basis sum, which the basis plot reads): every float sample grid and
+every grid evaluation of a B-form polynomial in the package goes through it,
+and each reads the interval's endpoints as floats once per interval
+(``Interval._float_aw``).  It is the only part of this module that uses
+numpy, and it imports numpy when first called, so the exact layer loads
+without it.
 """
 
 from __future__ import annotations
@@ -108,7 +106,7 @@ class BPoly:
 
     p(t) = sum_i coeffs[i] * B_i^m(t) with the basis taken over `interval`.
     The coefficients are all exact (ints and Fractions) or all floats: when
-    any is a float, every one is converted to float.
+    any is not exact, every one is converted to float.
 
     When the exact :func:`power_to_bform` built the polynomial, ``_power``
     holds the result of :func:`_power_diagonal` and ``_diag`` the pair
@@ -131,7 +129,7 @@ class BPoly:
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
         coeffs = tuple(self.coeffs)
-        if any(isinstance(x, float) for x in coeffs):
+        if not all(_is_exact(x) for x in coeffs):
             coeffs = tuple(map(float, coeffs))
         object.__setattr__(self, "coeffs", coeffs)
         if len(self.coeffs) != self.degree + 1:
@@ -165,12 +163,10 @@ def de_casteljau_eval(p: BPoly, t):
 
     Works in the local parameter u = (t-a)/(b-a); each sweep replaces
     b_i <- (1-u) b_i + u b_{i+1}.  Numerically stable for u in [0,1] (convex
-    combinations) and exact on exact inputs.  At a float u the coefficients
-    are converted to float first, as Fraction * float does, so the value is a
-    float at every degree, 0 included.
+    combinations) and exact on exact inputs.
     """
     u = p.interval.to_local(t)
-    b = list(map(float, p.coeffs)) if isinstance(u, float) else list(p.coeffs)
+    b = list(p.coeffs)
     w = 1 - u
     for sweep in range(1, len(b)):
         for i in range(len(b) - sweep):
@@ -229,6 +225,31 @@ def bform_eval(coeffs, iv: Interval, ts) -> np.ndarray:
             x[:top] *= w
             x[:top] += scratch[:top]
     return x[0].T
+
+
+def _basis_sum_eval(coeffs, iv: Interval, ts) -> np.ndarray:
+    """sum_j B_j^m(t) coeffs[j] on a float grid, as the scalar basis sum forms it.
+
+    ``coeffs`` is an (m+1) x k array whose columns are k polynomials; the
+    result is (len(ts), k).  Each value equals ``sum(bernstein_value(m, j, t,
+    iv) * coeffs[j][i] for j in range(m + 1))`` bit for bit (the sum of
+    :func:`~dualbern.subspace.dual_basis_eval` when the columns are its
+    float A): u is the float :meth:`Interval.to_local` computes, the powers
+    are Python's ``**`` per point (``pow`` over each column of u and 1 - u),
+    and the sum runs over j from 0.0 with elementwise * and +."""
+    import numpy as np
+
+    a, width = iv._float_aw
+    u = (np.asarray(ts, dtype=float).ravel() - a) / width
+    us, vs = u.tolist(), (1.0 - u).tolist()
+    c = np.array(coeffs, dtype=float)
+    m = len(c) - 1
+    acc = np.zeros((len(us), c.shape[1]))
+    for j, row in enumerate(c):
+        vp = np.fromiter(map(pow, vs, repeat(m - j)), float, len(vs))
+        up = np.fromiter(map(pow, us, repeat(j)), float, len(us))
+        acc = acc + (float(math.comb(m, j)) * vp * up)[:, np.newaxis] * row
+    return acc
 
 
 def collocation_matrix(n: int) -> Mat:

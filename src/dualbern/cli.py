@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .bernstein import Interval, bform_eval, elevation_matrix, uniform_grid
+from .bernstein import Interval, _basis_sum_eval, bform_eval, elevation_matrix, uniform_grid
 from .ratmat import SingularMatrixError, _float_rows, mat_to_json_obj
 from .subspace import (
     SelectionMap,
@@ -394,8 +394,9 @@ def _cmd_plot(args) -> int:
     ts = uniform_grid(iv, samples).tolist()
 
     if args.kind == "basis":
-        # the columns of A are the B-forms of the D_i; bit for bit dual_basis_eval
-        values = bform_eval(_float_rows(db.A), iv, ts).tolist()
+        # dual_basis_eval's sum on A converted to float once: Fraction * float
+        # already goes through float()
+        values = _basis_sum_eval(_float_rows(db.A), iv, ts).tolist()
         curves = [
             ([(t, row[i]) for t, row in zip(ts, values)], False) for i in range(args.m + 1)
         ]

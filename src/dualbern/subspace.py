@@ -47,7 +47,7 @@ from .bernstein import (
     _check_degrees,
     _elevation_int_rows,
     _int_pascal_sum,
-    de_casteljau_eval,
+    bernstein_value,
     xi_nodes,
 )
 from .ratmat import Mat, SingularMatrixError, _apply_rows, _from_common_denominator, _is_inverse_over
@@ -274,17 +274,12 @@ def _power_dual_matrix(emb: Embedding, s: tuple) -> Mat:
 
 
 def dual_basis_eval(db: DualBasis, i: int, t):
-    """D_i^m(t) = sum_j B_j^m(t) A(j, i), Bernstein kind only.
-
-    D_i^m is the B-form with coefficients A(:, i), evaluated by
-    :func:`~dualbern.bernstein.de_casteljau_eval`: exact at exact t, and at a
-    float t equal bit for bit to :func:`~dualbern.bernstein.bform_eval` on the
-    float A, which is what the basis plot draws."""
+    """D_i^m(t) = sum_j B_j^m(t) A(j, i).  (B-form evaluation; Bernstein kind.)"""
     if db.kind != "bernstein":
         raise ValueError("dual_basis_eval evaluates Bernstein-embedding bases only")
     if not 0 <= i <= db.m:
         raise IndexError(f"dual basis index {i} out of range 0..{db.m}")
-    return de_casteljau_eval(BPoly(db.m, db.interval, db.A.col(i)), t)
+    return sum(bernstein_value(db.m, j, t, db.interval) * db.A[j, i] for j in range(db.m + 1))
 
 
 def verify_duality(db: DualBasis) -> bool:

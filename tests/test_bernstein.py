@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,6 +18,7 @@ from dualbern.bernstein import (
     UNIT_INTERVAL,
     BPoly,
     Interval,
+    _basis_sum_eval,
     _colloc_inv,
     _forward_differences,
     _int_pascal_sum,
@@ -159,6 +161,24 @@ def test_interval_float_endpoints_are_read_once_and_are_no_field():
         assert iv._float_aw is iv._float_aw
         assert iv == dataclasses.replace(iv) and hash(iv) == hash(Interval(iv.a, iv.b))
         assert repr(iv) == f"Interval(a={iv.a!r}, b={iv.b!r})"
+
+
+def test_basis_sum_eval_keeps_the_float_bits_of_the_scalar_sum():
+    # the basis plot's routine against sum_j bernstein_value * c_j, summed from 0
+    rng = random.Random(22)
+    ivs = (UNIT_INTERVAL, Interval(F(1, 3), F(5, 2)), Interval(-1.5, 2.25), Interval(1, 3.0))
+    for iv in ivs:
+        ts = uniform_grid(iv, 53).tolist()
+        for m in (0, 1, 2, 5, 12):
+            # the last column is signed zeros: the sum starts from 0, so it is +0.0
+            cols = [[rng.uniform(-40, 40), rng.uniform(-1, 1), rng.choice((-0.0, 0.0))]
+                    for _ in range(m + 1)]
+            got = _basis_sum_eval(cols, iv, ts)
+            assert got.shape == (len(ts), 3)
+            for t, row in zip(ts, got.tolist()):
+                want = [sum(bernstein_value(m, j, t, iv) * cols[j][i] for j in range(m + 1))
+                        for i in range(3)]
+                assert [x.hex() for x in row] == [float(x).hex() for x in want], (iv, m, t)
 
 
 def test_uniform_grid_overflow():
@@ -514,7 +534,7 @@ def test_a_float_coefficient_makes_every_power_coefficient_a_float():
 
 
 def test_a_b_form_is_all_exact_or_all_float():
-    # one float coefficient makes every coefficient a float, so what a functional
+    # one inexact coefficient makes every coefficient a float, so what a functional
     # returns does not hang on which coefficients its band reads
     p = BPoly(1, UNIT_INTERVAL, (2, 2.0))
     assert [type(x) for x in p.coeffs] == [float, float]
@@ -524,6 +544,12 @@ def test_a_b_form_is_all_exact_or_all_float():
     got = generalized_dual_apply(2, 0.5, BPoly(2, UNIT_INTERVAL, (F(-1, 3), F(-8), 1.5)))
     assert type(got) is float and got == -8.0
     assert BPoly(2, UNIT_INTERVAL, [F(-1, 3), F(-8), 1.5]).coeffs == (-1 / 3, -8.0, 1.5)
+    # inexact but no float subclass: numpy's float32 and a Decimal
+    for x in (np.float32(0.5), Decimal("0.5")):
+        r = BPoly(2, UNIT_INTERVAL, (1, F(1, 2), x))
+        assert [type(y) for y in r.coeffs] == [float, float, float] and r.coeffs == (1.0, 0.5, 0.5)
+        assert bform_to_power(r) == (1.0, -1.0, 0.5)
+        assert type(generalized_dual_apply(2, 0.5, r)) is float
     # exact coefficients are kept as given
     q = BPoly(2, UNIT_INTERVAL, [1, F(1, 3), F(2)])
     assert [type(x) for x in q.coeffs] == [int, F, F]
