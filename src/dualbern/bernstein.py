@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
@@ -178,13 +179,19 @@ def uniform_grid(iv: Interval, samples: int) -> np.ndarray:
     """samples >= 2 equally spaced floats a + w*q/(samples-1), q = 0..samples-1.
 
     The operation order is fixed, so the grid is bit-for-bit the scalar
-    formula with a = float(iv.a) and w = float(iv.width).  ValueError when
-    samples < 2, or when two consecutive points round to the same float (the
-    spacing is below the float resolution at the endpoints, so a sample would
-    be repeated); OverflowError when w*(samples-1), the largest product of
-    that order, is not finite."""
+    formula with a = float(iv.a) and w = float(iv.width).  samples goes
+    through ``operator.index``, so a numpy integer is taken and a float is
+    refused.  ValueError when samples is not an integer or samples < 2, or
+    when two consecutive points round to the same float (the spacing is
+    below the float resolution at the endpoints, so a sample would be
+    repeated); OverflowError when w*(samples-1), the largest product of that
+    order, is not finite."""
     import numpy as np
 
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise ValueError(f"a grid needs an integer number of samples, got {samples!r}") from None
     if samples < 2:
         raise ValueError(f"a grid needs samples >= 2, got {samples}")
     a, w = iv._float_aw
@@ -283,11 +290,15 @@ def _colloc_inv(n: int) -> Mat:
     so M_n^{-1}(j, i) = P_j^(i) / (C(n, j) (-1)^(n-i) i! (n-i)!).  The full
     product over k = 0..n is formed once; each P^(i) is its exact integer
     quotient by the i-th factor.  O(n^2) integer work, equal to Gauss–Jordan
-    on :func:`collocation_matrix`.  The nodes are symmetric, k/n <-> 1 - k/n,
-    so L_{n-i}(u) = L_i(1-u) and M_n^{-1} is centrosymmetric,
-    M_n^{-1}(j, n-i) = M_n^{-1}(n-j, i): columns 0..floor(n/2) are built and
-    reversed for the rest, as :func:`~dualbern.subspace.dual_basis` does for a
-    symmetric selection.  The Mat gets signed integers over n! lcm_j C(n, j),
+    on :func:`collocation_matrix`.  It is the quotient recurrence of
+    :func:`~dualbern.subspace.dual_basis` in the continuous basis, its step-0
+    case: with x = nu, u^j (1-u)^(n-j) is x^j (n-x)^(n-j) / n^n, the discrete
+    basis (x)_j (n-x)_{n-j} with every falling step 0, and the factors
+    n - d + j - 1 - c and j - c of its recurrence become n - k and -k.  The
+    nodes are symmetric, k/n <-> 1 - k/n, so L_{n-i}(u) = L_i(1-u) and
+    M_n^{-1} is centrosymmetric, M_n^{-1}(j, n-i) = M_n^{-1}(n-j, i):
+    columns 0..floor(n/2) are built and reversed for the rest, as
+    :func:`~dualbern.subspace.dual_basis` does for a symmetric selection.  The Mat gets signed integers over n! lcm_j C(n, j),
     unreduced (it is reduced only if compared or hashed), and builds no
     Fraction until an entry is read.
     """

@@ -13,24 +13,25 @@ place that forms A.  For the Bernstein embedding every selection works
 (completeness: det E(s,:) has a closed form, nonzero for distinct indices;
 see :func:`is_complete`); for the power basis only s = (0..m) does.
 
-Both facts come from one identity.  With c the local power coefficients of
-p, lambda_k^n p = sum_j c_j (k)_j / (n)_j, so lambda_k^n is evaluation at k
-after the map T: u^j -> (x)_j / (n)_j, and
+Both facts come from one identity.  The elevation entries are
+E(k, j) = C(m, j) psi_j(k) / (n)_m, with the discrete Bernstein basis
+psi_j(x) = (x)_j (n - x)_{m-j} of degree m, so lambda_k^n is evaluation at
+k after the map T: B_j^m -> C(m, j) psi_j / (n)_m, and E(s,:) is the
+evaluation matrix of T B^m at the integer nodes s.  For m <= n the psi_j
+are a basis, so E(s,:) is invertible exactly when the nodes are distinct,
+and column i of A is the B-form of T^{-1} l_i, l_i the Lagrange polynomial
+on s.  The Bernstein A is built from that closed form in integers; no
+elimination runs.  In the psi basis of degree d, psi_j^{(d)}(x) =
+(x)_j (n - x)_{d-j}, a linear factor acts by a two-term recurrence,
 
-    E(s,:) = [(s_i)_j] diag(1/(n)_j) P,
+    (n - d)(x - c) psi_j^{(d)} = (n - d + j - c) psi_{j+1}^{(d+1)} + (j - c) psi_j^{(d+1)},
 
-P holding the power coefficients of the B_j^m.  E(s,:) is therefore the
-evaluation matrix of T B^m at the integer nodes s, and column i of A is the
-B-form of T^{-1} l_i, l_i the Lagrange polynomial on s.  The Bernstein A is
-built from that closed form in integers; no elimination runs.  The Newton
-coefficients of every Lagrange numerator come from one product polynomial
-in the falling factorials: (t)_j (t - c) = (t)_{j+1} + (j - c) (t)_j builds
-N(t) = prod_r (t - s(r)) = sum_j a_j (t)_j by a'_j = a_{j-1} + (j - c) a_j,
-and synthetic division by t - s(i), q_{j-1} = a_j - (j - s(i)) q_j, leaves
-N_i = N / (t - s(i)) = sum_j q_j (t)_j with Delta^j N_i(0) = j! q_j.  The
-power A is E(s,:)^T, as E(s,:) holds unit rows.  Both A and E(s,:) are
-handed to :class:`~dualbern.ratmat.Mat` as integer rows over one
-denominator, and the duality check runs on those integers.
+so one product over the nodes holds every Lagrange numerator, and each is
+its exact quotient by one factor: O(m^2) integer work for all columns,
+with no change of basis after it (:func:`dual_basis`).  The power A is
+E(s,:)^T, as E(s,:) holds unit rows.  Both A and E(s,:) are handed to
+:class:`~dualbern.ratmat.Mat` as integer rows over one denominator, and
+the duality check runs on those integers.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .bernstein import (
     UNIT_INTERVAL,
     _check_degrees,
     _elevation_int_rows,
-    _int_pascal_sum,
     bernstein_value,
     xi_nodes,
 )
@@ -201,23 +201,28 @@ def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) ->
     subspace (expected for power-basis selections other than (0..m)).
 
     Bernstein embedding: A = E(s,:)^{-1} in closed form (see the module
-    docstring).  With N_i(t) = prod_{r != i} (t - s(r)) and
+    docstring).  With N_i(x) = prod_{r != i} (x - s(r)) and
     D_i = N_i(s(i)), the Lagrange polynomial is l_i = N_i / D_i, and
-    Newton's forward formula gives its falling-factorial coefficients
-    Delta^j N_i(0) / (j! D_i).  These come from one product: with
-    (t)_j (t - c) = (t)_{j+1} + (j - c) (t)_j, the coefficients of
-    N(t) = prod_r (t - s(r)) = sum_{j<=m+1} a_j (t)_j are built one factor
-    at a time (a'_j = a_{j-1} + (j - c) a_j), and exact division by
-    t - s(i) gives N_i = sum_j q_j (t)_j from q_m = a_{m+1} and
-    q_{j-1} = a_j - (j - s(i)) q_j, so Delta^j N_i(0) = j! q_j: O(m^2)
-    integer work for all columns.  T^{-1} maps (x)_j / j! to C(n, j) u^j,
-    and the power-to-B-form step at degree m finishes
+    column i of A is the B-form of T^{-1} l_i.  The coefficients of
+    F = (n)_{m+1} prod_r (x - s(r)) = sum_{j<=m+1} F_j psi_j^{(m+1)} are
+    built one node at a time by the recurrence of the module docstring: at
+    the d-th node c, F'_j = (n - d + j - 1 - c) F_{j-1} + (j - c) F_j.  For
+    column i, with c = s(i), the quotient G = F / ((n - m)(x - c)) =
+    (n)_m N_i = sum_{j<=m} G_j psi_j^{(m)} solves
+    F_j = (n - m + j - 1 - c) G_{j-1} + (j - c) G_j: upward for j < c,
+    dividing by j - c, and downward for j - 1 >= c, dividing by
+    n - m + j - 1 - c >= n - m > 0.  T^{-1} takes C(m, j) psi_j / (n)_m to
+    B_j^m, so T^{-1} N_i has B-form coefficients G_j / C(m, j), and
 
-        A(r, i) = sum_{j<=r} C(r, j) / C(m, j) * C(n, j) j! q_j / D_i,
+        A(r, i) = G_r / (C(m, r) D_i).
 
-    summed in integers over lcm_j C(m, j) D_i; each column's scale also
-    takes it to the lcm of those denominators, so A is handed over as
-    integers.  A symmetric
+    Every division is exact: T^{-1} also takes (x)_j to (n)_j u^j, and N_i
+    has integer coefficients in the falling factorials (x)_j, so the G_j,
+    the coefficients of T^{-1} N_i in the u^j (1-u)^(m-j), are integers.
+    Column i is over lcm_r C(m, r) D_i, and each column's scale takes it
+    to the lcm of those denominators, so A is handed over as integers.  At
+    n = m the factor n - m vanishes, but there E = I and A is the
+    transposed permutation, A(r, i) = [r = s(i)].  A symmetric
     selection, s(i) + s(m-i) = n in the given order, has a centrosymmetric
     A, A(r, m-i) = A(m-r, i): the reflection R p(u) = p(1-u) maps B_j^m to
     B_{m-j}^m and satisfies lambda_k^n(R p) = lambda_{n-k}^n(p), so
@@ -240,26 +245,34 @@ def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) ->
 
 def _bernstein_dual_matrix(m: int, n: int, s: tuple) -> Mat:
     """E(s,:)^{-1} for the Bernstein embedding by the closed form of
-    :func:`dual_basis`; a symmetric selection builds half the columns."""
+    :func:`dual_basis`; a symmetric selection builds half the columns.
+    A repeated index raises SingularMatrixError, at n = m too."""
     _check_row_indices(s, n)
     lcm = math.lcm(*(math.comb(m, j) for j in range(m + 1)))
-    # C(n, j) j! = (n)_j: the j! of Delta^j N_i(0) = j! q_j is folded in
-    scale = [lcm // math.comb(m, j) * math.perm(n, j) for j in range(m + 1)]
-    full = [1]  # a_j: N(t) = prod_r (t - s(r)) in the falling factorials (t)_j
-    for c in s:
-        full = [x + (j - c) * y for j, (x, y) in enumerate(zip([0] + full, full + [0]))]
     denoms = [math.prod(si - x for x in s[:i] + s[i + 1:]) * lcm for i, si in enumerate(s)]
     if 0 in denoms:
         raise SingularMatrixError(f"singular matrix: selection index {s[denoms.index(0)]} repeats")
     den = math.lcm(*denoms)  # column i is over denoms[i]: scaled by den // denoms[i]
+    if n == m:  # E = I, so A is the transposed permutation
+        return _from_common_denominator([[den * (r == si) for si in s] for r in range(m + 1)], den)
+    scale = [lcm // math.comb(m, j) for j in range(m + 1)]
+    full = [1]  # F = (n)_{m+1} prod_r (x - s(r)) in the psi_j^{(m+1)}
+    for d, c in enumerate(s):
+        full = [(n - d + j - 1 - c) * x + (j - c) * y
+                for j, (x, y) in enumerate(zip([0] + full, full + [0]))]
     symmetric = all(si + s[m - i] == n for i, si in enumerate(s))
     cols = []
-    for si, d in zip(s[:m // 2 + 1] if symmetric else s, denoms):
+    for c, d in zip(s[:m // 2 + 1] if symmetric else s, denoms):
+        # G = F / ((n-m)(x - c)) = (n)_m N_i from F_j = (n-m+j-1-c) G_{j-1} + (j-c) G_j
         w, q, f = [0] * (m + 1), 0, den // d
-        for j in range(m + 1, 0, -1):  # N_i = N / (t - s(i)) by synthetic division
-            q = full[j] - (j - si) * q
-            w[j - 1] = q * scale[j - 1] * f
-        cols.append(_int_pascal_sum(w, m + 1))
+        for j in range(min(c, m + 1)):  # upward while j < c
+            q = (full[j] - (n - m + j - 1 - c) * q) // (j - c)
+            w[j] = q * scale[j] * f
+        q = 0
+        for j in range(m, c - 1, -1):  # downward while j >= c: n-m+j-c >= n-m > 0
+            q = (full[j + 1] - (j + 1 - c) * q) // (n - m + j - c)
+            w[j] = q * scale[j] * f
+        cols.append(w)
     cols += [col[::-1] for col in reversed(cols[:m + 1 - len(cols)])]
     return _from_common_denominator(zip(*cols), den)
 
@@ -290,9 +303,9 @@ def verify_duality(db: DualBasis) -> bool:
     for k = s(i): duality is the identity E(s,:) A = I, for either
     embedding.  It is checked on integers: E(s,:) comes as integer rows over
     one common denominator (elevation entries C(n-k, m-j) C(k, j) over
-    C(n, m), or unit rows over 1) from the row formula of E itself, not from
-    the map T whose inverse built the Bernstein A, so the check is
-    independent of that closed form; A is read in its integer view, and the
+    C(n, m), or unit rows over 1) from the row formula of E itself, built
+    independently of the kernel that computed the Bernstein A, so the check
+    does not rest on that closed form; A is read in its integer view, and the
     integer dot products are compared with the identity (the routine behind
     :func:`~dualbern.ratmat.is_inverse`).
     Raises ValueError unless A is (m+1) x (m+1) and the kind is bernstein or power.
@@ -329,8 +342,12 @@ def linear_precision_check(db: DualBasis) -> float:
     The result is max_r |(A . xi^n_s)_r - xi^m_r|, which bounds the deviation
     everywhere on [a, b] (the B_r^m are a nonnegative partition of unity); it
     is exactly 0.0 on an exact interval and rounding-sized on a float one.
-    Bernstein kind only, like :meth:`DualBasis.bform` (ValueError otherwise).
+    Needs m >= 1, like :func:`~dualbern.operators.stability_report` (a
+    degree-0 basis cannot reproduce t), and the Bernstein kind, like
+    :meth:`DualBasis.bform` (ValueError otherwise).
     """
+    if db.m < 1:
+        raise ValueError(f"linear precision needs m >= 1 (nodes i/m), got m={db.m}")
     nodes = xi_nodes(db.n, db.interval)
     p = db.bform([nodes[k] for k in db.s])
     return float(max(abs(c - x) for c, x in zip(p.coeffs, xi_nodes(db.m, db.interval))))

@@ -130,6 +130,14 @@ def test_uniform_grid_needs_two_samples(samples):
         uniform_grid(UNIT_INTERVAL, samples)
 
 
+def test_uniform_grid_takes_an_integer_number_of_samples():
+    # 2.5 used to give [0, 2/3, 4/3], past b; a numpy integer is an integer
+    for bad in (2.5, 3.0, "3", F(3)):
+        with pytest.raises(ValueError, match="^a grid needs an integer number of samples, got "):
+            uniform_grid(UNIT_INTERVAL, bad)
+    assert uniform_grid(UNIT_INTERVAL, np.int64(3)).tolist() == [0.0, 0.5, 1.0]
+
+
 def test_uniform_grid_rejects_repeated_points():
     # at 1e16 the float spacing is 2, so 201 points over a width of 200 give
     # 101 distinct floats and over a width of 2 give 2

@@ -397,6 +397,15 @@ def test_degree_zero_subspace():
         stability_report(_db(0, 2, (1,)), (1,))
 
 
+def test_quasi_report_takes_an_integer_number_of_samples():
+    # 2.5 used to sample f at t = 4/3, past b = 1, and return a report
+    s = make_selection(2, 4, (0, 2, 4))
+    with pytest.raises(ValueError, match="^a grid needs an integer number of samples, got 2.5$"):
+        quasi_interpolant_report(2, 4, s, math.sin, samples=2.5)
+    assert quasi_interpolant_report(2, 4, s, math.sin, samples=np.int64(201)) == \
+        quasi_interpolant_report(2, 4, s, math.sin)
+
+
 def test_stability_report_rejects_a_power_kind_basis():
     # the sandwich holds for the Bernstein kind; A . alpha are power coefficients here
     db = dual_basis(power_embedding(2, 4), make_selection(2, 4, (0, 1, 2)))

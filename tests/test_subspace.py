@@ -84,6 +84,12 @@ def test_closed_form_dual_matches_gauss_jordan():
         cases.append((m, m * k, tuple(i * k for i in range(m + 1))))
     for m, n in ((12, 40), (20, 400)):
         cases.append((m, n, tuple(sorted(rng.sample(range(n + 1), m + 1)))))
+    for m in range(9, 15):  # past the sweep: n = m+1 and n = 2m, with indices in [n-m, m],
+        for n in (m + 1, 2 * m):  # whose quotient runs both up and down
+            inner = rng.sample(range(n - m, m + 1), min(3, 2 * m - n + 1))
+            rest = rng.sample([k for k in range(n + 1) if k not in inner], m + 1 - len(inner))
+            cases.append((m, n, tuple(rng.sample(inner + rest, m + 1))))
+    cases += [(m, m, tuple(rng.sample(range(m + 1), m + 1))) for m in range(9, 13)]  # E = I
     for m, n, sel in cases:
         emb = bernstein_embedding(m, n)
         s = make_selection(m, n, sel)
@@ -121,6 +127,9 @@ def test_closed_form_dual_rejects_what_gauss_jordan_rejects():
     emb = bernstein_embedding(2, 4)
     with pytest.raises(SingularMatrixError):
         dual_basis(emb, SelectionMap(2, 4, (0, 3, 3)))
+    # at n = m (E = I) too, before the permutation is built
+    with pytest.raises(SingularMatrixError, match="^singular matrix: selection index 2 repeats$"):
+        dual_basis(bernstein_embedding(2, 2), SelectionMap(2, 2, (2, 2, 2)))
     with pytest.raises(IndexError):
         dual_basis(emb, SelectionMap(2, 4, (0, 3, 5)))
     # the power kind too: an index past n has no row, not a zero row
@@ -328,6 +337,10 @@ def test_linear_precision():
     # off the unit interval too
     db2 = dual_basis(emb, make_selection(3, 4, (0, 1, 3, 4)), Interval(F(1), F(3)))
     assert linear_precision_check(db2) <= 1e-12
+    # a degree-0 basis cannot reproduce t: the message names m, where it used
+    # to come from xi_nodes(0) and name an n
+    with pytest.raises(ValueError, match=r"^linear precision needs m >= 1 \(nodes i/m\), got m=0$"):
+        linear_precision_check(dual_basis(bernstein_embedding(0, 2), make_selection(0, 2, (1,))))
 
 
 def test_power_kind_basis_is_not_read_as_a_b_form():

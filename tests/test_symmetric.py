@@ -265,6 +265,10 @@ def test_convergence_table_rejects_a_one_point_grid():
     # it used to report sup_dist = nan
     with pytest.raises(ValueError, match="samples >= 2"):
         convergence_table(2, [1], samples=1)
+    # and a bare TypeError from range for 2.5; a numpy integer is an integer
+    with pytest.raises(ValueError, match="^a grid needs an integer number of samples, got 2.5$"):
+        convergence_table(2, [1, 2], samples=2.5)
+    assert convergence_table(2, [1, 2], samples=np.int64(9)) == convergence_table(2, [1, 2], samples=9)
 
 
 def test_scaled_elevation_distance_is_the_matrix_expression():

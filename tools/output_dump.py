@@ -14,8 +14,10 @@ coefficients on inputs the catalogue does not hold (a mixed Fraction/float
 interval, exact data at n = 40, and data that is int at some nodes and float
 at others); convergence tables at m = 8 and 12 and one whose k list spans
 several evaluation groups; dual bases with their duality check on
-non-uniform symmetric selections (m odd and even) and on a symmetric
-selection in reversed order; quasi reports at 101 and 2001 samples (report
+non-uniform symmetric selections (m odd and even), on a symmetric selection
+in reversed order, at m = 0, on an unsorted permutation at n = m (E = I), on
+unsorted selections at n = m+1 and n = 2m, and on non-uniform selections at
+(m, n) = (16, 64) and (20, 400); quasi reports at 101 and 2001 samples (report
 grids that are not every other point of the least-squares grid); the grid
 modulus of continuity at h = (b - a)/3 (a sliding window, not the whole
 grid); reports of a Fraction-valued f on an exact interval; basis plots
@@ -81,7 +83,10 @@ def _extras(scratch: Path):
         yield name, (report, p.coeffs)
     for m, ks, samples in ((8, range(1, 13), 201), (12, range(1, 13), 201), (3, range(1, 41), 401)):
         yield f"conv:{m}:{ks.stop - 1}:{samples}", db.convergence_table(m, ks, samples)
-    for m, n, s in ((3, 17, (0, 5, 12, 17)), (4, 20, (1, 4, 10, 16, 19)), (5, 30, (30, 27, 18, 12, 3, 0))):
+    duals = ((3, 17, (0, 5, 12, 17)), (4, 20, (1, 4, 10, 16, 19)), (5, 30, (30, 27, 18, 12, 3, 0)),
+             (0, 3, (2,)), (4, 4, (3, 0, 4, 1, 2)), (5, 6, (6, 1, 4, 2, 5, 0)), (6, 12, (0, 6, 2, 9, 12, 5, 11)),
+             (16, 64, tuple(i * (i + 8) // 6 for i in range(17))), (20, 400, tuple(i * i for i in range(21))))
+    for m, n, s in duals:
         basis = db.dual_basis(db.bernstein_embedding(m, n), db.make_selection(m, n, s))
         yield f"dual:{m}:{n}:{','.join(map(str, s))}", (wl.mat_digest(basis.A), db.verify_duality(basis))
     for samples in (101, 2001):
