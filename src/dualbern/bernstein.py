@@ -264,7 +264,8 @@ def collocation_matrix(n: int) -> Mat:
 
     Its inverse carries the B-form coefficients of the Lagrange basis on the
     uniform nodes (L^n = B^n M_n^{-1}) and turns node values into the data
-    map of the quasi-interpolant."""
+    map of the quasi-interpolant.  n goes through ``operator.index``."""
+    n = _degree(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     return _from_common_denominator(*_collocation_int_rows(n))
@@ -305,9 +306,16 @@ def _colloc_inv(n: int) -> Mat:
     if n < 1:
         raise ValueError("n must be >= 1")
     # full[j]: coefficient of u^j (1-u)^(n+1-j) in prod_{k=0}^{n} ((n-k)u - k(1-u))
+    # a plain loop carrying full[j-1]: a comprehension over zip([0] + full, full + [0])
+    # costs about twice as much per step
     full = [1]
     for k in range(n + 1):
-        full = [(n - k) * x - k * y for x, y in zip([0] + full, full + [0])]
+        a, prev, nxt = n - k, 0, []
+        for y in full:
+            nxt.append(a * prev - k * y)
+            prev = y
+        nxt.append(a * prev)
+        full = nxt
     # over n! lcm_j C(n, j): 1 / ((-1)^(n-i) i! (n-i)!) = (-1)^(n-i) C(n, i) / n!
     lcm = math.lcm(*(math.comb(n, j) for j in range(n + 1)))
     scale = [lcm // math.comb(n, j) for j in range(n + 1)]
@@ -315,9 +323,9 @@ def _colloc_inv(n: int) -> Mat:
     for i in range(n // 2 + 1):
         # full = ((n-i)u - i(1-u)) * P, so full[j] = (n-i) P[j-1] - i P[j]
         if i:
-            p, prev = [], 0
+            p, prev, a = [], 0, n - i
             for q in full[:-1]:
-                prev = ((n - i) * prev - q) // i
+                prev = (a * prev - q) // i
                 p.append(prev)
         else:  # the factor is n u
             p = [q // n for q in full[1:]]
@@ -334,15 +342,27 @@ def elevation_matrix(m: int, n: int) -> Mat:
     (Chu–Vandermonde), rows 0 and n are unit rows e_0 and e_m, and all
     entries are nonnegative.
     """
-    _check_degrees(m, n)
+    m, n = _check_degrees(m, n)
     return _from_common_denominator(*_elevation_int_rows(m, n, range(n + 1)))
 
 
-def _check_degrees(m: int, n: int, what: str = "elevation"):
+def _degree(x, name: str) -> int:
+    """x through ``operator.index``: a bool or a numpy integer is taken as an
+    int, and anything else (a float, a str) is one ValueError naming x."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+
+
+def _check_degrees(m: int, n: int, what: str = "elevation") -> tuple[int, int]:
+    """(m, n) as ints (see :func:`_degree`) when 0 <= m <= n; ValueError otherwise."""
+    m, n = _degree(m, "m"), _degree(n, "n")
     if m > n:
         raise ValueError(f"{what} needs m <= n, got m={m} n={n}")
     if m < 0:
         raise ValueError("degrees must be nonnegative")
+    return m, n
 
 
 def _elevation_int_rows(m: int, n: int, rows) -> tuple[list[list[int]], int]:
@@ -371,8 +391,9 @@ def power_to_bform(power_coeffs: Sequence, n: int, iv: Interval = UNIT_INTERVAL)
     what :func:`_power_diagonal` would compute from the alphas.  Any float
     coefficient keeps the loop of Fraction ratios times coefficients, each
     sum started at 0.0, so every alpha_i is a float with the bits of that
-    loop, and sets no memo.
+    loop, and sets no memo.  n goes through ``operator.index``.
     """
+    n = _degree(n, "n")
     c = list(power_coeffs) or [0]
     if len(c) > n + 1:
         raise ValueError(f"{len(c)} power coefficients exceed degree {n}")
@@ -489,8 +510,9 @@ def dual_functional_apply(n: int, k: int, p: BPoly):
     sum to sum_i C(k, i) C(n-i, d-i) w_i (Chu–Vandermonde), one integer term
     per diagonal entry.  The weights start at C(n, d), and each is the last
     times (k-i+1)(d-i+1) / (i (n-i+1)), an exact integer quotient.  The value
-    is one Fraction.
+    is one Fraction.  n goes through ``operator.index``.
     """
+    n = _degree(n, "n")
     if not 0 <= k <= n:
         raise ValueError(f"functional index {k} out of range 0..{n}")
     _check_degree(n, p)
@@ -547,7 +569,8 @@ def generalized_dual_apply(n: int, x, p: BPoly):
 
 def xi_nodes(n: int, iv: Interval = UNIT_INTERVAL) -> tuple:
     """Uniform nodes xi_i = a + (i/n)(b-a), i = 0..n, as a tuple; exact for
-    exact intervals."""
+    exact intervals.  n goes through ``operator.index``."""
+    n = _degree(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     return tuple(_uniform_nodes(n, iv, range(n + 1)))

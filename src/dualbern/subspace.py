@@ -46,6 +46,7 @@ from .bernstein import (
     Interval,
     UNIT_INTERVAL,
     _check_degrees,
+    _degree,
     _elevation_int_rows,
     bernstein_value,
     xi_nodes,
@@ -93,7 +94,9 @@ class SelectionMap:
 
 def make_selection(m: int, n: int, indices) -> SelectionMap:
     """Validate and build a selection map; raises a SelectionError subclass.
-    Indices go through ``operator.index``, so a float is refused, not truncated."""
+    m, n and the indices go through ``operator.index``, so a float is refused,
+    not truncated; a non-integer m or n is a ValueError naming it."""
+    m, n = _degree(m, "m"), _degree(n, "n")
     idx = tuple(map(_selection_index, indices))
     if len(idx) != m + 1:
         raise WrongLengthError(f"selection needs {m + 1} indices, got {len(idx)}")
@@ -120,7 +123,8 @@ class Embedding:
     formula per kind (:meth:`_int_rows`); the full (n+1) x (m+1) matrix E is
     those rows for s = 0..n, built on first read and kept.  The dual bases
     and the duality check never read E, so an embedding costs nothing until
-    something asks for it.  Construction checks the kind and 0 <= m <= n.
+    something asks for it.  Construction checks the kind and 0 <= m <= n,
+    and keeps m and n as ints (taken through ``operator.index``).
     """
 
     kind: str  # "bernstein" | "power"
@@ -130,7 +134,9 @@ class Embedding:
     def __post_init__(self):
         if self.kind not in ("bernstein", "power"):
             raise ValueError(f"embedding kind must be 'bernstein' or 'power', got {self.kind!r}")
-        _check_degrees(self.m, self.n, "elevation" if self.kind == "bernstein" else "embedding")
+        m, n = _check_degrees(self.m, self.n, "elevation" if self.kind == "bernstein" else "embedding")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     def rows(self, s) -> Mat:
         """E(s,:): row s(i) of E as row i; IndexError for an index outside 0..n."""
@@ -245,32 +251,54 @@ def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) ->
 
 def _bernstein_dual_matrix(m: int, n: int, s: tuple) -> Mat:
     """E(s,:)^{-1} for the Bernstein embedding by the closed form of
-    :func:`dual_basis`; a symmetric selection builds half the columns.
-    A repeated index raises SingularMatrixError, at n = m too."""
+    :func:`dual_basis`; a symmetric selection builds half the columns and
+    half the node denominators.  A repeated index raises SingularMatrixError,
+    at n = m too."""
     _check_row_indices(s, n)
-    lcm = math.lcm(*(math.comb(m, j) for j in range(m + 1)))
-    denoms = [math.prod(si - x for x in s[:i] + s[i + 1:]) * lcm for i, si in enumerate(s)]
+    combs = [math.comb(m, j) for j in range(m + 1)]
+    lcm = math.lcm(*combs)
+    # a symmetric selection builds columns 0..m/2; |D_{m-i}| = |D_i|, so their
+    # denominators have the lcm of all m + 1, and the first index that repeats
+    # lies among them (a repeat s(i) = s(r) with m/2 < i < r mirrors to m-r, m-i)
+    symmetric = all(si + s[m - i] == n for i, si in enumerate(s))
+    nodes = s[:m // 2 + 1] if symmetric else s
+    # plain loops over the entries, here and below: a comprehension over zipped,
+    # enumerated or concatenated lists costs about twice as much per step
+    denoms = []  # lcm D_i, D_i = prod_{r != i} (s(i) - s(r)); node i is left out by position
+    for i, si in enumerate(nodes):
+        d = lcm
+        for x in s[:i]:
+            d *= si - x
+        for x in s[i + 1:]:
+            d *= si - x
+        denoms.append(d)
     if 0 in denoms:
         raise SingularMatrixError(f"singular matrix: selection index {s[denoms.index(0)]} repeats")
     den = math.lcm(*denoms)  # column i is over denoms[i]: scaled by den // denoms[i]
     if n == m:  # E = I, so A is the transposed permutation
         return _from_common_denominator([[den * (r == si) for si in s] for r in range(m + 1)], den)
-    scale = [lcm // math.comb(m, j) for j in range(m + 1)]
+    scale = [lcm // x for x in combs]
     full = [1]  # F = (n)_{m+1} prod_r (x - s(r)) in the psi_j^{(m+1)}
     for d, c in enumerate(s):
-        full = [(n - d + j - 1 - c) * x + (j - c) * y
-                for j, (x, y) in enumerate(zip([0] + full, full + [0]))]
-    symmetric = all(si + s[m - i] == n for i, si in enumerate(s))
+        # F'_j = (n-d+j-1-c) F_{j-1} + (j-c) F_j: both factors step by 1 with j
+        up, down, prev, nxt = n - d - 1 - c, -c, 0, []
+        for y in full:
+            nxt.append(up * prev + down * y)
+            up += 1
+            down += 1
+            prev = y
+        nxt.append(up * prev)
+        full = nxt
     cols = []
-    for c, d in zip(s[:m // 2 + 1] if symmetric else s, denoms):
+    for c, d in zip(nodes, denoms):
         # G = F / ((n-m)(x - c)) = (n)_m N_i from F_j = (n-m+j-1-c) G_{j-1} + (j-c) G_j
-        w, q, f = [0] * (m + 1), 0, den // d
+        w, q, f, b = [0] * (m + 1), 0, den // d, n - m - 1 - c
         for j in range(min(c, m + 1)):  # upward while j < c
-            q = (full[j] - (n - m + j - 1 - c) * q) // (j - c)
+            q = (full[j] - (b + j) * q) // (j - c)
             w[j] = q * scale[j] * f
         q = 0
-        for j in range(m, c - 1, -1):  # downward while j >= c: n-m+j-c >= n-m > 0
-            q = (full[j + 1] - (j + 1 - c) * q) // (n - m + j - c)
+        for j in range(m, c - 1, -1):  # downward while j >= c: b+j+1 = n-m+j-c >= n-m > 0
+            q = (full[j + 1] - (j + 1 - c) * q) // (b + j + 1)
             w[j] = q * scale[j] * f
         cols.append(w)
     cols += [col[::-1] for col in reversed(cols[:m + 1 - len(cols)])]

@@ -123,7 +123,13 @@ def _scaled_elevation_distance(colloc: list[list[int]], mm: int, k: int) -> Frac
     difference has the abs-sum of row i: only rows 0..floor(m/2) are read."""
     m = len(colloc) - 1
     elev, cnm = _elevation_int_rows(m, m * k, range(0, m // 2 * k + 1, k))
-    top = max(sum(abs(x * cnm - y * mm) for x, y in zip(cr, er)) for cr, er in zip(colloc, elev))
+    top = 0  # plain loops: cheaper per entry than nested generator expressions
+    for cr, er in zip(colloc, elev):
+        row = 0
+        for x, y in zip(cr, er):
+            row += abs(x * cnm - y * mm)
+        if row > top:
+            top = row
     return Fraction(k * top, mm * cnm)
 
 

@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 from oracle import is_row_affine, left_functionals, mat_inv, mat_mul, right_functionals, row_select
 
-from dualbern.bernstein import BPoly, Interval, bernstein_value, de_casteljau_eval, elevation_matrix
+from dualbern.bernstein import (
+    BPoly,
+    Interval,
+    bernstein_value,
+    collocation_matrix,
+    de_casteljau_eval,
+    dual_functional_apply,
+    elevation_matrix,
+    power_to_bform,
+    xi_nodes,
+)
 from dualbern.ratmat import Mat, SingularMatrixError
 from dualbern.subspace import (
     DualBasis,
@@ -130,6 +140,12 @@ def test_closed_form_dual_rejects_what_gauss_jordan_rejects():
     # at n = m (E = I) too, before the permutation is built
     with pytest.raises(SingularMatrixError, match="^singular matrix: selection index 2 repeats$"):
         dual_basis(bernstein_embedding(2, 2), SelectionMap(2, 2, (2, 2, 2)))
+    # a symmetric selection (s(i) + s(m-i) = n) forms only its first m/2 + 1
+    # node denominators; its first repeated index lies among them
+    for m, n, sel, first in [(4, 8, (2, 6, 4, 2, 6), 2), (3, 4, (1, 1, 3, 3), 1),
+                             (4, 8, (0, 4, 4, 4, 8), 4), (5, 9, (0, 4, 5, 4, 5, 9), 4)]:
+        with pytest.raises(SingularMatrixError, match=f"^singular matrix: selection index {first} repeats$"):
+            dual_basis(bernstein_embedding(m, n), SelectionMap(m, n, sel))
     with pytest.raises(IndexError):
         dual_basis(emb, SelectionMap(2, 4, (0, 3, 5)))
     # the power kind too: an index past n has no row, not a zero row
@@ -435,3 +451,30 @@ def test_embeddings_build_E_on_first_read():
     ]:
         with pytest.raises(ValueError, match=re.escape(msg)):
             factory(m, n)
+
+
+_P = power_to_bform([1, 2], 3)
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("m", lambda d: bernstein_embedding(d, 3), id="bernstein_embedding-m"),
+    pytest.param("n", lambda d: bernstein_embedding(1, d), id="bernstein_embedding-n"),
+    pytest.param("m", lambda d: power_embedding(d, 3), id="power_embedding-m"),
+    pytest.param("m", lambda d: make_selection(d, 3, (0, 1, 2, 3)), id="make_selection-m"),
+    pytest.param("n", lambda d: make_selection(1, d, (0, 3)), id="make_selection-n"),
+    pytest.param("m", lambda d: elevation_matrix(d, 3), id="elevation_matrix-m"),
+    pytest.param("n", lambda d: elevation_matrix(1, d), id="elevation_matrix-n"),
+    pytest.param("n", xi_nodes, id="xi_nodes"),
+    pytest.param("n", collocation_matrix, id="collocation_matrix"),
+    pytest.param("n", lambda d: power_to_bform([1, 2], d), id="power_to_bform"),
+    pytest.param("n", lambda d: dual_functional_apply(d, 1, _P), id="dual_functional_apply"),
+])
+def test_degrees_are_integers(name, call):
+    # degrees go through operator.index: a float or a str is one ValueError
+    # naming it, and a numpy integer is taken and kept as an int
+    for bad in (1.0, "3"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            call(bad)
+    out = call(np.int64(3))
+    for field in ("m", "n", "degree"):  # kept as ints
+        assert type(getattr(out, field, 0)) is int
