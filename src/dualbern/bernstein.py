@@ -106,8 +106,9 @@ class BPoly:
     """A polynomial in B-form: degree, interval, and m+1 coefficients.
 
     p(t) = sum_i coeffs[i] * B_i^m(t) with the basis taken over `interval`.
-    The coefficients are all exact (ints and Fractions) or all floats: when
-    any is not exact, every one is converted to float.
+    The degree goes through ``operator.index`` (see :func:`_degree`).  The
+    coefficients are all exact (ints and Fractions) or all floats: when any
+    is not exact, every one is converted to float.
 
     When the exact :func:`power_to_bform` built the polynomial, ``_power``
     holds the result of :func:`_power_diagonal` and ``_diag`` the pair
@@ -127,8 +128,10 @@ class BPoly:
     _diag = None
 
     def __post_init__(self):
-        if self.degree < 0:
+        degree = _degree(self.degree, "degree")
+        if degree < 0:
             raise ValueError("degree must be >= 0")
+        object.__setattr__(self, "degree", degree)
         coeffs = tuple(self.coeffs)
         if not all(_is_exact(x) for x in coeffs):
             coeffs = tuple(map(float, coeffs))
@@ -510,9 +513,9 @@ def dual_functional_apply(n: int, k: int, p: BPoly):
     sum to sum_i C(k, i) C(n-i, d-i) w_i (Chu–Vandermonde), one integer term
     per diagonal entry.  The weights start at C(n, d), and each is the last
     times (k-i+1)(d-i+1) / (i (n-i+1)), an exact integer quotient.  The value
-    is one Fraction.  n goes through ``operator.index``.
+    is one Fraction.  n and k go through ``operator.index``.
     """
-    n = _degree(n, "n")
+    n, k = _degree(n, "n"), _degree(k, "k")
     if not 0 <= k <= n:
         raise ValueError(f"functional index {k} out of range 0..{n}")
     _check_degree(n, p)
@@ -547,8 +550,10 @@ def generalized_dual_apply(n: int, x, p: BPoly):
     For 0 < x < 1 it converges to p(x) at first order,
     n (lambda_{xn}^n p - p(x)) -> -x (1 - x) p''(x) / 2: Voronovskaya's
     constant of the Bernstein operator with the sign reversed.  ValueError
-    when p has degree above n, as for :func:`dual_functional_apply`.
+    when p has degree above n, as for :func:`dual_functional_apply`.  n goes
+    through ``operator.index``.
     """
+    n = _degree(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= x <= 1:

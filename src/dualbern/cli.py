@@ -6,11 +6,18 @@ exact rational strings, SVG plots are self-contained (fixed 800x600 viewBox,
 no external assets) and always come with a CSV sidecar holding the sampled
 values.  Exit codes: 0 success, 2 usage/precondition error, 3 singular
 selection (reported as structured JSON).
+
+``main()`` is the process entry (``python -m dualbern.cli`` and the
+``dualbern`` script): it runs with the cyclic collector off and freezes the
+heap before it exits, so shutdown does not walk the modules again.
+``run()`` is GC-neutral: it leaves the collector's state and the frozen
+generation as it found them, so in-process callers see no change.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -45,6 +52,13 @@ class UsageError(Exception):
 
 def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _format_rows(row_fmt: str, rows, sep: str = "\n") -> str:
+    """The rows, each written by the %-template row_fmt and joined by sep, in
+    one % operation over the flat tuple of their values: "%.3f" and "%.17g"
+    run the float formatter that format() runs, so the text is the same."""
+    return sep.join([row_fmt] * len(rows)) % tuple(v for row in rows for v in row)
 
 
 def _json_text(obj, indent: int = 0) -> str:
@@ -363,7 +377,7 @@ def _svg_document(curves, points_groups, x_range) -> str:
             f'text-anchor="{anchor}" fill="#333">{fmt(val)}</text>'
         )
     for idx, (pts, dashed) in enumerate(curves):
-        coords = " ".join(f"{fmt(sx(x))},{fmt(sy(y))}" for x, y in pts)
+        coords = _format_rows("%.3f,%.3f", [(sx(x), sy(y)) for x, y in pts], " ")
         dash = ' stroke-dasharray="6,4"' if dashed else ""
         color = PALETTE[idx % len(PALETTE)]
         parts.append(
@@ -402,11 +416,9 @@ def _cmd_plot(args) -> int:
         ]
         svg = _svg_document(curves, [], (ts[0], ts[-1]))
         header = "t," + ",".join(f"D{i}" for i in range(args.m + 1))
-        rows = [
-            ",".join([_fmt_float(t)] + [_fmt_float(v) for v in row])
-            for t, row in zip(ts, values)
-        ]
-        sidecar = header + "\n" + "\n".join(rows) + "\n"
+        row_fmt = ",".join(["%.17g"] * (args.m + 2))
+        rows = [(t, *row) for t, row in zip(ts, values)]
+        sidecar = header + "\n" + _format_rows(row_fmt, rows) + "\n"
     else:
         if args.coeffs is None:
             raise UsageError("plot --kind polygon needs --coeffs c0,c1,...,cm")
@@ -429,9 +441,9 @@ def _cmd_plot(args) -> int:
             (ts[0], ts[-1]),
         )
         lines = ["kind,x,y"]
-        lines += [f"original,{_fmt_float(x)},{_fmt_float(y)}" for x, y in original]
-        lines += [f"transformed,{_fmt_float(x)},{_fmt_float(y)}" for x, y in moved]
-        lines += [f"curve,{_fmt_float(x)},{_fmt_float(y)}" for x, y in curve_pts]
+        lines += [_format_rows(f"{kind},%.17g,%.17g", pts)
+                  for kind, pts in (("original", original), ("transformed", moved),
+                                    ("curve", curve_pts))]
         sidecar = "\n".join(lines) + "\n"
 
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -499,7 +511,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    # a one-shot process never gains from cyclic collection: reference counting frees
+    # the per-command objects, and all that is alive at exit would be walked again at shutdown
+    gc.disable()
+    code = run()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

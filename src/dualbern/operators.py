@@ -70,6 +70,10 @@ class OperatorReport:
     the bound (ambient n for the quasi-interpolant's data map, subspace m for
     the stability-style constants).
 
+    The "operator-norm" bound, ||A|| ||M_n^{-1}|| sup|f|, bounds ||Q_s f||
+    and not the error ||f - Q_s f||: at m = n = 1, sin on [pi/2, 5 pi/2]
+    gives sup_error 2 and bound 1.  The other three classes bound the error.
+
     Exact: norm_a and norm_minv.  Not certified: bound, the formula of its
     class evaluated in round-to-nearest floats.  The "operator-norm" and
     "C0-modulus" bounds are estimates: they take sup|f| and omega(f, w) from

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage, driven in-process through run()."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -565,12 +566,52 @@ def test_cli_keeps_exit_code_contract(argv):
             assert not re.search(r"\b(nan|inf)\b", path.read_text(), re.IGNORECASE), path.name
 
 
-def test_console_script_smoke():
-    exe = shutil.which("dualbern")
-    cmd = [exe] if exe else [sys.executable, "-m", "dualbern.cli"]
-    proc = subprocess.run(
-        cmd + ["elevate", "--m", "1", "--n", "2", "--format", "csv"],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "1,0\n1/2,1/2\n0,1\n"
+# one argv per command, a precondition error (exit 2) and a singular selection (exit 3)
+ENTRY_ARGV = [
+    pytest.param(("elevate", "--m", "1", "--n", "2", "--format", "csv"), 0, id="elevate-csv"),
+    pytest.param(("dual-basis", "--m", "2", "--symmetric", "--k", "2"), 0, id="dual-basis"),
+    pytest.param(("convergence", "--m", "2", "--k", "3", "--format", "json"), 0,
+                 id="convergence-json"),
+    pytest.param(("plot", "--kind", "basis", "--m", "2", "--symmetric", "--k", "2",
+                  "--out", "p.svg"), 0, id="plot-basis"),
+    pytest.param(("operator", "--which", "quasi", "--m", "2", "--symmetric", "--k", "2",
+                  "--fn", "sin"), 0, id="operator-quasi"),
+    pytest.param(("elevate", "--m", "5", "--n", "3"), 2, id="exit-2"),
+    pytest.param(("dual-basis", "--m", "2", "--n", "4", "--selection", "0,1,3",
+                  "--basis", "power"), 3, id="exit-3"),
+]
+
+
+def _written(folder: pathlib.Path) -> dict:
+    return {path.name: path.read_bytes() for path in folder.iterdir()}
+
+
+@pytest.mark.parametrize("argv, code", ENTRY_ARGV)
+def test_process_entry_matches_run(argv, code, tmp_path, capsys, monkeypatch):
+    """python -m dualbern.cli, and the dualbern script when it is installed,
+    give the exit code, stdout, stderr and files of in-process run() byte for
+    byte; run() leaves the collector's state and the frozen count alone."""
+    here = tmp_path / "run"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    state = gc.isenabled(), gc.get_freeze_count()
+    rc = run(list(argv))
+    assert rc == code
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
+    out, err = capsys.readouterr()
+    want = (rc, out.encode(), err.encode(), _written(here))
+
+    src = pathlib.Path(dualbern.__file__).resolve().parent.parent
+    # buffered std streams, so output that the exit path fails to flush is missed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    entries = {"module": [sys.executable, "-m", "dualbern.cli"]}
+    if shutil.which("dualbern"):
+        entries["script"] = [shutil.which("dualbern")]
+    for name, cmd in entries.items():
+        folder = tmp_path / name
+        folder.mkdir()
+        proc = subprocess.run(
+            cmd + list(argv), capture_output=True, timeout=60, cwd=folder, env=env,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr, _written(folder)) == want, name

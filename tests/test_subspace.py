@@ -17,6 +17,7 @@ from dualbern.bernstein import (
     de_casteljau_eval,
     dual_functional_apply,
     elevation_matrix,
+    generalized_dual_apply,
     power_to_bform,
     xi_nodes,
 )
@@ -468,6 +469,9 @@ _P = power_to_bform([1, 2], 3)
     pytest.param("n", collocation_matrix, id="collocation_matrix"),
     pytest.param("n", lambda d: power_to_bform([1, 2], d), id="power_to_bform"),
     pytest.param("n", lambda d: dual_functional_apply(d, 1, _P), id="dual_functional_apply"),
+    pytest.param("k", lambda d: dual_functional_apply(3, d, _P), id="dual_functional_apply-k"),
+    pytest.param("n", lambda d: generalized_dual_apply(d, F(1, 2), _P), id="generalized_dual_apply"),
+    pytest.param("degree", lambda d: BPoly(d, Interval(0, 1), (1, 2, 3, 4)), id="BPoly"),
 ])
 def test_degrees_are_integers(name, call):
     # degrees go through operator.index: a float or a str is one ValueError
