@@ -61,7 +61,6 @@ from .symmetric import (
     convergence_csv,
     convergence_table,
     rate_constant,
-    selected_elevation_rows,
     symmetric_dual_matrix,
 )
 
@@ -113,7 +112,6 @@ __all__ = [
     "convergence_csv",
     "convergence_table",
     "de_casteljau_eval",
-    "distance_to_subspace",
     "dual_basis",
     "dual_basis_eval",
     "dual_functional_apply",
@@ -131,10 +129,8 @@ __all__ = [
     "quasi_interpolant",
     "quasi_interpolant_report",
     "rate_constant",
-    "selected_elevation_rows",
     "stability_report",
     "symmetric_dual_matrix",
-    "tilde_lambda_apply",
     "uniform_grid",
     "verify_duality",
     "xi_nodes",

@@ -155,7 +155,9 @@ class BPoly:
 
 
 def bernstein_value(m: int, i: int, t, iv: Interval = UNIT_INTERVAL):
-    """Value of B_i^m(t) over the interval; exact for exact inputs."""
+    """Value of B_i^m(t) over the interval; exact for exact inputs.  m and i
+    go through ``operator.index``: a float is one ValueError naming it."""
+    m, i = _degree(m, "m"), _degree(i, "i")
     if not 0 <= i <= m:
         raise IndexError(f"basis index {i} out of range 0..{m}")
     u = iv.to_local(t)

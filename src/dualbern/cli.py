@@ -504,8 +504,9 @@ def run(argv=None) -> int:
         )
         return 3
     # usage, library preconditions (SelectionError is a ValueError), float
-    # overflow while sampling, and output files that cannot be written
-    except (UsageError, ValueError, OverflowError, OSError) as exc:
+    # overflow while sampling, a sample grid too large to allocate, and
+    # output files that cannot be written
+    except (UsageError, ValueError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,8 +12,10 @@ Two operators share the dual basis D^m = B^m A of a selection s:
   generalizes the classical Bernstein operator (the k = 1 symmetric case).
 
 Reports pair a measured sup-error with the bound of the declared smoothness
-class, plus the two exact norms entering every bound.  The bound is not
-certified: where it takes sup|f| or omega(f, w) from a grid it is an
+class, plus two exact norms: ||A||, which enters every bound, and
+||M^{-1}||, at degree n for Q_s, whose bound it enters, and at degree m for
+D_m, where it is the stability constant and enters no bound.  The bound is
+not certified: where it takes sup|f| or omega(f, w) from a grid it is an
 estimate (see :class:`OperatorReport`).
 
 Per call, a report builds the dual basis of its selection and the norm of
@@ -66,9 +68,10 @@ class OperatorReport:
 
     bound_kind is "operator-norm" for the quasi-interpolant report and one of
     "C0-modulus" | "C1" | "C2" for the Bernstein-like report.  norm_minv is
-    the inf-norm of the inverse collocation matrix at the degree relevant to
-    the bound (ambient n for the quasi-interpolant's data map, subspace m for
-    the stability-style constants).
+    the inf-norm of the inverse collocation matrix: at the ambient degree n
+    for the quasi-interpolant's data map, whose bound it enters, and at the
+    subspace degree m for the Bernstein-like report, where it is the
+    stability constant and enters no bound.
 
     The "operator-norm" bound, ||A|| ||M_n^{-1}|| sup|f|, bounds ||Q_s f||
     and not the error ||f - Q_s f||: at m = n = 1, sin on [pi/2, 5 pi/2]
@@ -81,9 +84,13 @@ class OperatorReport:
     true error.  The "C1" and "C2" bounds hold up to float rounding when the
     caller's d1 / d2 are true derivative sups.
     Measured: sup_error, on a grid.  Estimates, set by the quasi-interpolant
-    report only and omitted from JSON when unset: distance_estimate, the
-    least-squares residual of distance_to_subspace, and near_best_bound
-    (JSON key near_best_estimate) = (1 + operator norm) * distance_estimate.
+    report only and omitted from JSON when unset: distance_estimate and
+    near_best_bound (JSON key near_best_estimate) = (1 + operator norm) *
+    distance_estimate.  distance_estimate is the max residual of the discrete
+    least-squares fit of f by degree m, a Vandermonde solve in the local
+    parameter on a uniform grid of 401 points: an upper bound on the minimax
+    distance over that grid, not a certified bound on the true sup-distance
+    over [a, b].
     """
 
     sup_error: float
@@ -113,28 +120,15 @@ def _at_nodes(f: SampledFunction, n: int, ks, iv: Interval) -> list:
     return [f(x) for x in _uniform_nodes(n, iv, ks)]
 
 
-def _tilde_lambdas(n: int, indices, f: SampledFunction, iv: Interval) -> list:
-    """tilde-lambda_j^n f for each j in indices, sampling f once per node."""
-    return _apply_rows(_colloc_inv(n), indices, _at_nodes(f, n, range(n + 1), iv))
-
-
-def tilde_lambda_apply(n: int, j: int, f: SampledFunction, iv: Interval = UNIT_INTERVAL):
-    """tilde-lambda_j^n f = sum_i M_n^{-1}(j, i) f(xi_i^n).
-
-    Dual to B^n using point values only; exact when f returns exact values
-    at the exact uniform nodes.  |result| <= sup|f| * inf_norm(M_n^{-1}).
-    """
-    if not 0 <= j <= n:
-        raise ValueError(f"index {j} out of range 0..{n}")
-    return _tilde_lambdas(n, (j,), f, iv)[0]
-
-
 def _dual(m: int, n: int, s: SelectionMap, iv: Interval) -> DualBasis:
     return dual_basis(bernstein_embedding(m, n), s, iv)
 
 
 def _quasi(db: DualBasis, f: SampledFunction) -> BPoly:
-    return db.bform(_tilde_lambdas(db.n, db.s, f, db.interval))
+    """Q_s f: the data map tilde-lambda_{s(i)}^n f, rows s of M_n^{-1} on the
+    n+1 node values (f sampled once per node), then A on those."""
+    n = db.n
+    return db.bform(_apply_rows(_colloc_inv(n), db.s, _at_nodes(f, n, range(n + 1), db.interval)))
 
 
 def quasi_interpolant(
@@ -142,7 +136,12 @@ def quasi_interpolant(
 ) -> BPoly:
     """Q_s f as a degree-m B-form polynomial: coefficients A . v with
     v_i = tilde-lambda_{s(i)}^n f.  Reproduces every polynomial of degree
-    <= m (it is a linear projector onto that space)."""
+    <= m (it is a linear projector onto that space).
+
+    tilde-lambda_j^n f = sum_i M_n^{-1}(j, i) f(xi_i^n) is dual to B^n from
+    point values alone, exact when f returns exact values at the exact
+    nodes, and |v_i| <= inf_norm(M_n^{-1}) sup|f|.  At m = n with s = 0..n,
+    A = I, so the coefficients are the data map itself."""
     return _quasi(_dual(m, n, s, iv), f)
 
 
@@ -167,17 +166,6 @@ def _lstsq_residual(ts: np.ndarray, vals: np.ndarray, m: int, iv: Interval) -> f
     vand = np.vander((ts - a) / width, m + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(vand, vals, rcond=None)
     return float(np.max(np.abs(vals - vand @ coef)))
-
-
-def distance_to_subspace(f: SampledFunction, m: int, iv: Interval = UNIT_INTERVAL) -> float:
-    """Max grid residual of the discrete least-squares fit of f by degree m.
-
-    The fit is a Vandermonde least-squares solve in the local parameter on
-    a uniform grid of 401 points.  The returned max residual is an
-    upper bound on the minimax distance over that grid; it is not a
-    certified bound on the true sup-distance over [a, b]."""
-    ts = uniform_grid(iv, _LSTSQ_SAMPLES)
-    return _lstsq_residual(ts, _sample(f, ts), m, iv)
 
 
 def quasi_interpolant_report(

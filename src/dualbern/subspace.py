@@ -36,7 +36,6 @@ the duality check runs on those integers.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -121,10 +120,11 @@ class Embedding:
 
     :meth:`rows` builds only the selected rows E(s,:), from one integer row
     formula per kind (:meth:`_int_rows`); the full (n+1) x (m+1) matrix E is
-    those rows for s = 0..n, built on first read and kept.  The dual bases
-    and the duality check never read E, so an embedding costs nothing until
-    something asks for it.  Construction checks the kind and 0 <= m <= n,
-    and keeps m and n as ints (taken through ``operator.index``).
+    ``rows(range(n + 1))``, or :func:`~dualbern.bernstein.elevation_matrix`
+    for the Bernstein kind.  The dual bases and the duality check never build
+    E, so an embedding costs nothing until something asks for rows.
+    Construction checks the kind and 0 <= m <= n, and keeps m and n as ints
+    (taken through ``operator.index``).
     """
 
     kind: str  # "bernstein" | "power"
@@ -152,10 +152,6 @@ class Embedding:
         if self.kind == "bernstein":
             return _elevation_int_rows(self.m, self.n, s)
         return [[int(k == j) for j in range(self.m + 1)] for k in s], 1
-
-    @functools.cached_property
-    def E(self) -> Mat:
-        return self.rows(range(self.n + 1))
 
 
 def _check_row_indices(s, n: int):
@@ -206,15 +202,14 @@ def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) ->
     when the selected functionals are not linearly independent on the
     subspace (expected for power-basis selections other than (0..m)).
 
-    Bernstein embedding: A = E(s,:)^{-1} in closed form (see the module
-    docstring).  With N_i(x) = prod_{r != i} (x - s(r)) and
-    D_i = N_i(s(i)), the Lagrange polynomial is l_i = N_i / D_i, and
-    column i of A is the B-form of T^{-1} l_i.  The coefficients of
-    F = (n)_{m+1} prod_r (x - s(r)) = sum_{j<=m+1} F_j psi_j^{(m+1)} are
-    built one node at a time by the recurrence of the module docstring: at
-    the d-th node c, F'_j = (n - d + j - 1 - c) F_{j-1} + (j - c) F_j.  For
-    column i, with c = s(i), the quotient G = F / ((n - m)(x - c)) =
-    (n)_m N_i = sum_{j<=m} G_j psi_j^{(m)} solves
+    Bernstein embedding: A = E(s,:)^{-1} in closed form.  The discrete
+    Bernstein basis psi_j, the map T and the two-term recurrence are set out
+    once, in the module docstring: column i of A is the B-form of
+    T^{-1} l_i, with l_i = N_i / D_i, N_i(x) = prod_{r != i} (x - s(r)) and
+    D_i = N_i(s(i)), and the recurrence builds the coefficients of
+    F = (n)_{m+1} prod_r (x - s(r)) = sum_{j<=m+1} F_j psi_j^{(m+1)}, one
+    node at a time.  For column i, with c = s(i), the quotient
+    G = F / ((n - m)(x - c)) = (n)_m N_i = sum_{j<=m} G_j psi_j^{(m)} solves
     F_j = (n - m + j - 1 - c) G_{j-1} + (j - c) G_j: upward for j < c,
     dividing by j - c, and downward for j - 1 >= c, dividing by
     n - m + j - 1 - c >= n - m > 0.  T^{-1} takes C(m, j) psi_j / (n)_m to
@@ -315,9 +310,11 @@ def _power_dual_matrix(emb: Embedding, s: tuple) -> Mat:
 
 
 def dual_basis_eval(db: DualBasis, i: int, t):
-    """D_i^m(t) = sum_j B_j^m(t) A(j, i).  (B-form evaluation; Bernstein kind.)"""
+    """D_i^m(t) = sum_j B_j^m(t) A(j, i).  (B-form evaluation; Bernstein kind.)
+    i goes through ``operator.index``: a float is one ValueError naming it."""
     if db.kind != "bernstein":
         raise ValueError("dual_basis_eval evaluates Bernstein-embedding bases only")
+    i = _degree(i, "i")
     if not 0 <= i <= db.m:
         raise IndexError(f"dual basis index {i} out of range 0..{db.m}")
     return sum(bernstein_value(db.m, j, t, db.interval) * db.A[j, i] for j in range(db.m + 1))

@@ -8,8 +8,9 @@ entrywise limit
     lim_k  k * (A^{-1} - A_k^{-1})(i, j) = C(i, j),
 
 where A^{-1} = [B_j^m(i/m)] is the collocation matrix and A_k^{-1} = E(s,:)
-the selected elevation rows.  This module builds A_{m,k}, the rate constant
-C, and convergence diagnostics.
+the selected elevation rows, ``bernstein_embedding(m, n).rows(cfg.selection())``
+for ``cfg = SymmetricConfig(m, k)``.  This module builds A_{m,k}, the rate
+constant C, and convergence diagnostics.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .bernstein import (
     uniform_grid,
 )
 from .ratmat import Mat, _float_rows, _from_common_denominator
-from .subspace import SelectionMap, _bernstein_dual_matrix, bernstein_embedding, make_selection
+from .subspace import SelectionMap, _bernstein_dual_matrix, make_selection
 
 
 @dataclass(frozen=True)
@@ -58,15 +59,6 @@ class SymmetricConfig:
 
     def selection(self) -> SelectionMap:
         return make_selection(self.m, self.n, tuple(i * self.k for i in range(self.m + 1)))
-
-
-def selected_elevation_rows(m: int, k: int) -> Mat:
-    """E(s,:) for the symmetric selection — this is exactly A_{m,k}^{-1}.
-
-    Only the m+1 selected rows are built, by
-    :meth:`~dualbern.subspace.Embedding.rows`."""
-    cfg = SymmetricConfig(m, k)
-    return bernstein_embedding(m, cfg.n).rows(cfg.selection())
 
 
 def symmetric_dual_matrix(m: int, k: int) -> Mat:
@@ -113,7 +105,7 @@ class ConvergenceRecord:
 
 
 def _scaled_elevation_distance(colloc: list[list[int]], mm: int, k: int) -> Fraction:
-    """k * inf_norm(collocation_matrix(m) - selected_elevation_rows(m, k)), exact.
+    """k * inf_norm(collocation_matrix(m) - E(s,:)) for the symmetric selection, exact.
 
     ``colloc, mm`` is ``_collocation_int_rows(m)``, which depends on m only,
     so a table over many k builds it once.  Both matrices come as integer

@@ -20,6 +20,7 @@ from dualbern.bernstein import (
     collocation_matrix,
     de_casteljau_eval,
     dual_functional_apply,
+    elevation_matrix,
     generalized_dual_apply,
     power_to_bform,
     xi_nodes,
@@ -46,7 +47,6 @@ from dualbern.symmetric import (
     SymmetricConfig,
     convergence_table,
     rate_constant,
-    selected_elevation_rows,
     symmetric_dual_matrix,
 )
 
@@ -74,7 +74,8 @@ def test_acceptance_1_symmetric_reference_tables():
         # row-affine, centro-symmetric, unit endpoint rows
         for m, k in [(5, 2), (5, 5), (6, 2)]:
             a = symmetric_dual_matrix(m, k)
-            assert mat_mul(selected_elevation_rows(m, k), a) == Mat.identity(m + 1)
+            e_s = bernstein_embedding(m, m * k).rows(SymmetricConfig(m, k).selection())
+            assert mat_mul(e_s, a) == Mat.identity(m + 1)
             assert is_row_affine(a)
             for i in range(m + 1):
                 for j in range(m + 1):
@@ -96,7 +97,7 @@ def test_acceptance_2_selection_invertibility():
                 emb = bernstein_embedding(m, n)
                 for sel in combinations(range(n + 1), m + 1):
                     s = make_selection(m, n, sel)
-                    assert dual_basis(emb, s).A == mat_inv(row_select(emb.E, s))
+                    assert dual_basis(emb, s).A == mat_inv(row_select(elevation_matrix(m, n), s))
                 assert is_complete(emb)
         # power embedding: only the leading selection 0..m survives
         for n in range(2, 9):
@@ -169,7 +170,8 @@ def test_acceptance_5_rate_constant_law():
     """
 
     def scaled(m, k):
-        diff = mat_sub(collocation_matrix(m), selected_elevation_rows(m, k))
+        e_s = bernstein_embedding(m, m * k).rows(SymmetricConfig(m, k).selection())
+        diff = mat_sub(collocation_matrix(m), e_s)
         return Mat([[k * x for x in diff.row(i)] for i in range(m + 1)])
 
     def check():

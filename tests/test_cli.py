@@ -431,6 +431,18 @@ def test_collapsed_grid_is_a_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# a --grid of 10^15 samples needs more than a 64-bit address space, so numpy
+# refuses the array at once, before it touches any memory: exit 2
+HUGE_GRID = ("--grid", "1000000000000000")
+HUGE_GRID_ARGV = (
+    ("plot", "--kind", "basis", "--m", "2", "--symmetric", "--k", "2", *HUGE_GRID,
+     "--out", "{out}/p.svg"),
+    ("convergence", "--m", "2", "--k", "2", *HUGE_GRID),
+    ("operator", "--which", "quasi", "--m", "2", "--symmetric", "--k", "2", "--fn", "sin",
+     *HUGE_GRID),
+)
+
+
 def test_operator_quasi_reproduces_square(capsys):
     rc, out, _ = invoke(
         capsys,
@@ -547,6 +559,9 @@ def _no_constants(name):
 @example(argv=list(COLLAPSED_QUASI))
 @example(argv=list(COLLAPSED_BERNOP))
 @example(argv=[*COLLAPSED_PLOT, "--out", "{out}/x.svg"])
+@example(argv=list(HUGE_GRID_ARGV[0]))
+@example(argv=list(HUGE_GRID_ARGV[1]))
+@example(argv=list(HUGE_GRID_ARGV[2]))
 @given(argv=_argv())
 def test_cli_keeps_exit_code_contract(argv):
     """Any argv: exit 0, 2 or 3, no traceback, JSON stdout parses without

@@ -24,12 +24,10 @@ from dualbern.operators import (
     StabilityReport,
     bernstein_like,
     bernstein_like_report,
-    distance_to_subspace,
     modulus_of_continuity,
     quasi_interpolant,
     quasi_interpolant_report,
     stability_report,
-    tilde_lambda_apply,
 )
 from dualbern import bernstein, operators, ratmat
 from dualbern.ratmat import Mat, inf_norm
@@ -175,17 +173,22 @@ def test_sample_is_float_of_f_at_every_point():
             operators._sample(lambda t: v, ts)
 
 
+def _data_map(n, f):
+    """(tilde-lambda_j^n f)_j: at m = n with s = 0..n, A = I and Q_s f has the
+    data map for its coefficients."""
+    return quasi_interpolant(n, n, make_selection(n, n, range(n + 1)), f).coeffs
+
+
 def test_tilde_lambda_duality():
     # applied to the basis elements themselves the data map gives deltas
     for n in range(1, 6):
         for i in range(n + 1):
             f = lambda t, i=i, n=n: bernstein_value(n, i, t)
-            for j in range(n + 1):
-                assert tilde_lambda_apply(n, j, f) == int(i == j)
+            assert _data_map(n, f) == tuple(int(i == j) for j in range(n + 1))
 
 
 def test_tilde_lambda_constant_and_bound():
-    assert tilde_lambda_apply(5, 3, lambda t: F(7, 2)) == F(7, 2)
+    assert _data_map(5, lambda t: F(7, 2)) == (F(7, 2),) * 6
     rng = random.Random(11)
     for n in (2, 4, 6):
         norm = inf_norm(mat_inv(collocation_matrix(n)))
@@ -193,13 +196,8 @@ def test_tilde_lambda_constant_and_bound():
             vals = {i: rng.uniform(-1, 1) for i in range(n + 1)}
             f = lambda t, n=n, vals=vals: vals[int(t * n)]
             sup_f = max(abs(v) for v in vals.values())
-            for j in range(n + 1):
-                assert abs(tilde_lambda_apply(n, j, f)) <= float(norm) * sup_f + 1e-12
-
-
-def test_tilde_lambda_index_range():
-    with pytest.raises(ValueError):
-        tilde_lambda_apply(3, 4, lambda t: t)
+            for v in _data_map(n, f):
+                assert abs(v) <= float(norm) * sup_f + 1e-12
 
 
 def test_quasi_interpolant_linear_precision():
@@ -436,6 +434,11 @@ def test_stability_on_shifted_interval():
 
 
 def test_distance_to_subspace_member_is_zero():
+    # the quasi report's distance_estimate: the least-squares residual by degree m
+    def distance(f, m):
+        s = make_selection(m, m, range(m + 1))
+        return quasi_interpolant_report(m, m, s, f).distance_estimate
+
     p = power_to_bform([F(1), F(2), F(-1)], 2)
-    assert distance_to_subspace(p, 2) <= 1e-10
-    assert distance_to_subspace(math.sin, 3) < distance_to_subspace(math.sin, 1)
+    assert distance(p, 2) <= 1e-10
+    assert distance(math.sin, 3) < distance(math.sin, 1)

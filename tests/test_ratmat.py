@@ -20,7 +20,8 @@ from oracle import (
 )
 
 from dualbern.bernstein import elevation_matrix
-from dualbern.symmetric import selected_elevation_rows, symmetric_dual_matrix
+from dualbern.subspace import bernstein_embedding
+from dualbern.symmetric import symmetric_dual_matrix
 from dualbern.ratmat import (
     Mat,
     SingularMatrixError,
@@ -337,7 +338,8 @@ def test_is_inverse_is_the_product_check():
     # unimodular pair with 2^300 entries); the integer view is the pair the
     # matrix holds and, where that differs, its lowest-terms form
     big = 1 << 200
-    pairs = [(selected_elevation_rows(m, k), symmetric_dual_matrix(m, k)) for m, k in ((3, 4), (6, 8))]
+    pairs = [(bernstein_embedding(m, m * k).rows(range(0, m * k + 1, k)),
+              symmetric_dual_matrix(m, k)) for m, k in ((3, 4), (6, 8))]
     pairs.append((_from_common_denominator([[3 * big + 3, 3 * big], [3 * big, 3 * big - 3]], 1 << 250),
                   _from_common_denominator([[(1 - big) << 250, big << 250],
                                             [big << 250, -(big + 1) << 250]], 3)))

@@ -1,4 +1,4 @@
-"""The README's Python examples run as doctests.
+"""The README's Python examples run as doctests, and it names every public name.
 
 Only the ```` ```python ```` blocks are read.  Every other line, the fences
 included, is blanked, so a closing fence does not end up in an example's
@@ -7,6 +7,9 @@ expected output and failures report README line numbers.
 
 import doctest
 import pathlib
+import re
+
+import dualbern
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,3 +34,9 @@ def test_readme_python_examples_run():
     prompts = sum(line.startswith(">>> ") for line in source.splitlines())
     assert prompts > 0
     assert (runner.failures, runner.tries) == (0, prompts), "".join(report)
+
+
+def test_readme_names_every_public_name():
+    text = README.read_text(encoding="utf-8")
+    missing = [name for name in dualbern.__all__ if not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert missing == []

@@ -104,7 +104,7 @@ def test_closed_form_dual_matches_gauss_jordan():
     for m, n, sel in cases:
         emb = bernstein_embedding(m, n)
         s = make_selection(m, n, sel)
-        assert dual_basis(emb, s).A == mat_inv(row_select(emb.E, s)), (m, n, sel)
+        assert dual_basis(emb, s).A == mat_inv(row_select(elevation_matrix(m, n), s)), (m, n, sel)
 
 
 def test_symmetric_selections_build_the_oracle_inverse():
@@ -124,7 +124,7 @@ def test_symmetric_selections_build_the_oracle_inverse():
         assert len(sel) == m + 1 and all(sel[i] + sel[m - i] == n for i in range(m + 1)), sel
         emb = bernstein_embedding(m, n)
         db = dual_basis(emb, make_selection(m, n, sel))
-        assert db.A == mat_inv(row_select(emb.E, sel)), (m, n, sel)
+        assert db.A == mat_inv(row_select(elevation_matrix(m, n), sel)), (m, n, sel)
         assert verify_duality(db)
     # a repeated index names the first index that repeats, symmetric or not
     for sel, first in (((2, 2, 2), 2), ((1, 3, 1, 3), 1), ((0, 2, 2, 4), 2), ((0, 3, 3), 3)):
@@ -190,7 +190,7 @@ def test_power_embedding_singular_selection():
 def test_power_embedding_leading_selection_works():
     emb = power_embedding(2, 4)
     db = dual_basis(emb, make_selection(2, 4, (0, 1, 2)))
-    assert mat_mul(row_select(emb.E, (0, 1, 2)), db.A) == Mat.identity(3)
+    assert mat_mul(emb.rows((0, 1, 2)), db.A) == Mat.identity(3)
     assert verify_duality(db)
 
 
@@ -278,12 +278,12 @@ def test_is_complete():
 
 
 def test_embedding_checks_its_degrees_on_construction():
-    # the constructor checks what the factories check, so neither E nor
+    # the constructor checks what the factories check, so neither rows nor
     # is_complete ever sees m > n or a negative degree
     for make, msg in [
-        (lambda: Embedding("bernstein", 5, 3).E, "elevation needs m <= n, got m=5 n=3"),
+        (lambda: Embedding("bernstein", 5, 3), "elevation needs m <= n, got m=5 n=3"),
         (lambda: is_complete(Embedding("bernstein", 5, 3)), "elevation needs m <= n, got m=5 n=3"),
-        (lambda: Embedding("power", 5, 3).E, "embedding needs m <= n, got m=5 n=3"),
+        (lambda: Embedding("power", 5, 3), "embedding needs m <= n, got m=5 n=3"),
         (lambda: Embedding("bernstein", -1, 3), "degrees must be nonnegative"),
         (lambda: Embedding("power", -1, 3), "degrees must be nonnegative"),
     ]:
@@ -308,7 +308,7 @@ def test_embedding_kind_is_bernstein_or_power():
                                     ("power", power_embedding, False)]:
         emb = Embedding(kind, 2, 4)
         assert emb == factory(2, 4) and is_complete(emb) is complete
-        assert emb.rows(sel) == row_select(emb.E, sel)
+        assert emb.rows(sel) == row_select(emb.rows(range(5)), sel)
         db = dual_basis(emb, sel)
         assert db.kind == kind and verify_duality(db)
     assert Embedding("bernstein", 2, 4).rows(sel) == row_select(elevation_matrix(2, 4), sel)
@@ -336,7 +336,7 @@ def test_elevation_minor_determinant():
     checked = 0
     for n in range(1, 9):
         for m in range(n + 1):
-            e = bernstein_embedding(m, n).E
+            e = elevation_matrix(m, n)
             scale = F(math.prod(math.comb(m, j) for j in range(m + 1)),
                       math.prod(math.perm(n, j) for j in range(m + 1)))
             for s in combinations(range(n + 1), m + 1):
@@ -421,25 +421,21 @@ def test_integer_duality_check_matches_the_fraction_check():
         assert verify_duality(bad) is _fraction_duality_check(bad) is False, (m, n, sel)
 
 
-def test_embeddings_build_E_on_first_read():
-    emb = bernstein_embedding(12, 400)
-    assert "E" not in vars(emb)
-    # the Bernstein dual basis and its check never read E
-    db = dual_basis(emb, make_selection(12, 400, range(0, 361, 30)))
-    assert verify_duality(db)
-    assert "E" not in vars(emb)
-    assert emb.E == elevation_matrix(12, 400)
-    assert "E" in vars(emb)
-    assert power_embedding(2, 4).E == Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]])
+def test_embedding_rows_are_rows_of_E():
+    # E itself is rows(0..n): the elevation matrix, or the identity block I(:, 0:m)
+    assert bernstein_embedding(12, 400).rows(range(401)) == elevation_matrix(12, 400)
+    identity_block = Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    assert power_embedding(2, 4).rows(range(5)) == identity_block
     # rows(s) builds E(s,:) alone, for permuted selections of both kinds
     rng = random.Random(9)
     for factory in (bernstein_embedding, power_embedding):
         for m, n in [(0, 3), (1, 1), (2, 4), (3, 7), (5, 9), (6, 6)]:
-            emb = factory(m, n)
+            if factory is bernstein_embedding:
+                e = elevation_matrix(m, n)
+            else:
+                e = Mat([[int(k == j) for j in range(m + 1)] for k in range(n + 1)])
             sel = tuple(rng.sample(range(n + 1), m + 1))
-            rows = emb.rows(sel)
-            assert "E" not in vars(emb)
-            assert rows == row_select(emb.E, sel), (factory, m, n, sel)
+            assert factory(m, n).rows(sel) == row_select(e, sel), (factory, m, n, sel)
         for bad in (-1, 5):
             msg = f"row index {bad} out of range for 5-row matrix"
             with pytest.raises(IndexError, match=re.escape(msg)):
@@ -457,6 +453,9 @@ def test_embeddings_build_E_on_first_read():
 _P = power_to_bform([1, 2], 3)
 
 
+_DB = dual_basis(bernstein_embedding(3, 3), make_selection(3, 3, (0, 1, 2, 3)))
+
+
 @pytest.mark.parametrize("name, call", [
     pytest.param("m", lambda d: bernstein_embedding(d, 3), id="bernstein_embedding-m"),
     pytest.param("n", lambda d: bernstein_embedding(1, d), id="bernstein_embedding-n"),
@@ -472,10 +471,13 @@ _P = power_to_bform([1, 2], 3)
     pytest.param("k", lambda d: dual_functional_apply(3, d, _P), id="dual_functional_apply-k"),
     pytest.param("n", lambda d: generalized_dual_apply(d, F(1, 2), _P), id="generalized_dual_apply"),
     pytest.param("degree", lambda d: BPoly(d, Interval(0, 1), (1, 2, 3, 4)), id="BPoly"),
+    pytest.param("m", lambda d: bernstein_value(d, 1, F(1, 2)), id="bernstein_value-m"),
+    pytest.param("i", lambda d: bernstein_value(3, d, F(1, 2)), id="bernstein_value-i"),
+    pytest.param("i", lambda d: dual_basis_eval(_DB, d, F(1, 2)), id="dual_basis_eval-i"),
 ])
 def test_degrees_are_integers(name, call):
-    # degrees go through operator.index: a float or a str is one ValueError
-    # naming it, and a numpy integer is taken and kept as an int
+    # degrees and indices go through operator.index: a float or a str is one
+    # ValueError naming it, and a numpy integer is taken and kept as an int
     for bad in (1.0, "3"):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
             call(bad)

@@ -29,6 +29,7 @@ from dualbern.bernstein import (
     uniform_grid,
 )
 from dualbern.ratmat import Mat, inf_norm
+from dualbern.subspace import bernstein_embedding
 from dualbern.symmetric import (
     ConvergenceRecord,
     SymmetricConfig,
@@ -36,9 +37,14 @@ from dualbern.symmetric import (
     convergence_csv,
     convergence_table,
     rate_constant,
-    selected_elevation_rows,
     symmetric_dual_matrix,
 )
+
+
+def _selected_rows(m, k):
+    """E(s,:) for the symmetric selection, through Embedding.rows."""
+    cfg = SymmetricConfig(m, k)
+    return bernstein_embedding(m, cfg.n).rows(cfg.selection())
 
 
 def test_symmetric_config():
@@ -93,7 +99,7 @@ def test_symmetric_dual_matrix_structure():
         for k in range(1, 7):
             a = symmetric_dual_matrix(m, k)
             # inverse pair with the selected elevation rows
-            assert mat_mul(selected_elevation_rows(m, k), a) == Mat.identity(m + 1)
+            assert mat_mul(_selected_rows(m, k), a) == Mat.identity(m + 1)
             assert is_row_affine(a)
             # centro-symmetric: A[i,j] == A[m-i, m-j]
             for i in range(m + 1):
@@ -161,7 +167,7 @@ def test_rate_constant_matches_matrix_limit():
     for m in (2, 3):
         c = rate_constant(m)
         k = 512
-        scaled = mat_sub(collocation_matrix(m), selected_elevation_rows(m, k))
+        scaled = mat_sub(collocation_matrix(m), _selected_rows(m, k))
         diff = mat_sub(Mat([[k * x for x in scaled.row(i)] for i in range(m + 1)]), c)
         assert float(inf_norm(diff)) <= 1e-2
 
@@ -189,7 +195,7 @@ def test_rate_constant_is_the_exact_one_over_k_term_of_the_elevation_entries():
                 for k in (1, 2, 5):
                     value = F(sum(x * k**e for e, x in enumerate(num)),
                               sum(x * k**e for e, x in enumerate(d)))
-                    assert value == selected_elevation_rows(m, k)[i, j]
+                    assert value == _selected_rows(m, k)[i, j]
                 lead = F(num[m], d[m])
                 assert lead == bernstein_value(m, j, F(i, m)), (m, i, j)
                 assert (lead * d[m - 1] - num[m - 1]) / d[m] == c[i, j], (m, i, j)
@@ -200,7 +206,7 @@ def test_selected_elevation_rows_are_rows_of_the_elevation_matrix():
         for k in range(1, 7):
             cfg = SymmetricConfig(m, k)
             rows = row_select(elevation_matrix(m, cfg.n), cfg.selection())
-            assert selected_elevation_rows(m, k) == rows
+            assert _selected_rows(m, k) == rows
 
 
 def test_convergence_table_m1_is_exact():
@@ -278,7 +284,7 @@ def test_scaled_elevation_distance_is_the_matrix_expression():
         colloc = collocation_matrix(m)
         rows = _collocation_int_rows(m)
         for k in range(1, 7):
-            want = k * inf_norm(mat_sub(colloc, selected_elevation_rows(m, k)))
+            want = k * inf_norm(mat_sub(colloc, _selected_rows(m, k)))
             assert _scaled_elevation_distance(*rows, k) == want, (m, k)
 
 
@@ -289,7 +295,7 @@ def test_scaled_elevation_distance_reads_half_the_rows():
         rows = _collocation_int_rows(m)
         colloc = collocation_matrix(m)
         for k in range(1, 25):
-            diff = mat_sub(colloc, selected_elevation_rows(m, k))
+            diff = mat_sub(colloc, _selected_rows(m, k))
             sums = [sum(abs(x) for x in diff.row(i)) for i in range(m + 1)]
             assert sums == sums[::-1], (m, k)
             assert _scaled_elevation_distance(*rows, k) == k * max(sums[: m // 2 + 1]), (m, k)
