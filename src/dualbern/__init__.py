@@ -15,54 +15,11 @@ its names, so the exact layers load without numpy.
 import importlib
 import sys
 
-from .bernstein import (
-    BPoly,
-    Interval,
-    UNIT_INTERVAL,
-    bernstein_value,
-    bform_eval,
-    bform_to_power,
-    collocation_matrix,
-    de_casteljau_eval,
-    dual_functional_apply,
-    elevation_matrix,
-    generalized_dual_apply,
-    power_to_bform,
-    uniform_grid,
-    xi_nodes,
-)
-from .ratmat import (
-    Mat,
-    SingularMatrixError,
-    inf_norm,
-    is_inverse,
-    mat_to_json_obj,
-)
-from .subspace import (
-    DualBasis,
-    Embedding,
-    IndexOutOfRangeError,
-    NotInjectiveError,
-    SelectionError,
-    SelectionMap,
-    WrongLengthError,
-    bernstein_embedding,
-    dual_basis,
-    dual_basis_eval,
-    is_complete,
-    linear_precision_check,
-    make_selection,
-    power_embedding,
-    verify_duality,
-)
-from .symmetric import (
-    ConvergenceRecord,
-    SymmetricConfig,
-    convergence_csv,
-    convergence_table,
-    rate_constant,
-    symmetric_dual_matrix,
-)
+# each module lists its public names in its own __all__
+from .bernstein import *
+from .ratmat import *
+from .subspace import *
+from .symmetric import *
 
 __version__ = "0.1.0"
 
@@ -85,56 +42,11 @@ def __dir__():
     return sorted(set(globals()) | _LAZY_NAMES)
 
 
-__all__ = [
-    "BPoly",
-    "ConvergenceRecord",
-    "DualBasis",
-    "Embedding",
-    "IndexOutOfRangeError",
-    "Interval",
-    "Mat",
-    "NotInjectiveError",
-    "OperatorReport",
-    "SelectionError",
-    "SelectionMap",
-    "SingularMatrixError",
-    "StabilityReport",
-    "SymmetricConfig",
-    "UNIT_INTERVAL",
-    "WrongLengthError",
-    "bernstein_embedding",
-    "bernstein_like",
-    "bernstein_like_report",
-    "bernstein_value",
-    "bform_eval",
-    "bform_to_power",
-    "collocation_matrix",
-    "convergence_csv",
-    "convergence_table",
-    "de_casteljau_eval",
-    "dual_basis",
-    "dual_basis_eval",
-    "dual_functional_apply",
-    "elevation_matrix",
-    "generalized_dual_apply",
-    "inf_norm",
-    "is_complete",
-    "is_inverse",
-    "linear_precision_check",
-    "make_selection",
-    "mat_to_json_obj",
-    "modulus_of_continuity",
-    "power_embedding",
-    "power_to_bform",
-    "quasi_interpolant",
-    "quasi_interpolant_report",
-    "rate_constant",
-    "stability_report",
-    "symmetric_dual_matrix",
-    "uniform_grid",
-    "verify_duality",
-    "xi_nodes",
-]
+# the public names of dualbern.operators, which __getattr__ imports on first access
+_LAZY_NAMES = frozenset({
+    "OperatorReport", "StabilityReport", "bernstein_like", "bernstein_like_report",
+    "modulus_of_continuity", "quasi_interpolant", "quasi_interpolant_report", "stability_report",
+})
 
-# the public names not imported above: those of dualbern.operators
-_LAZY_NAMES = frozenset(__all__).difference(globals())
+__all__ = [*bernstein.__all__, *ratmat.__all__, *subspace.__all__, *symmetric.__all__,
+           *sorted(_LAZY_NAMES)]

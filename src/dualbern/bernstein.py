@@ -55,6 +55,12 @@ from .ratmat import Mat, _from_common_denominator, _over_common_denominator
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = (
+    "Interval", "UNIT_INTERVAL", "BPoly", "bernstein_value", "de_casteljau_eval", "uniform_grid",
+    "bform_eval", "collocation_matrix", "elevation_matrix", "power_to_bform", "bform_to_power",
+    "dual_functional_apply", "generalized_dual_apply", "xi_nodes",
+)
+
 
 def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
@@ -304,9 +310,10 @@ def _colloc_inv(n: int) -> Mat:
     nodes are symmetric, k/n <-> 1 - k/n, so L_{n-i}(u) = L_i(1-u) and
     M_n^{-1} is centrosymmetric, M_n^{-1}(j, n-i) = M_n^{-1}(n-j, i):
     columns 0..floor(n/2) are built and reversed for the rest, as
-    :func:`~dualbern.subspace.dual_basis` does for a symmetric selection.  The Mat gets signed integers over n! lcm_j C(n, j),
-    unreduced (it is reduced only if compared or hashed), and builds no
-    Fraction until an entry is read.
+    :func:`~dualbern.subspace.dual_basis` does for a symmetric selection.
+    The Mat gets signed integers over n! lcm_j C(n, j), unreduced (it is
+    reduced only if compared or hashed), and builds no Fraction until an
+    entry is read.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

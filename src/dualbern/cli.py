@@ -239,7 +239,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--which", choices=["quasi", "bernop"], required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--fn", required=True, help="|".join(FN_REGISTRY))
-    sp.add_argument("--smoothness", choices=["c0", "c1", "c2"], default="c0")
+    sp.add_argument("--smoothness", choices=["c0", "c1", "c2"], default=None,
+                    help="bound class of --which bernop (default c0)")
     common(sp)
     return p
 
@@ -266,6 +267,8 @@ def _resolve_selection(args) -> tuple[int, SelectionMap]:
         raise UsageError("--m must be >= 1")
     if args.symmetric and args.selection:
         raise UsageError("--symmetric and --selection are mutually exclusive")
+    if args.k is not None and not args.symmetric:
+        raise UsageError("--k needs --symmetric")
     if args.symmetric:
         if args.k is None or args.k < 1:
             raise UsageError("--symmetric needs --k >= 1")
@@ -401,6 +404,8 @@ def _sidecar_path(out: str) -> str:
 def _cmd_plot(args) -> int:
     if args.out is None:
         raise UsageError("plot needs --out (an SVG path; a CSV sidecar is written next to it)")
+    if args.kind == "basis" and args.coeffs is not None:
+        raise UsageError("--coeffs is for plot --kind polygon, not --kind basis")
     n, sel = _resolve_selection(args)
     iv = _interval(args)
     samples = _grid_size(args)
@@ -457,6 +462,8 @@ def _cmd_operator(args) -> int:
     # the one command whose module needs numpy at import; the others skip it
     from .operators import bernstein_like_report, quasi_interpolant_report
 
+    if args.which == "quasi" and args.smoothness is not None:
+        raise UsageError("--smoothness is for --which bernop, not --which quasi")
     n, sel = _resolve_selection(args)
     iv = _interval(args)
     reg = FN_REGISTRY.get(args.fn)
@@ -467,17 +474,18 @@ def _cmd_operator(args) -> int:
     if args.which == "quasi":
         report = quasi_interpolant_report(args.m, n, sel, reg.fn, iv, samples=samples)
     else:
+        smoothness = args.smoothness or "c0"
         d1 = d2 = None
-        if args.smoothness == "c1":
+        if smoothness == "c1":
             d1 = reg.d1(a, b)
-        elif args.smoothness == "c2":
+        elif smoothness == "c2":
             if reg.d2 is None:
                 raise UsageError(
                     f"--fn {reg.name} has no bounded second derivative; use c0 or c1"
                 )
             d2 = reg.d2(a, b)
         report = bernstein_like_report(
-            args.m, n, sel, reg.fn, args.smoothness, iv, d1=d1, d2=d2, samples=samples
+            args.m, n, sel, reg.fn, smoothness, iv, d1=d1, d2=d2, samples=samples
         )
     _emit(_json_text(report.to_json_obj()) + "\n", args.out)
     return 0

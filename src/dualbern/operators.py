@@ -25,14 +25,15 @@ on the least-squares grid (Q_s) or the modulus grid (the C0 bound).  At the
 default 201 samples the report grid of Q_s is every other point of its
 401-point least-squares grid, so Q_s samples n+1+401 points (n+1+samples+401
 otherwise); D_m samples m+1+samples, plus 1025 for the C0 bound, whose
-omega(f, b - a) is max - min over the whole modulus grid (one window).
-Once per degree it builds M_n^{-1} (the cache
-of :func:`~dualbern.bernstein._colloc_inv`) and its exact norm, which
-:func:`~dualbern.ratmat.inf_norm` keeps on that cached matrix, so clearing
-the cache drops both.  Both operators turn data into coefficients in one
-place, :func:`~dualbern.ratmat._apply_rows` (the data map on M_n^{-1}, then
-:meth:`~dualbern.subspace.DualBasis.bform` on A): it reads the integer view
-of the matrix, so float or exact data build no Fraction entry.
+omega(f, b - a) is max - min over the modulus grid: the modulus is taken at
+the interval's width, the one h the bound reads.  Once per degree it builds
+M_n^{-1} (the cache of :func:`~dualbern.bernstein._colloc_inv`) and its
+exact norm, which :func:`~dualbern.ratmat.inf_norm` keeps on that cached
+matrix, so clearing the cache drops both.  Both operators turn data into
+coefficients in one place, :func:`~dualbern.ratmat._apply_rows` (the data
+map on M_n^{-1}, then :meth:`~dualbern.subspace.DualBasis.bform` on A): it
+reads the integer view of the matrix, so float or exact data build no
+Fraction entry.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .bernstein import (
     BPoly,
@@ -220,27 +220,15 @@ def bernstein_like(
     return _bernop(_dual(m, n, s, iv), f)
 
 
-def modulus_of_continuity(f: SampledFunction, h, iv: Interval = UNIT_INTERVAL) -> float:
-    """Grid approximation of omega(f, h) = max |f(x) - f(y)| over |x - y| <= h.
-
-    Samples 1025 uniform points (1024 steps) and takes the largest (max - min) over
-    windows spanning parameter distance <= h; a lower bound for the true
-    modulus.  Below one grid step no two samples are within h, and the grid
-    value is 0.
+def modulus_of_continuity(f: SampledFunction, *, iv: Interval = UNIT_INTERVAL) -> float:
+    """Grid approximation of omega(f, b - a) = max |f(x) - f(y)| over [a, b]:
+    max - min of f on 1025 uniform points (1024 steps), a lower bound for the
+    true value.  The width of the interval is the only h the C0 bound reads.
     """
-    _, width = iv._float_aw
-    if not 0 < h <= width:
-        raise ValueError(f"need 0 < h <= b - a = {width}, got h={h}")
-    span = int(float(h) / width * 1024 + 1e-9)  # indices within distance h, at most 1024
-    if span == 0:
-        return 0.0
     vals = _sample(f, uniform_grid(iv, 1025))
     # like bform_eval, overflow and inf - inf give inf/nan without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if span == 1024:  # one window, the whole grid (h = b - a, the reports' h)
-            return float(vals.max() - vals.min())
-        windows = sliding_window_view(vals, span + 1)
-        return float(np.max(windows.max(axis=1) - windows.min(axis=1)))
+        return float(vals.max() - vals.min())
 
 
 _BOUND_KINDS = {"c0": "C0-modulus", "c1": "C1", "c2": "C2"}
@@ -285,7 +273,7 @@ def bernstein_like_report(
     norm_a = inf_norm(db.A)
     _, w = iv._float_aw
     if kind == "C0-modulus":
-        bound = float(norm_a) * modulus_of_continuity(f, w, iv)
+        bound = float(norm_a) * modulus_of_continuity(f, iv=iv)
     elif kind == "C1":
         if d1 is None:
             raise ValueError("c1 bound needs d1 = sup|f'| over the interval")

@@ -34,6 +34,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Union
 
+__all__ = ("SingularMatrixError", "Mat", "is_inverse", "inf_norm", "mat_to_json_obj")
+
 # Accepted scalar inputs for matrix construction.
 Scalar = Union[int, str, Fraction]
 

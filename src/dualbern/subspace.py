@@ -20,9 +20,15 @@ k after the map T: B_j^m -> C(m, j) psi_j / (n)_m, and E(s,:) is the
 evaluation matrix of T B^m at the integer nodes s.  For m <= n the psi_j
 are a basis, so E(s,:) is invertible exactly when the nodes are distinct,
 and column i of A is the B-form of T^{-1} l_i, l_i the Lagrange polynomial
-on s.  The Bernstein A is built from that closed form in integers; no
-elimination runs.  In the psi basis of degree d, psi_j^{(d)}(x) =
-(x)_j (n - x)_{d-j}, a linear factor acts by a two-term recurrence,
+on s.  Read at every ambient node, not only the selected ones, that is
+lambda_k^n D_i = l_i(k) for k = 0..n: the degree-n B-form E A of D_i holds
+l_i(0), ..., l_i(n), so with the Bernstein operator B_n g = sum_k g(k/n) B_k^n,
+
+    D_i^m = B_n[l_i(n ·)].
+
+The Bernstein A is built from that closed form in integers; no elimination
+runs.  In the psi basis of degree d, psi_j^{(d)}(x) = (x)_j (n - x)_{d-j},
+a linear factor acts by a two-term recurrence,
 
     (n - d)(x - c) psi_j^{(d)} = (n - d + j - c) psi_{j+1}^{(d+1)} + (j - c) psi_j^{(d+1)},
 
@@ -51,6 +57,12 @@ from .bernstein import (
     xi_nodes,
 )
 from .ratmat import Mat, SingularMatrixError, _apply_rows, _from_common_denominator, _is_inverse_over
+
+__all__ = (
+    "SelectionError", "NotInjectiveError", "IndexOutOfRangeError", "WrongLengthError", "SelectionMap",
+    "make_selection", "Embedding", "bernstein_embedding", "power_embedding", "DualBasis", "dual_basis",
+    "dual_basis_eval", "verify_duality", "is_complete", "linear_precision_check",
+)
 
 
 class SelectionError(ValueError):

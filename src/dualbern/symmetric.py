@@ -31,6 +31,11 @@ from .bernstein import (
 from .ratmat import Mat, _float_rows, _from_common_denominator
 from .subspace import SelectionMap, _bernstein_dual_matrix, make_selection
 
+__all__ = (
+    "SymmetricConfig", "symmetric_dual_matrix", "rate_constant", "ConvergenceRecord",
+    "convergence_table", "convergence_csv",
+)
+
 
 @dataclass(frozen=True)
 class SymmetricConfig:

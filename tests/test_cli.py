@@ -162,6 +162,13 @@ USAGE_ERRORS = [
     (("convergence", "--m", "0", "--k", "3"), "--m must be >= 1"),
     (_POLYGON, "plot --kind polygon needs --coeffs c0,c1,...,cm"),
     ((*_POLYGON, "--coeffs", "1,x,2"), "bad --coeffs '1,x,2'"),
+    # options the command would otherwise ignore
+    (("dual-basis", "--m", "2", "--n", "4", "--selection", "0,2,4", "--k", "2"),
+     "--k needs --symmetric"),
+    (("plot", "--kind", "basis", "--m", "2", "--symmetric", "--k", "2", "--coeffs", "0,1,0",
+      "--out", "{out}/p.svg"), "--coeffs is for plot --kind polygon, not --kind basis"),
+    (("operator", "--which", "quasi", "--m", "2", "--symmetric", "--k", "2", "--fn", "sin",
+      "--smoothness", "c1"), "--smoothness is for --which bernop, not --which quasi"),
 ]
 
 
@@ -467,6 +474,13 @@ def test_operator_bernop_bounds(capsys):
         assert obj["sup_error"] <= obj["bound"] + 1e-12
 
 
+def test_operator_bernop_defaults_to_c0(capsys):
+    bernop = ("operator", "--which", "bernop", "--m", "2", "--symmetric", "--k", "2", "--fn", "sin")
+    rc, out, err = invoke(capsys, *bernop)
+    assert (rc, err) == (0, "") and json.loads(out)["bound_kind"] == "C0-modulus"
+    assert invoke(capsys, *bernop, "--smoothness", "c0") == (0, out, "")
+
+
 def test_operator_unknown_fn(capsys):
     rc, _, err = invoke(
         capsys, "operator", "--which", "quasi", "--m", "2", "--symmetric", "--k", "2",
@@ -540,11 +554,12 @@ def _argv(draw):
         coeffs = draw(st.lists(st.sampled_from(_COEFFS), min_size=m + 1, max_size=m + 1))
         argv += ["--kind", kind, *grid, "--out", "{out}/p.svg"]
         return argv + (["--coeffs", ",".join(coeffs)] if kind == "polygon" else [])
-    return argv + [
-        "--which", draw(st.sampled_from(["quasi", "bernop"])),
-        "--fn", draw(st.sampled_from(["sin", "exp", "sq", "abs32"])),
-        "--smoothness", draw(st.sampled_from(["c0", "c1", "c2"])), *grid,
-    ]
+    which = draw(st.sampled_from(["quasi", "bernop"]))
+    argv += ["--which", which, "--fn", draw(st.sampled_from(["sin", "exp", "sq", "abs32"])), *grid]
+    # --smoothness is refused with --which quasi; bernop without it is c0
+    if which == "quasi":
+        return argv
+    return argv + draw(st.sampled_from([[], *(["--smoothness", c] for c in ("c0", "c1", "c2"))]))
 
 
 def _no_constants(name):

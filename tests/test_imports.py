@@ -4,17 +4,21 @@ The exact commands (``elevate``, ``dual-basis``, the singular power probe)
 and ``import dualbern`` itself must not import numpy or
 ``dualbern.operators``, and ``import dualbern.cli`` must not import
 ``csv``.  The ``operators`` names stay reachable from the package through
-its module ``__getattr__``, and they are exactly the public functions and
-classes that module defines.  Each check runs in a fresh interpreter, since
-this test process has numpy loaded.
+its module ``__getattr__``.  Each public name is declared once: in its
+module's ``__all__``, which holds exactly the public functions and classes
+the module defines, or, for ``operators``, in the package's ``_LAZY_NAMES``.
+The import checks run in a fresh interpreter, since this test process has
+numpy loaded.
 """
 
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
 
 import dualbern
+from dualbern import bernstein, operators, ratmat, subspace, symmetric
 
 SRC = pathlib.Path(dualbern.__file__).resolve().parent.parent
 
@@ -46,7 +50,6 @@ print("ok")
 """
 
 LAZY_NAMES = r"""
-import inspect
 import dualbern
 # the submodule by attribute first, before any name has imported it
 assert dualbern.operators._colloc_inv is dualbern.bernstein._colloc_inv
@@ -56,13 +59,9 @@ missing = [name for name in dualbern.__all__ if name not in ns]
 assert not missing, missing
 assert dualbern.quasi_interpolant_report is dualbern.operators.quasi_interpolant_report
 assert set(dualbern.__all__) <= set(dir(dualbern))
-# the lazy names are the public functions and classes of dualbern.operators,
-# so one added there without an __all__ entry fails here
-ops = dualbern.operators
-public = {name for name, obj in vars(ops).items() if not name.startswith("_")
-          and (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == ops.__name__}
+# no operators name is bound on the package: each goes through __getattr__
 lazy = {name for name in dualbern.__all__ if name not in vars(dualbern)}
-assert lazy == public, (lazy ^ public)
+assert lazy == dualbern._LAZY_NAMES, lazy ^ dualbern._LAZY_NAMES
 try:
     dualbern.no_such_name
 except AttributeError as exc:
@@ -88,3 +87,26 @@ def test_exact_commands_do_not_import_numpy():
 def test_operators_names_resolve_lazily():
     proc = _run(LAZY_NAMES)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+def _public(module):
+    """The public functions and classes that the module defines."""
+    return {name for name, obj in vars(module).items() if not name.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__}
+
+
+def test_each_public_name_is_declared_once():
+    # each eager module's __all__ is what it defines, so a public function or
+    # class added without an __all__ entry fails here; bernstein also exports
+    # the constant UNIT_INTERVAL
+    eager = {bernstein: {"UNIT_INTERVAL"}, ratmat: set(), subspace: set(), symmetric: set()}
+    for module, constants in eager.items():
+        assert set(module.__all__) == _public(module) | constants, module.__name__
+    # the operators names are the one literal list of the package
+    assert dualbern._LAZY_NAMES == _public(operators)
+    names = [name for module in eager for name in module.__all__] + sorted(dualbern._LAZY_NAMES)
+    assert len(set(names)) == len(names), "a name is in two lists"
+    assert sorted(dualbern.__all__) == sorted(names)
+    for module in eager:
+        for name in module.__all__:
+            assert getattr(dualbern, name) is getattr(module, name), name

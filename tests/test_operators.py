@@ -295,18 +295,17 @@ def test_bernstein_like_constant():
 
 
 def test_modulus_of_continuity():
-    assert modulus_of_continuity(lambda t: t, 0.3) == pytest.approx(0.3, abs=2e-3)
-    assert abs(modulus_of_continuity(lambda t: t * t, 0.25) - 0.4375) <= 1e-12
-    assert modulus_of_continuity(lambda t: 4.0, 0.5) == 0
-    for h in (0.1, 0.5, 1.0):
-        assert modulus_of_continuity(math.sin, h) <= h + 1e-9
-    # below one grid step (1/1024) no two samples lie within h
-    for h in (1e-9, 1e-4):
-        assert modulus_of_continuity(math.sin, h) == 0
-    with pytest.raises(ValueError):
-        modulus_of_continuity(lambda t: t, 0.0)
-    with pytest.raises(ValueError):
-        modulus_of_continuity(lambda t: t, 1.5)
+    # omega(f, b - a) on the 1025-point grid: max - min of the samples
+    assert modulus_of_continuity(lambda t: t) == 1.0
+    assert modulus_of_continuity(lambda t: (t - 0.5) ** 2) == 0.25  # 1/2 is a grid point
+    assert modulus_of_continuity(math.sin) == math.sin(1.0)
+    assert modulus_of_continuity(lambda t: 4.0) == 0
+    # a lower bound: a spike between two grid points is seen at half its height
+    assert modulus_of_continuity(lambda t: max(0.0, 1 - abs(t - 1 / 2048) * 1024)) == 0.5
+    # the window is the interval's width, so no h is taken
+    for args in ((0.3,), (0.3, UNIT_INTERVAL)):
+        with pytest.raises(TypeError):
+            modulus_of_continuity(lambda t: t, *args)
 
 
 def _sliding_modulus(f, h, iv):
@@ -328,15 +327,17 @@ def test_modulus_over_the_whole_interval_is_the_sliding_window_formula():
            spiked({0: math.nan, 9: math.inf}), lambda t: math.inf, lambda t: -math.inf,
            spiked({1024: 1e308, 0: -1e308})]
     for f in fns:
-        for iv, h in ((UNIT_INTERVAL, 1.0), (UNIT_INTERVAL, 1.0 - 1e-13), (UNIT_INTERVAL, 1 / 3),
-                      (Interval(0, 1.0), 0.5)):
-            got, want = modulus_of_continuity(f, h, iv), _sliding_modulus(f, h, iv)
-            assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)), (h, got, want)
+        for iv in (UNIT_INTERVAL, Interval(0, 1.0), Interval(F(1, 3), 2.5)):
+            got, want = modulus_of_continuity(f, iv=iv), _sliding_modulus(f, iv.width, iv)
+            assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)), (iv, got, want)
 
 
 def test_modulus_off_unit_interval():
-    got = modulus_of_continuity(lambda t: t, 0.5, IV13)
-    assert got == pytest.approx(0.5, abs=2e-3)
+    assert modulus_of_continuity(lambda t: t, iv=IV13) == 2.0
+    # sin peaks at pi/2, between two grid points of [1, 3]
+    got = modulus_of_continuity(math.sin, iv=IV13)
+    assert got <= 1 - math.sin(3)
+    assert got == pytest.approx(1 - math.sin(3), abs=1e-6)
 
 
 def test_bernstein_like_report_bounds_hold():

@@ -39,6 +39,7 @@ from dualbern.subspace import (
     power_embedding,
     verify_duality,
 )
+from dualbern.symmetric import SymmetricConfig
 
 
 def test_make_selection_valid():
@@ -130,6 +131,32 @@ def test_symmetric_selections_build_the_oracle_inverse():
     for sel, first in (((2, 2, 2), 2), ((1, 3, 1, 3), 1), ((0, 2, 2, 4), 2), ((0, 3, 3), 3)):
         with pytest.raises(SingularMatrixError, match=f"^singular matrix: selection index {first} repeats$"):
             dual_basis(bernstein_embedding(len(sel) - 1, 4), SelectionMap(len(sel) - 1, 4, sel))
+
+
+def test_dual_basis_is_the_bernstein_operator_on_the_lagrange_basis():
+    # D_i^m = B_n[l_i(n .)]: the degree-n B-form E A of D_i holds l_i(k) at
+    # every k = 0..n, not only at the selected k; l_i(k) = N_i(k) / D_i with
+    # N_i(x) = prod_{r != i} (x - s(r)) and D_i = N_i(s(i)), and the check runs
+    # on integers: E C(n, m) and A den are integer matrices
+    rng = random.Random(20261022)
+    cases = []
+    for _ in range(300):  # unsorted selections
+        m = rng.randint(0, 8)
+        n = rng.randint(m, m + 20)
+        cases.append((m, n, tuple(rng.sample(range(n + 1), m + 1))))
+    cases += [(m, m * k, SymmetricConfig(m, k).selection().indices)
+              for m in range(1, 9) for k in (1, 2, 3, 5, 8)]
+    for m, n, sel in cases:
+        A = dual_basis(bernstein_embedding(m, n), make_selection(m, n, sel)).A
+        den = math.lcm(*(x.denominator for x in A.entries))
+        a = [[int(x * den) for x in A.row(j)] for j in range(m + 1)]
+        e = [[math.comb(n - k, m - j) * math.comb(k, j) for j in range(m + 1)] for k in range(n + 1)]
+        scale = math.comb(n, m) * den
+        for i, si in enumerate(sel):
+            d_i = math.prod(si - r for r in sel if r != si)
+            for k in range(n + 1):
+                n_ik = math.prod(k - r for r in sel if r != si)
+                assert sum(x * y[i] for x, y in zip(e[k], a)) * d_i == n_ik * scale, (m, n, sel, i, k)
 
 
 def test_closed_form_dual_rejects_what_gauss_jordan_rejects():

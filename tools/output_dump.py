@@ -19,8 +19,8 @@ in reversed order, at m = 0, on an unsorted permutation at n = m (E = I), on
 unsorted selections at n = m+1 and n = 2m, and on non-uniform selections at
 (m, n) = (16, 64) and (20, 400); quasi reports at 101 and 2001 samples (report
 grids that are not every other point of the least-squares grid); the grid
-modulus of continuity at h = (b - a)/3 (a sliding window, not the whole
-grid); reports of a Fraction-valued f on an exact interval; basis plots
+modulus of continuity omega(f, b - a) on three intervals, one of them mixed
+Fraction/float; reports of a Fraction-valued f on an exact interval; basis plots
 (exit code, stderr and a sha256 of each written file) at m = 12 and m = 5;
 the digest and exact norm of a cold collocation inverse M_n^{-1} for
 n = 1..60 (the catalogue's operator reports reach n = 40); and the dual
@@ -96,8 +96,7 @@ def _extras(scratch: Path):
             yield f"quasi:4:16:abs32:{iv.a}:{iv.b}:samples={samples}", report
     for name, f in (("sin", reg["sin"].fn), ("abs32", reg["abs32"].fn)):
         for iv in (db.Interval(0, 1), mixed, db.Interval(1.0, 3.0)):
-            h = float(iv.width) / 3
-            yield f"modulus:{name}:{iv.a}:{iv.b}:h=w/3", db.modulus_of_continuity(f, h, iv)
+            yield f"modulus:{name}:{iv.a}:{iv.b}", db.modulus_of_continuity(f, iv=iv)
     exact = db.Interval(Fraction(1, 2), 2)
     s = db.make_selection(3, 12, wl._spread(3, 12))
     yield "quasi:3:12:third-plus-sq:1/2:2", db.quasi_interpolant_report(3, 12, s, _third_plus_sq, exact)
