@@ -4,7 +4,8 @@ Subcommands: elevate, dual-basis, convergence, plot, operator.  Output is
 deterministic: floats are printed with 17 significant digits, matrices as
 exact rational strings, SVG plots are self-contained (fixed 800x600 viewBox,
 no external assets) and always come with a CSV sidecar holding the sampled
-values.  Exit codes: 0 success, 2 usage/precondition error, 3 singular
+values (a plot writes both files or neither), drawn from curves kept as
+float arrays.  Exit codes: 0 success, 2 usage/precondition error, 3 singular
 selection (reported as structured JSON).
 
 ``main()`` is the process entry (``python -m dualbern.cli`` and the
@@ -54,11 +55,15 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _format_rows(row_fmt: str, rows, sep: str = "\n") -> str:
-    """The rows, each written by the %-template row_fmt and joined by sep, in
-    one % operation over the flat tuple of their values: "%.3f" and "%.17g"
-    run the float formatter that format() runs, so the text is the same."""
-    return sep.join([row_fmt] * len(rows)) % tuple(v for row in rows for v in row)
+def _format_rows(row_fmt: str, columns, sep: str = "\n") -> str:
+    """The rows of the float arrays in columns, stacked side by side, each
+    written by the %-template row_fmt and joined by sep, in one % operation
+    over the flat values: "%.3f" and "%.17g" run the float formatter that
+    format() runs, so the text is the same."""
+    import numpy as np
+
+    table = np.column_stack(columns)
+    return sep.join([row_fmt] * len(table)) % tuple(table.ravel().tolist())
 
 
 def _json_text(obj, indent: int = 0) -> str:
@@ -333,33 +338,37 @@ def _cmd_convergence(args) -> int:
 # -- SVG helpers -------------------------------------------------------------
 
 
-def _svg_document(curves, points_groups, x_range) -> str:
-    """Self-contained 800x600 SVG: framed plot area, polyline curves, and
-    optional marker groups (list of (pts, dashed)).  The y range spans the
-    curves' values; ValueError when one is not finite or the padded range
-    has no finite positive width."""
-    if not all(math.isfinite(v) for pts, _ in curves for pt in pts for v in pt):
+def _svg_document(curves, markers, x_range) -> str:
+    """Self-contained 800x600 SVG: framed plot area, a polyline per curve
+    (xs, ys, dashed) and a circle at each point of each marker group
+    (xs, ys); xs and ys are float arrays.  The y range spans the curves'
+    values; ValueError when one is not finite or the padded range has no
+    finite positive width."""
+    import numpy as np
+
+    if not all(np.isfinite(xs).all() and np.isfinite(ys).all() for xs, ys, _ in curves):
         raise ValueError("plot values are not finite")
     width, height = 800, 600
     left, right, top, bottom = 60, 20, 20, 40
     x0, x1 = x_range
-    ys = [y for pts, _ in curves for _, y in pts]
-    y0, y1 = min(ys), max(ys)
+    # Python floats (the padding may overflow to inf), each the first extreme
+    # as min()/max() over the values pick it: the message shows a zero's sign
+    lo = min(ys[ys.argmin()].item() for _, ys, _ in curves)
+    hi = max(ys[ys.argmax()].item() for _, ys, _ in curves)
+    y0, y1 = lo, hi
     if y1 - y0 < 1e-12:
         y0, y1 = y0 - 1.0, y1 + 1.0
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
     if not 0 < y1 - y0 < math.inf:
-        raise ValueError(f"cannot scale the plot's y range [{min(ys)}, {max(ys)}]")
+        raise ValueError(f"cannot scale the plot's y range [{lo}, {hi}]")
 
-    def sx(x):
-        return left + (x - x0) / (x1 - x0) * (width - left - right)
-
-    def sy(y):
-        return height - bottom - (y - y0) / (y1 - y0) * (height - top - bottom)
-
-    def fmt(v):
-        return format(v, ".3f")
+    def pixels(xs, ys):
+        """The x and y pixel columns of the points: each axis is one array
+        expression in the scalar map's operation order, so each value has
+        the scalar map's bits."""
+        return (left + (xs - x0) / (x1 - x0) * (width - left - right),
+                height - bottom - (ys - y0) / (y1 - y0) * (height - top - bottom))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -377,21 +386,18 @@ def _svg_document(curves, points_groups, x_range) -> str:
     ):
         parts.append(
             f'<text x="{xx}" y="{yy}" font-family="sans-serif" font-size="12" '
-            f'text-anchor="{anchor}" fill="#333">{fmt(val)}</text>'
+            f'text-anchor="{anchor}" fill="#333">{val:.3f}</text>'
         )
-    for idx, (pts, dashed) in enumerate(curves):
-        coords = _format_rows("%.3f,%.3f", [(sx(x), sy(y)) for x, y in pts], " ")
+    for idx, (xs, ys, dashed) in enumerate(curves):
+        coords = _format_rows("%.3f,%.3f", pixels(xs, ys), " ")
         dash = ' stroke-dasharray="6,4"' if dashed else ""
         color = PALETTE[idx % len(PALETTE)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="{coords}"/>'
         )
-    for idx, (pts, dashed) in enumerate(points_groups):
-        color = PALETTE[idx % len(PALETTE)]
-        for x, y in pts:
-            parts.append(
-                f'<circle cx="{fmt(sx(x))}" cy="{fmt(sy(y))}" r="3.5" fill="{color}"/>'
-            )
+    for idx, (xs, ys) in enumerate(markers):
+        circle = f'<circle cx="%.3f" cy="%.3f" r="3.5" fill="{PALETTE[idx % len(PALETTE)]}"/>'
+        parts.append(_format_rows(circle, pixels(xs, ys)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -410,20 +416,17 @@ def _cmd_plot(args) -> int:
     iv = _interval(args)
     samples = _grid_size(args)
     db = dual_basis(bernstein_embedding(args.m, n), sel, iv)
-    ts = uniform_grid(iv, samples).tolist()
+    ts = uniform_grid(iv, samples)
+    x_range = (ts[0], ts[-1])
 
     if args.kind == "basis":
         # dual_basis_eval's sum on A converted to float once: Fraction * float
         # already goes through float()
-        values = _basis_sum_eval(_float_rows(db.A), iv, ts).tolist()
-        curves = [
-            ([(t, row[i]) for t, row in zip(ts, values)], False) for i in range(args.m + 1)
-        ]
-        svg = _svg_document(curves, [], (ts[0], ts[-1]))
+        values = _basis_sum_eval(_float_rows(db.A), iv, ts)
+        svg = _svg_document([(ts, values[:, i], False) for i in range(args.m + 1)], [], x_range)
         header = "t," + ",".join(f"D{i}" for i in range(args.m + 1))
         row_fmt = ",".join(["%.17g"] * (args.m + 2))
-        rows = [(t, *row) for t, row in zip(ts, values)]
-        sidecar = header + "\n" + _format_rows(row_fmt, rows) + "\n"
+        sidecar = header + "\n" + _format_rows(row_fmt, (ts, values)) + "\n"
     else:
         if args.coeffs is None:
             raise UsageError("plot --kind polygon needs --coeffs c0,c1,...,cm")
@@ -435,26 +438,29 @@ def _cmd_plot(args) -> int:
             raise UsageError(f"--coeffs needs {args.m + 1} values for m={args.m}")
         if not all(math.isfinite(x) for x in alpha):
             raise UsageError(f"--coeffs must be finite, got {args.coeffs!r}")
-        transformed = list(db.bform(alpha).coeffs)
-        xs = uniform_grid(iv, args.m + 1).tolist()
-        curve_pts = list(zip(ts, bform_eval(transformed, iv, ts).tolist()))
-        original = list(zip(xs, alpha))
-        moved = list(zip(xs, transformed))
-        svg = _svg_document(
-            [(original, False), (moved, True), (curve_pts, False)],
-            [(original, False), (moved, True)],
-            (ts[0], ts[-1]),
-        )
+        import numpy as np  # uniform_grid has loaded it
+
+        original, moved = np.array([alpha, db.bform(alpha).coeffs])
+        xs = uniform_grid(iv, args.m + 1)
+        curve = bform_eval(moved, iv, ts)
+        svg = _svg_document([(xs, original, False), (xs, moved, True), (ts, curve, False)],
+                            [(xs, original), (xs, moved)], x_range)
         lines = ["kind,x,y"]
-        lines += [_format_rows(f"{kind},%.17g,%.17g", pts)
-                  for kind, pts in (("original", original), ("transformed", moved),
-                                    ("curve", curve_pts))]
+        lines += [_format_rows(f"{kind},%.17g,%.17g", columns)
+                  for kind, columns in (("original", (xs, original)), ("transformed", (xs, moved)),
+                                        ("curve", (ts, curve)))]
         sidecar = "\n".join(lines) + "\n"
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    with open(_sidecar_path(args.out), "w", encoding="utf-8") as fh:
-        fh.write(sidecar)
+    opened = []  # both files or neither: a failed write removes what this call opened
+    try:
+        for path, text in ((args.out, svg), (_sidecar_path(args.out), sidecar)):
+            with open(path, "w", encoding="utf-8") as fh:
+                opened.append(path)
+                fh.write(text)
+    except OSError:
+        for path in opened:
+            os.remove(path)
+        raise
     return 0
 
 

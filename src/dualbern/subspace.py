@@ -212,7 +212,9 @@ class DualBasis:
 def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) -> DualBasis:
     """Construct the dual basis for a selection; raises SingularMatrixError
     when the selected functionals are not linearly independent on the
-    subspace (expected for power-basis selections other than (0..m)).
+    subspace (expected for power-basis selections other than (0..m)), and
+    WrongLengthError, as make_selection does, when s does not hold m + 1
+    indices.
 
     Bernstein embedding: A = E(s,:)^{-1} in closed form.  The discrete
     Bernstein basis psi_j, the map T and the two-term recurrence are set out
@@ -249,6 +251,8 @@ def dual_basis(emb: Embedding, s: SelectionMap, iv: Interval = UNIT_INTERVAL) ->
         raise SelectionError(
             f"selection ({s.m},{s.n}) does not match embedding ({emb.m},{emb.n})"
         )
+    if len(s.indices) != emb.m + 1:  # a SelectionMap built without make_selection
+        raise WrongLengthError(f"selection needs {emb.m + 1} indices, got {len(s.indices)}")
     if emb.kind == "bernstein":
         A = _bernstein_dual_matrix(emb.m, emb.n, s.indices)
     else:

@@ -9,6 +9,12 @@ the lowest-terms integer form of a matrix, the Pascal matrix, the left- and
 right-endpoint readings of lambda_k^n on power coefficients computed here),
 so the two must never share code beyond the :class:`~dualbern.ratmat.Mat`
 container; binomial coefficients come from :func:`math.comb`.
+
+It also keeps the CLI's SVG plot writer as it was when curves were lists of
+(x, y) pairs, mapped to pixels one scalar call per coordinate: the array
+writer in :mod:`dualbern.cli` must return the same text, byte for byte, or
+raise the same ValueError.  Only the palette and the version comment are
+taken from the CLI.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from dualbern.cli import PALETTE, SVG_VERSION_COMMENT
 from dualbern.ratmat import Mat, SingularMatrixError
 
 
@@ -140,3 +147,67 @@ def right_functionals(n: int, ks: Iterable[int], alpha: Sequence) -> list:
     return [sum(Fraction((-1) ** j * math.comb(n - k, j), math.comb(n, j)) * e[j]
                 for j in range(min(n - k, d) + 1))
             for k in ks]
+
+
+def svg_document_pairs(curves, points_groups, x_range) -> str:
+    """The pair-based SVG writer: curves and points_groups are lists of
+    (pts, dashed), pts a list of (x, y) floats; the y range spans the
+    curves' values.  ValueError when a curve value is not finite or the
+    padded y range has no finite positive width."""
+    if not all(math.isfinite(v) for pts, _ in curves for pt in pts for v in pt):
+        raise ValueError("plot values are not finite")
+    width, height = 800, 600
+    left, right, top, bottom = 60, 20, 20, 40
+    x0, x1 = x_range
+    ys = [y for pts, _ in curves for _, y in pts]
+    y0, y1 = min(ys), max(ys)
+    if y1 - y0 < 1e-12:
+        y0, y1 = y0 - 1.0, y1 + 1.0
+    pad = 0.05 * (y1 - y0)
+    y0, y1 = y0 - pad, y1 + pad
+    if not 0 < y1 - y0 < math.inf:
+        raise ValueError(f"cannot scale the plot's y range [{min(ys)}, {max(ys)}]")
+
+    def sx(x):
+        return left + (x - x0) / (x1 - x0) * (width - left - right)
+
+    def sy(y):
+        return height - bottom - (y - y0) / (y1 - y0) * (height - top - bottom)
+
+    def fmt(v):
+        return format(v, ".3f")
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        SVG_VERSION_COMMENT,
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{left}" y="{top}" width="{width - left - right}" '
+        f'height="{height - top - bottom}" fill="none" stroke="#333" stroke-width="1"/>',
+    ]
+    for label, val, anchor, xx, yy in (
+        ("xmin", x0, "start", left, height - bottom + 16),
+        ("xmax", x1, "end", width - right, height - bottom + 16),
+        ("ymin", y0, "end", left - 6, height - bottom),
+        ("ymax", y1, "end", left - 6, top + 10),
+    ):
+        parts.append(
+            f'<text x="{xx}" y="{yy}" font-family="sans-serif" font-size="12" '
+            f'text-anchor="{anchor}" fill="#333">{fmt(val)}</text>'
+        )
+    for idx, (pts, dashed) in enumerate(curves):
+        rows = [(sx(x), sy(y)) for x, y in pts]
+        coords = " ".join(["%.3f,%.3f"] * len(rows)) % tuple(v for row in rows for v in row)
+        dash = ' stroke-dasharray="6,4"' if dashed else ""
+        color = PALETTE[idx % len(PALETTE)]
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="{coords}"/>'
+        )
+    for idx, (pts, dashed) in enumerate(points_groups):
+        color = PALETTE[idx % len(PALETTE)]
+        for x, y in pts:
+            parts.append(
+                f'<circle cx="{fmt(sx(x))}" cy="{fmt(sy(y))}" r="3.5" fill="{color}"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

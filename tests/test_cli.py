@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -11,14 +12,17 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 
+import numpy as np
+import oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dualbern
 from dualbern.bernstein import Interval, uniform_grid
-from dualbern.cli import run
+from dualbern.cli import _svg_document, run
 from dualbern.subspace import bernstein_embedding, dual_basis, dual_basis_eval, make_selection
 
 
@@ -369,6 +373,85 @@ def test_plot_unwritable_out(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_plot_writes_both_files_or_neither(tmp_path, capsys):
+    # the sidecar path is a directory: the SVG written before it is removed
+    (tmp_path / "p.csv").mkdir()
+    rc, out, err = invoke(
+        capsys,
+        "plot", "--kind", "basis", "--m", "2", "--symmetric", "--k", "2",
+        "--out", str(tmp_path / "p.svg"),
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "p.csv" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
+
+
+_ZERO = st.sampled_from([0.0, -0.0])
+_BIG = st.floats(1e306, 1.7976931348623157e308).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def _curve_sets(draw):
+    """(curves, marker curve indices, x range) in the array writer's form:
+    1-7 curves of 2-50 points, x inside a range of finite width, y from one
+    regime per set (any finite float, moderate, flat to under 1e-12, or near
+    the float maximum, each with signed zeros), and at most one non-finite
+    coordinate."""
+    x0, x1 = sorted(draw(st.lists(st.floats(-8e307, 8e307), min_size=2, max_size=2, unique=True)))
+    regime = draw(st.sampled_from(["any", "moderate", "flat", "big"]))
+    if regime == "flat":
+        base = draw(st.one_of(_ZERO, st.floats(-1e6, 1e6), _BIG))
+        ys = st.floats(0, 9e-13).map(lambda d: base + d)
+        if base == 0:
+            ys = st.one_of(ys, _ZERO)
+    else:
+        ys = {"any": st.floats(allow_nan=False, allow_infinity=False),
+              "moderate": st.floats(-1e3, 1e3), "big": _BIG}[regime]
+        ys = st.one_of(ys, _ZERO)
+    curves = []
+    for _ in range(draw(st.integers(1, 7))):
+        size = draw(st.integers(2, 50))
+        curves.append([draw(st.lists(st.floats(x0, x1), min_size=size, max_size=size)),
+                       draw(st.lists(ys, min_size=size, max_size=size)), draw(st.booleans())])
+    if draw(st.booleans()):
+        curve = draw(st.sampled_from(curves))
+        axis = curve[draw(st.integers(0, 1))]
+        axis[draw(st.integers(0, len(axis) - 1))] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    markers = draw(st.lists(st.integers(0, len(curves) - 1), max_size=3))
+    return curves, markers, (x0, x1)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+# y ranges too wide to scale, whose message shows the sign of the first zero
+# extreme: numpy's min() and max() can return the other zero
+@example(sets=([[[0.0, 0.5, 1.0], [0.0, -0.0, 1.75e308], False]], [0], (0.0, 1.0)))
+@example(sets=([[[0.0, 0.5, 1.0], [-1.75e308, -0.0, 0.0], True]], [], (0.0, 1.0)))
+@example(sets=([[[0.0, 1.0], [1.0, 1.0 + 5e-13], False]], [0], (0.0, 1.0)))
+@given(sets=_curve_sets())
+def test_svg_writer_matches_the_pair_based_writer(sets):
+    # the array writer returns the pair-based writer's text byte for byte, or
+    # raises its ValueError with the same message, and lets no numpy warning out
+    curves, markers, x_range = sets
+    try:
+        expected = oracle.svg_document_pairs(
+            [(list(zip(xs, ys)), dashed) for xs, ys, dashed in curves],
+            [(list(zip(*curves[i][:2])), False) for i in markers], x_range)
+    except ValueError as exc:
+        expected = exc
+    arrays = [(np.array(xs), np.array(ys), dashed) for xs, ys, dashed in curves]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = _svg_document(arrays, [arrays[i][:2] for i in markers], x_range)
+        except ValueError as exc:
+            got = exc
+    if isinstance(expected, ValueError):
+        assert isinstance(got, ValueError) and str(got) == str(expected)
+    else:
+        assert got == expected
 
 
 def test_operator_overflow_is_a_usage_error(capsys):

@@ -181,6 +181,18 @@ def test_closed_form_dual_rejects_what_gauss_jordan_rejects():
         dual_basis(power_embedding(2, 4), SelectionMap(2, 4, (0, 1, 5)))
 
 
+@pytest.mark.parametrize("embedding", [bernstein_embedding, power_embedding])
+@pytest.mark.parametrize("m, n, sel", [(2, 5, (0, 1, 3, 4)), (2, 4, (0, 4)), (2, 5, (0, 1))])
+def test_dual_basis_rejects_a_selection_of_the_wrong_length(embedding, m, n, sel):
+    # a SelectionMap built without make_selection: one index too many, one
+    # too few, and one too few where the power kind would find no pivot
+    with pytest.raises(WrongLengthError) as expected:
+        make_selection(m, n, sel)
+    with pytest.raises(WrongLengthError) as caught:
+        dual_basis(embedding(m, n), SelectionMap(m, n, sel))
+    assert str(caught.value) == str(expected.value) == f"selection needs {m + 1} indices, got {len(sel)}"
+
+
 def test_power_dual_basis_matches_gauss_jordan():
     # the closed form (A = E(s,:)^T, or the first column missing from s) against
     # elimination on E(s,:): every ordered selection with n <= 5, and with n <= 3

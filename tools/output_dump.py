@@ -28,7 +28,11 @@ functionals at k = 0, n/3 and n, and the real-index ones at x = 1/3 and 1/2,
 of exact power-built polynomials of degree d read nine degrees up (the
 catalogue reads them at their own degree, a one-entry band); and
 ``functionals:mixed``, the functionals and power form of B-forms given both
-exact and float coefficients (a B-form converts them all to floats).
+exact and float coefficients (a B-form converts them all to floats).  Last
+come plots on branches no catalogue case reaches: a polygon whose y range is
+flat (padded by 1 each way), a polygon with a -0 ordinate, a polygon whose y
+range is too wide to scale, with -0.0 as its low end in the error line, and
+a non-symmetric basis plot on the float interval [1.0, 3.0].
 
 Run it in two checkouts and compare the files::
 
@@ -128,6 +132,20 @@ def _extras(scratch: Path):
         db.generalized_dual_apply(2, 0.5, db.BPoly(2, unit, (Fraction(-1, 3), Fraction(-8), 1.5))),
         db.bform_to_power(db.BPoly(2, unit, (1, 2, 0.5))),
     )
+    plots = (
+        ("plot:polygon:2:2:flat", ("polygon", "--m", "2", "--symmetric", "--k", "2", "--coeffs", "1,1,1")),
+        ("plot:polygon:3:2:signed-zero", ("polygon", "--m", "3", "--symmetric", "--k", "2",
+                                          "--coeffs", "0,-0,1,0.5")),
+        ("plot:polygon:1:1:unscalable", ("polygon", "--m", "1", "--symmetric", "--k", "1",
+                                         "--coeffs=-0,1.75e308", "--grid", "5")),
+        ("plot:basis:3:7:0,2,5,7:1.0:3.0", ("basis", "--m", "3", "--n", "7", "--selection", "0,2,5,7",
+                                            "--a", "1.0", "--b", "3.0", "--grid", "41")),
+    )
+    for key, argv in plots:
+        case = wl.Case("extra", "cli", ("plot", "--kind", *argv, "--out", "{out}/p.svg"))
+        res = wl.run_cli_inprocess(case, scratch)
+        digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in res.files.items()}
+        yield key, (res.exit, res.stdout, res.stderr, digests)
 
 
 def main() -> None:
